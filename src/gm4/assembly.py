@@ -27,6 +27,7 @@ from .bundles import (
     TorusBundleOverCircle,
     UnsupportedOperationError,
     Word,
+    _combo,
     compose_isos,
     fiber_matrix,
     intertwiner_basis,
@@ -155,17 +156,10 @@ def is_reduced(gs: GraphStructure) -> Tuple[bool, List[int]]:
 
 
 def euler_characteristic(gs: GraphStructure) -> int:
-    """Euler characteristic by inclusion-exclusion over blocks and
-    decomposing manifolds; identically 0 and kept as a sanity assertion."""
-    chi_fiber = 0  # chi(T^2)
-    total = 0
-    for _, block in gs.blocks:
-        total += chi_fiber * block.rep.surface.euler_characteristic()
-    for _ in gs.edges:
-        total -= 0  # decomposing manifolds are closed 3-manifolds
-    if total != 0:
-        raise RuntimeError(f"Euler characteristic {total} != 0: inconsistent structure")
-    return total
+    """Euler characteristic, always 0: a block over the base F has
+    chi = chi(T^2) * chi(F) = 0, and the decomposing manifolds are closed
+    3-manifolds with chi = 0."""
+    return 0
 
 
 def manifold_signature(gs: GraphStructure) -> Fraction:
@@ -314,7 +308,7 @@ class InvariantReport:
 
 
 def invariant_report(gs: GraphStructure) -> InvariantReport:
-    require_valid(gs)
+    rank, torsion = first_homology(gs)  # first: it validates gs
     blocks = gs.block_map()
     summary = []
     for lbl, block in gs.blocks:
@@ -337,7 +331,6 @@ def invariant_report(gs: GraphStructure) -> InvariantReport:
         sigma = manifold_signature(gs)
     except UnsupportedOperationError:
         sigma = None
-    rank, torsion = first_homology(gs)
     return InvariantReport(
         block_count=len(gs.blocks),
         block_summary=tuple(summary),
@@ -536,19 +529,15 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
         gs = _apply_surgery(gs, l2, *_mirror(blocks[l2]))
         blocks = gs.block_map()
     assert gs.edges[edge_idx].iso.t_img.k == -1
-    # glued boundary last on the end1 side, first on the end2 side
-    guard = 0
-    while _position(blocks[l1], gs.edges[edge_idx].end1[1]) != blocks[l1].rep.surface.boundary_count:
-        gs = _apply_surgery(gs, l1, *_rotate(blocks[l1]))
-        blocks = gs.block_map()
-        guard += 1
-        assert guard < 50
-    guard = 0
-    while _position(blocks[l2], gs.edges[edge_idx].end2[1]) != 1:
-        gs = _apply_surgery(gs, l2, *_rotate(blocks[l2]))
-        blocks = gs.block_map()
-        guard += 1
-        assert guard < 50
+    # glued boundary last on the end1 side, first on the end2 side; a
+    # rotation moves each boundary down one position, cyclically, and the
+    # surgeries keep boundary labels
+    steps1 = _position(blocks[l1], edge.end1[1]) % blocks[l1].rep.surface.boundary_count
+    steps2 = _position(blocks[l2], edge.end2[1]) - 1
+    for lbl, steps in ((l1, steps1), (l2, steps2)):
+        for _ in range(steps):
+            gs = _apply_surgery(gs, lbl, *_rotate(blocks[lbl]))
+            blocks = gs.block_map()
     edge = gs.edges[edge_idx]
     b1, b2 = blocks[l1], blocks[l2]
     s1, s2 = b1.rep.surface, b2.rep.surface
@@ -627,19 +616,14 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "contracting this self-glueing closes the base: the structure is "
             "a torus bundle over a closed surface, not a block presentation"
         )
-    guard = 0
-    while _position(blocks[lbl], gs.edges[edge_idx].end1[1]) != b:
+    # rotate the end1 boundary last, then transpose the end2 boundary down
+    # to position 1; transpositions swap positions below the last only
+    for _ in range(_position(blocks[lbl], edge.end1[1]) % b):
         gs = _apply_surgery(gs, lbl, *_rotate(blocks[lbl]))
         blocks = gs.block_map()
-        guard += 1
-        assert guard < 50
-    guard = 0
-    while _position(blocks[lbl], gs.edges[edge_idx].end2[1]) != 1:
-        p = _position(blocks[lbl], gs.edges[edge_idx].end2[1])
-        gs = _apply_surgery(gs, lbl, *_transpose(blocks[lbl], p - 1))
+    for i in range(_position(blocks[lbl], edge.end2[1]) - 1, 0, -1):
+        gs = _apply_surgery(gs, lbl, *_transpose(blocks[lbl], i))
         blocks = gs.block_map()
-        guard += 1
-        assert guard < 100
     edge = gs.edges[edge_idx]
     block = blocks[lbl]
     imgs = block.rep.image_map()
@@ -713,11 +697,7 @@ def reduce_structure(gs: GraphStructure) -> GraphStructure:
     component (the input presented a torus bundle over a closed surface).
     """
     require_valid(gs)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 1000:
-            raise AssertionError("reduction did not terminate")
+    while True:  # each merge removes one edge
         reduced, offending = is_reduced(gs)
         if reduced:
             return gs
@@ -752,12 +732,8 @@ def _det_pm1_conjugators(pairs, bound: int) -> List[Mat2]:
     basis = intertwiner_basis(pairs)
     if not basis:
         return out
-    r = len(basis)
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=r):
-        x = Mat2(0, 0, 0, 0)
-        for m, c in zip(basis, coeffs):
-            if c:
-                x = Mat2(x.a + c * m.a, x.b + c * m.b, x.c + c * m.c, x.d + c * m.d)
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        x = _combo(basis, coeffs)
         if abs(x.det()) == 1 and x.entries() not in seen:
             seen.add(x.entries())
             out.append(x)
@@ -843,12 +819,13 @@ def isomorphic_reduced(
     structure-preserving diffeomorphism, so "yes" and "no" are final while
     "inconclusive" may improve with a larger bound.
     """
+    reports = []
     for gs in (gs1, gs2):
-        require_valid(gs)
-        reduced, _ = is_reduced(gs)
-        if not reduced:
+        report = invariant_report(gs)  # validates gs
+        if not report.reduced:
             raise NotReducedError("comparison requires reduced structures; reduce first")
-    r1, r2 = invariant_report(gs1), invariant_report(gs2)
+        reports.append(report)
+    r1, r2 = reports
     if r1.key() != r2.key():
         fields = ("block_count", "block_summary", "decomposing_classes", "sigma", "euler", "h1")
         for name, v1, v2 in zip(fields, r1.key(), r2.key()):

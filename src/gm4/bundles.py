@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -571,16 +572,6 @@ def _combo(basis: Sequence[Mat2], coeffs: Sequence[int]) -> Mat2:
     return out
 
 
-def _coeff_boxes(r: int, bound: int):
-    if r == 0:
-        return
-    stack = [()]
-    for _ in range(r):
-        stack = [t + (c,) for t in stack for c in range(-bound, bound + 1)]
-    for t in stack:
-        yield t
-
-
 def fiber_covering_exists(
     phi1: Mat2, phi2: Mat2, witness_bound: int = 8
 ) -> Tuple[bool, Optional[Mat2]]:
@@ -596,15 +587,10 @@ def fiber_covering_exists(
     if not basis:
         return False, None
     r = len(basis)
-    solvable = False
-    for coeffs in _coeff_boxes(r, 1):
-        if _combo(basis, coeffs).det() != 0:
-            solvable = True
-            break
-    if not solvable:
+    if all(_combo(basis, c).det() == 0 for c in product(range(-1, 2), repeat=r)):
         return False, None
     best: Optional[Tuple[Tuple, Mat2]] = None
-    for coeffs in _coeff_boxes(r, witness_bound):
+    for coeffs in product(range(-witness_bound, witness_bound + 1), repeat=r):
         x = _combo(basis, coeffs)
         det = x.det()
         if det == 0:

@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="print the invariant report")
     p.add_argument("file")
-    p.add_argument("--format", choices=["text"], default="text")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("reduce", help="contract fiber-preserving glueings")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 
 class NotUnimodularError(ValueError):
@@ -113,14 +113,6 @@ _ELLIPTIC_REPS = {
     (3, 1): T6 @ T6,
     (3, -1): (T6 @ T6).inverse(),
 }
-
-
-def compose(m1: Mat2, m2: Mat2) -> Mat2:
-    return m1 @ m2
-
-
-def invert(m: Mat2) -> Mat2:
-    return m.inverse()
 
 
 @dataclass(frozen=True, order=True)
@@ -566,13 +558,3 @@ def abelianization_mod3(m: Mat2) -> int:
     """
     return sum(exp for gen, exp in generator_word(m) if gen == "R") % 3
 
-
-def sl2z_pool(max_entry: int) -> Iterator[Mat2]:
-    """All SL(2,Z) matrices with entries in [-max_entry, max_entry]."""
-    rng = range(-max_entry, max_entry + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c == 1:
-                        yield Mat2(a, b, c, d)

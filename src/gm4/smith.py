@@ -1,8 +1,9 @@
-"""Small exact integer matrix routines: Smith normal form, kernels, solving.
+"""Exact integer matrix routines: Smith normal form, kernels, solving.
 
-Matrices are lists of rows of Python ints.  Sizes here are tiny (group
-presentations of desk-scale structures), so the plain gcd-pivot algorithm
-is plenty.
+Matrices are lists of rows of Python ints.  The gcd-pivot algorithm below is
+dense and keeps both transforms.  That is cheap for the 4-column systems of
+``kernel_basis`` and ``solve_integer``, but H1 presentations grow with the
+structure (416 x 289 for a ring of 64 pants blocks) and there it dominates.
 """
 from __future__ import annotations
 
@@ -109,16 +110,11 @@ def snf_with_transforms(
     return u, v, diag
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> List[int]:
-    """Diagonal of the Smith normal form."""
-    return snf_with_transforms(mat)[2]
-
-
 def abelian_invariants(mat: Sequence[Sequence[int]], n_generators: int) -> Tuple[int, List[int]]:
     """(free rank, torsion coefficients > 1) of Z^n_generators / row span."""
     if not mat:
         return n_generators, []
-    diag = smith_normal_form(mat)
+    diag = snf_with_transforms(mat)[2]
     nonzero = [d for d in diag if d != 0]
     rank = n_generators - len(nonzero)
     torsion = sorted(d for d in nonzero if d > 1)

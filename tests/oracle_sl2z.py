@@ -53,10 +53,6 @@ def conjugacy_orbit(m: MTuple, depth: int = 12) -> FrozenSet[MTuple]:
     return frozenset(seen)
 
 
-def oracle_conjugate(m1: MTuple, m2: MTuple, depth: int = 12) -> bool:
-    return m2 in conjugacy_orbit(m1, depth)
-
-
 def sl2z_entries_up_to(bound: int) -> List[MTuple]:
     out = []
     rng = range(-bound, bound + 1)

@@ -12,6 +12,7 @@ from gm4 import (
     MonodromyRep,
     NotReducedError,
     Pi1Element,
+    StructureError,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
     euler_characteristic,
@@ -206,6 +207,19 @@ class TestReduce:
         assert validate_structure(red) == []
         assert (manifold_signature(red), first_homology(red)) == before
 
+    def test_merge_far_from_last_position(self):
+        # the contracted edge sits at boundary 51 of 52, so the merge
+        # rotates A 51 times and B 50 times
+        a = holed_sphere([upper(1)] * 51)
+        b = holed_sphere([upper(-1)] * 51)
+        edges = [Edge(("A", str(i)), ("B", str(i)), swap_iso(1)) for i in range(1, 51)]
+        edges.append(Edge(("A", "51"), ("B", "51"), mirror_edge_iso(upper(1))))
+        edges.append(Edge(("A", "52"), ("B", "52"), swap_iso(-51)))
+        red = reduce_structure(structure({"A": a, "B": b}, edges))
+        assert len(red.blocks) == 1
+        assert len(red.edges) == 51
+        assert validate_structure(red) == []
+
 
 class TestFirstHomology:
     def test_sigma2_times_torus(self):
@@ -271,6 +285,45 @@ class TestIsomorphicReduced:
             definite = [v for v in verdicts if v != "inconclusive"]
             assert len(set(definite)) <= 1
             assert definite
+
+
+class TestValidateOnce:
+    @pytest.fixture()
+    def validated(self, monkeypatch):
+        import gm4.assembly as assembly
+
+        calls = []
+        real = assembly.validate_structure
+
+        def counting(gs):
+            calls.append(gs)
+            return real(gs)
+
+        monkeypatch.setattr(assembly, "validate_structure", counting)
+        return calls
+
+    def test_invariant_report(self, validated):
+        gs = swap_double(1, 2)
+        invariant_report(gs)
+        assert validated == [gs]
+
+    def test_isomorphic_reduced(self, validated):
+        gs1, gs2 = swap_double(1, 2), relabel(swap_double(1, 2))
+        assert isomorphic_reduced(gs1, gs2).verdict == "yes"
+        assert validated == [gs1, gs2]
+
+    def test_error_order(self):
+        # gs1 valid, gs1 reduced, gs2 valid, gs2 reduced
+        invalid = structure({"A": pants(upper(1), upper(2))}, ())
+        unreduced = partial_reducible(1, 2)
+        with pytest.raises(StructureError):
+            isomorphic_reduced(invalid, unreduced)
+        with pytest.raises(NotReducedError):
+            isomorphic_reduced(unreduced, invalid)
+        with pytest.raises(StructureError):
+            isomorphic_reduced(swap_double(1, 2), invalid)
+        with pytest.raises(NotReducedError):
+            isomorphic_reduced(swap_double(1, 2), unreduced)
 
 
 class TestGenusCarryingSurgeries:

@@ -18,7 +18,7 @@ from gm4 import (
 )
 from gm4.gl2z import generator_word, word_matrix
 
-from oracle_sl2z import oracle_conjugate, sl2z_entries_up_to
+from oracle_sl2z import conjugacy_orbit, sl2z_entries_up_to
 
 
 def words(max_len=8):
@@ -173,8 +173,9 @@ class TestConjugateIn:
         pool = sl2z_entries_up_to(2)
         mats = [Mat2(*t) for t in pool]
         for i, t1 in enumerate(pool):
+            orbit = conjugacy_orbit(t1, depth=12)
             for j, t2 in enumerate(pool):
-                expected = oracle_conjugate(t1, t2, depth=12)
+                expected = t2 in orbit
                 got, witness = conjugate_in(mats[i], mats[j], SL2Z)
                 assert got == expected, (t1, t2)
                 if got:

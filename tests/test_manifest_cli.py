@@ -124,6 +124,19 @@ class TestCli:
         out2 = capsys.readouterr().out
         assert out1 == out2
 
+    def test_invariants_bad_exit_code(self, gm_files, capsys):
+        assert main(["invariants", gm_files["bad"]]) == 12
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{gm_files['bad']}: line 3, col 1: block A: missing 'base' line\n"
+
+    def test_compare_bad_exit_code(self, gm_files, capsys):
+        for pair in ((gm_files["bad"], gm_files["double"]), (gm_files["double"], gm_files["bad"])):
+            assert main(["compare", *pair]) == 12
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "line 3, col 1: block A: missing 'base' line\n"
+
     def test_reduce_outputs_manifest(self, gm_files, capsys, tmp_path):
         assert main(["reduce", gm_files["double"]]) == 0
         out = capsys.readouterr().out
