@@ -38,7 +38,7 @@ from .bundles import (
     validate_block,
     validate_glueing,
 )
-from .meyer import block_signature, meyer_cocycle, psi, psi_by_folding, psi_value
+from .meyer import block_signature, meyer_cocycle, psi, psi_by_folding
 from .assembly import (
     ClosedBaseError,
     Comparison,

@@ -5,7 +5,7 @@ A GraphStructure is a labeled set of blocks plus edges pairing boundary
 components through pi1 isomorphisms of the boundary torus bundles.  Blocks
 present their base surfaces in the fixed generator convention of
 ``bundles``; the reduction surgeries below re-present bases explicitly
-(boundary rotations, adjacent transpositions, mirrors) so that merged
+(boundary rotations, moves to the front, mirrors) so that merged
 blocks land back in that convention.
 """
 from __future__ import annotations
@@ -369,76 +369,58 @@ def _handle_word(genus: int) -> Word:
     return word
 
 
-def _rotate(block: Block) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
-    """Cycle boundary positions down by one (old position 1 goes last)."""
+def _identity_mapping(monos: Dict[str, Mat2]) -> Dict[str, Tuple[str, BoundaryIso]]:
+    return {lbl: (lbl, BoundaryIso.identity(TorusBundleOverCircle(m))) for lbl, m in monos.items()}
+
+
+def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
+    """Cycle boundary positions down by steps (0 <= steps < b): old positions
+    1..steps go last, in order, their monodromies conjugated by the handle
+    product N (from N m_1 ... m_b = I)."""
     surface = block.rep.surface
     assert surface.orientable
-    g, b = surface.genus, surface.boundary_count
+    b = surface.boundary_count
     if b < 2:
         raise UnsupportedOperationError("rotation needs at least two boundaries")
-    imgs = block.rep.image_map()
-    monos = dict(block.boundary_monodromies())
     labels = block.boundary_labels()
-    n_mat = block.rep.evaluate(_handle_word(g))
-    last_mono = monos[labels[-1]]
-    new_images = []
-    for name in surface.generator_names():
-        if name.startswith(("a", "b")):
-            new_images.append(imgs[name])
-        else:
-            i = int(name[1:])
-            new_images.append(imgs[f"c{i + 1}"] if i <= b - 2 else last_mono)
-    new_labels = tuple(list(labels[1:]) + [labels[0]])
-    new_block = Block(MonodromyRep(surface, tuple(new_images)), new_labels)
-    mapping: Dict[str, Tuple[str, BoundaryIso]] = {}
-    for lbl in labels[1:]:
-        mapping[lbl] = (lbl, BoundaryIso.identity(TorusBundleOverCircle(monos[lbl])))
-    m1 = monos[labels[0]]
-    new_m1 = n_mat @ m1 @ n_mat.inverse()
-    mapping[labels[0]] = (
-        labels[0],
-        _fp_iso(TorusBundleOverCircle(m1), TorusBundleOverCircle(new_m1), n_mat, PI1_T),
-    )
-    assert new_block.boundary_monodromy(labels[0]) == new_m1
+    monos = dict(block.boundary_monodromies())
+    n_mat = block.rep.evaluate(_handle_word(surface.genus))
+    n_inv = n_mat.inverse()
+    moved = {lbl: n_mat @ monos[lbl] @ n_inv for lbl in labels[:steps]}
+    new_labels = labels[steps:] + labels[:steps]
+    handles = block.rep.images[: 2 * surface.genus]
+    new_cs = tuple(moved.get(lbl, monos[lbl]) for lbl in new_labels[:-1])
+    new_block = Block(MonodromyRep(surface, handles + new_cs), new_labels)
+    mapping = _identity_mapping(monos)
+    for lbl, m in moved.items():
+        src, dst = TorusBundleOverCircle(monos[lbl]), TorusBundleOverCircle(m)
+        mapping[lbl] = (lbl, _fp_iso(src, dst, n_mat, PI1_T))
     return new_block, mapping
 
 
-def _transpose(block: Block, i: int) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
-    """Swap boundary positions i and i+1 (1-based, both below the last)."""
+def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
+    """Move boundary position p (1-based, below the last) to position 1.
+
+    With P = m_1 ... m_{p-1}, position 1 gets P m_p P^-1 and positions
+    2..p get m_1 .. m_{p-1}; the other positions keep their monodromies.
+    """
     surface = block.rep.surface
     b = surface.boundary_count
-    assert 1 <= i <= b - 2
-    imgs = block.rep.image_map()
+    assert 1 <= p <= b - 1
     labels = block.boundary_labels()
-    mi, mi1 = imgs[f"c{i}"], imgs[f"c{i + 1}"]
-    new_images = []
-    for name in surface.generator_names():
-        if name == f"c{i}":
-            new_images.append(mi @ mi1 @ mi.inverse())
-        elif name == f"c{i + 1}":
-            new_images.append(mi)
-        else:
-            new_images.append(imgs[name])
-    new_labels = list(labels)
-    new_labels[i - 1], new_labels[i] = new_labels[i], new_labels[i - 1]
-    new_block = Block(MonodromyRep(surface, tuple(new_images)), tuple(new_labels))
-    mapping: Dict[str, Tuple[str, BoundaryIso]] = {}
-    for lbl in labels:
-        if lbl == labels[i]:  # moved from position i+1 to i, value conjugated
-            mapping[lbl] = (
-                lbl,
-                _fp_iso(
-                    TorusBundleOverCircle(mi1),
-                    TorusBundleOverCircle(mi @ mi1 @ mi.inverse()),
-                    mi,
-                    PI1_T,
-                ),
-            )
-        else:
-            m = block.boundary_monodromy(lbl)
-            mapping[lbl] = (lbl, BoundaryIso.identity(TorusBundleOverCircle(m)))
-    assert new_block.boundary_monodromy(labels[i]) == mi @ mi1 @ mi.inverse()
-    assert new_block.boundary_monodromy(labels[i - 1]) == mi
+    first_c = len(block.rep.images) - (b - 1)
+    head, cs = block.rep.images[:first_c], block.rep.images[first_c:]
+    p_mat = I2
+    for m in cs[: p - 1]:
+        p_mat = p_mat @ m
+    m_p = cs[p - 1]
+    moved = p_mat @ m_p @ p_mat.inverse()
+    new_cs = (moved,) + cs[: p - 1] + cs[p:]
+    new_labels = (labels[p - 1],) + labels[: p - 1] + labels[p:]
+    new_block = Block(MonodromyRep(surface, head + new_cs), new_labels)
+    mapping = _identity_mapping(dict(block.boundary_monodromies()))
+    src, dst = TorusBundleOverCircle(m_p), TorusBundleOverCircle(moved)
+    mapping[labels[p - 1]] = (labels[p - 1], _fp_iso(src, dst, p_mat, PI1_T))
     return new_block, mapping
 
 
@@ -481,8 +463,47 @@ def _mirror(block: Block) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
                 Pi1Element(0, 0, -1),
             ),
         )
-        assert new_block.boundary_monodromy(lbl) == m_new, (lbl, m_new)
     return new_block, mapping
+
+
+def _reglue(
+    gs: GraphStructure,
+    old_labels: set,
+    new_label: str,
+    new_block: Block,
+    mapping: Dict[End, Tuple[str, BoundaryIso]],
+    drop: Optional[int] = None,
+) -> GraphStructure:
+    """Replace the blocks old_labels by new_block under new_label, dropping
+    edge drop and moving each edge end in mapping to its new boundary label
+    through the transport iso (old boundary bundle -> new one).
+
+    Raises RuntimeError when a transport iso does not land on the boundary
+    monodromy of new_block: the re-presentation would be wrong."""
+    monos = dict(new_block.boundary_monodromies())
+    for new_bd, mu in mapping.values():
+        if monos[new_bd] != mu.target.phi:
+            raise RuntimeError(
+                f"re-presented boundary {new_label}.{new_bd} has monodromy "
+                f"{monos[new_bd]}, transport iso targets {mu.target.phi}"
+            )
+    new_blocks = [(lbl, blk) for lbl, blk in gs.blocks if lbl not in old_labels]
+    new_blocks.append((new_label, new_block))
+    new_edges = []
+    for i, edge in enumerate(gs.edges):
+        if i == drop:
+            continue
+        iso, end1, end2 = edge.iso, edge.end1, edge.end2
+        if end1 in mapping:
+            new_bd, mu = mapping[end1]
+            iso = compose_isos(iso, iso_inverse(mu))
+            end1 = (new_label, new_bd)
+        if end2 in mapping:
+            new_bd, mu = mapping[end2]
+            iso = compose_isos(mu, iso)
+            end2 = (new_label, new_bd)
+        new_edges.append(Edge(end1, end2, iso))
+    return GraphStructure(tuple(sorted(new_blocks)), tuple(new_edges))
 
 
 def _apply_surgery(
@@ -492,23 +513,8 @@ def _apply_surgery(
     mapping: Dict[str, Tuple[str, BoundaryIso]],
 ) -> GraphStructure:
     """Replace a block by a re-presented copy, updating incident edges."""
-    new_blocks = tuple(
-        (lbl, new_block if lbl == label else blk) for lbl, blk in gs.blocks
-    )
-    new_edges = []
-    for edge in gs.edges:
-        iso = edge.iso
-        end1, end2 = edge.end1, edge.end2
-        if end1[0] == label:
-            new_lbl, mu = mapping[end1[1]]
-            iso = compose_isos(iso, iso_inverse(mu))
-            end1 = (label, new_lbl)
-        if end2[0] == label:
-            new_lbl, mu = mapping[end2[1]]
-            iso = compose_isos(mu, iso)
-            end2 = (label, new_lbl)
-        new_edges.append(Edge(end1, end2, iso))
-    return GraphStructure(new_blocks, tuple(new_edges))
+    ends = {(label, bd): target for bd, target in mapping.items()}
+    return _reglue(gs, {label}, label, new_block, ends)
 
 
 def _position(block: Block, lbl: str) -> int:
@@ -524,22 +530,20 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
         raise UnsupportedOperationError(
             "merging blocks with non-orientable bases is not supported"
         )
-    # normalize the base-circle direction of the glueing to t -> t^-1
-    if gs.edges[edge_idx].iso.t_img.k == 1:
+    # normalize the base-circle direction of the glueing to t -> t^-1 (the
+    # mirror's transport isos send t to t^-1)
+    if edge.iso.t_img.k == 1:
         gs = _apply_surgery(gs, l2, *_mirror(blocks[l2]))
         blocks = gs.block_map()
-    assert gs.edges[edge_idx].iso.t_img.k == -1
-    # glued boundary last on the end1 side, first on the end2 side; a
-    # rotation moves each boundary down one position, cyclically, and the
-    # surgeries keep boundary labels
+    # one rotation per block puts the glued boundary last on the end1 side
+    # and first on the end2 side; the surgeries keep boundary labels
     steps1 = _position(blocks[l1], edge.end1[1]) % blocks[l1].rep.surface.boundary_count
     steps2 = _position(blocks[l2], edge.end2[1]) - 1
     for lbl, steps in ((l1, steps1), (l2, steps2)):
-        for _ in range(steps):
-            gs = _apply_surgery(gs, lbl, *_rotate(blocks[lbl]))
-            blocks = gs.block_map()
+        if steps:
+            gs = _apply_surgery(gs, lbl, *_rotate(blocks[lbl], steps))
     edge = gs.edges[edge_idx]
-    b1, b2 = blocks[l1], blocks[l2]
+    b1, b2 = gs.block(l1), gs.block(l2)
     s1, s2 = b1.rep.surface, b2.rep.surface
     g1, n1 = s1.genus, s1.boundary_count
     g2, n2 = s2.genus, s2.boundary_count
@@ -564,7 +568,6 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     for i in range(2, n2):
         new_images.append(c_inv @ imgs2[f"c{i}"] @ c_mat)
     labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
-    new_label = f"{l1}+{l2}"
     new_labels = tuple(
         [f"{l1}.{lbl}" for lbl in labels1[: n1 - 1]]
         + [f"{l2}.{lbl}" for lbl in labels2[1:]]
@@ -576,31 +579,29 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "merged block is invalid (orientation-incoherent glueing?): "
             + "; ".join(diags)
         )
+    monos1, monos2 = dict(b1.boundary_monodromies()), dict(b2.boundary_monodromies())
     mapping: Dict[End, Tuple[str, BoundaryIso]] = {}
     for lbl in labels1[: n1 - 1]:
-        m = b1.boundary_monodromy(lbl)
         mapping[(l1, lbl)] = (
             f"{l1}.{lbl}",
-            BoundaryIso.identity(TorusBundleOverCircle(m)),
+            BoundaryIso.identity(TorusBundleOverCircle(monos1[lbl])),
         )
     for lbl in labels2[1:]:
-        m = b2.boundary_monodromy(lbl)
+        m = monos2[lbl]
         m_new = c_inv @ m @ c_mat
         mapping[(l2, lbl)] = (
             f"{l2}.{lbl}",
             _fp_iso(TorusBundleOverCircle(m), TorusBundleOverCircle(m_new), c_inv, PI1_T),
         )
-    for (_, _), (new_lbl, mu) in mapping.items():
-        assert merged.boundary_monodromy(new_lbl) == mu.target.phi
-    return _rebuild_after_merge(gs, edge_idx, {l1, l2}, new_label, merged, mapping)
+    return _reglue(gs, {l1, l2}, f"{l1}+{l2}", merged, mapping, edge_idx)
 
 
 def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     """Contract a fiber-preserving self-edge (same block, two boundaries)."""
     edge = gs.edges[edge_idx]
     lbl = edge.end1[0]
-    blocks = gs.block_map()
-    if not blocks[lbl].rep.surface.orientable:
+    block = gs.block(lbl)
+    if not block.rep.surface.orientable:
         raise UnsupportedOperationError(
             "merging blocks with non-orientable bases is not supported"
         )
@@ -609,23 +610,22 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "self-glueing preserving the base circle direction produces a "
             "non-orientable base; not supported"
         )
-    g = blocks[lbl].rep.surface.genus
-    b = blocks[lbl].rep.surface.boundary_count
+    g = block.rep.surface.genus
+    b = block.rep.surface.boundary_count
     if b == 2:
         raise ClosedBaseError(
             "contracting this self-glueing closes the base: the structure is "
             "a torus bundle over a closed surface, not a block presentation"
         )
-    # rotate the end1 boundary last, then transpose the end2 boundary down
-    # to position 1; transpositions swap positions below the last only
-    for _ in range(_position(blocks[lbl], edge.end1[1]) % b):
-        gs = _apply_surgery(gs, lbl, *_rotate(blocks[lbl]))
-        blocks = gs.block_map()
-    for i in range(_position(blocks[lbl], edge.end2[1]) - 1, 0, -1):
-        gs = _apply_surgery(gs, lbl, *_transpose(blocks[lbl], i))
-        blocks = gs.block_map()
+    # rotate the end1 boundary last, then move the end2 boundary to position 1
+    steps = _position(block, edge.end1[1]) % b
+    if steps:
+        gs = _apply_surgery(gs, lbl, *_rotate(block, steps))
+    p = _position(gs.block(lbl), edge.end2[1])
+    if p > 1:
+        gs = _apply_surgery(gs, lbl, *_move_to_front(gs.block(lbl), p))
     edge = gs.edges[edge_idx]
-    block = blocks[lbl]
+    block = gs.block(lbl)
     imgs = block.rep.image_map()
     labels = block.boundary_labels()
     monos = dict(block.boundary_monodromies())
@@ -641,7 +641,6 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     new_images.append(m_last_inv)  # new handle b_{g+1}: inverse glued word
     for i in range(2, b - 1):
         new_images.append(m_last_inv @ imgs[f"c{i}"] @ m_last)
-    new_label = f"{lbl}*"
     new_labels = tuple(f"{lbl}.{old}" for old in labels[1 : b - 1])
     merged = Block(MonodromyRep(merged_surface, tuple(new_images)), new_labels)
     diags = validate_block(merged)
@@ -658,36 +657,7 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             f"{lbl}.{old}",
             _fp_iso(TorusBundleOverCircle(m), TorusBundleOverCircle(m_new), m_last_inv, PI1_T),
         )
-    for (_, _), (new_lbl2, mu) in mapping.items():
-        assert merged.boundary_monodromy(new_lbl2) == mu.target.phi
-    return _rebuild_after_merge(gs, edge_idx, {lbl}, new_label, merged, mapping)
-
-
-def _rebuild_after_merge(
-    gs: GraphStructure,
-    edge_idx: int,
-    old_labels: set,
-    new_label: str,
-    merged: Block,
-    mapping: Dict[End, Tuple[str, BoundaryIso]],
-) -> GraphStructure:
-    new_blocks = [(lbl, blk) for lbl, blk in gs.blocks if lbl not in old_labels]
-    new_blocks.append((new_label, merged))
-    new_edges = []
-    for i, edge in enumerate(gs.edges):
-        if i == edge_idx:
-            continue
-        iso, end1, end2 = edge.iso, edge.end1, edge.end2
-        if end1 in mapping:
-            new_lbl, mu = mapping[end1]
-            iso = compose_isos(iso, iso_inverse(mu))
-            end1 = (new_label, new_lbl)
-        if end2 in mapping:
-            new_lbl, mu = mapping[end2]
-            iso = compose_isos(mu, iso)
-            end2 = (new_label, new_lbl)
-        new_edges.append(Edge(end1, end2, iso))
-    return GraphStructure(tuple(sorted(new_blocks)), tuple(new_edges))
+    return _reglue(gs, {lbl}, f"{lbl}*", merged, mapping, edge_idx)
 
 
 def reduce_structure(gs: GraphStructure) -> GraphStructure:

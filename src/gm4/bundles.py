@@ -18,7 +18,7 @@ and its elements are kept in the normal form x^a y^b t^k, written (a,b,k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -115,8 +115,14 @@ class MonodromyRep:
     def image_map(self) -> Dict[str, Mat2]:
         return dict(zip(self.surface.generator_names(), self.images))
 
+    @cached_property
+    def _image_lookup(self) -> Dict[str, Mat2]:
+        # built once per representation, so evaluating all b boundary words
+        # costs O(b) lookups rather than b rebuilt maps
+        return self.image_map()
+
     def evaluate(self, word: Word) -> Mat2:
-        imgs = self.image_map()
+        imgs = self._image_lookup
         out = I2
         for gen, exp in word:
             out = out @ (imgs[gen] ** exp)
@@ -168,9 +174,9 @@ class Block:
         )
 
     def boundary_monodromy(self, label: str) -> Mat2:
-        for lbl, m in self.boundary_monodromies():
+        for lbl, word in zip(self.boundary_labels(), self.rep.surface.boundary_words()):
             if lbl == label:
-                return m
+                return self.rep.evaluate(word)
         raise KeyError(f"no boundary component labeled {label!r}")
 
 

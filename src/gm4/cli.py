@@ -11,6 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import assembly, manifest, meyer
+from .bundles import UnsupportedOperationError
 from .gl2z import NotInSL2ZError, classify
 
 EXIT_OK = 0
@@ -62,6 +63,7 @@ def cmd_reduce(args) -> int:
         manifest.ManifestError,
         assembly.StructureError,
         assembly.ClosedBaseError,
+        UnsupportedOperationError,
         OSError,
     ) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
@@ -106,7 +108,7 @@ def cmd_matclass(args) -> int:
 def cmd_psi(args) -> int:
     try:
         m = manifest.parse_matrix(args.matrix, 1)
-        value = meyer.psi_value(m)
+        value = meyer.psi(m)
     except (manifest.ManifestError, NotInSL2ZError) as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_INVALID

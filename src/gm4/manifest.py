@@ -103,7 +103,10 @@ class Manifest:
     def to_structure(self) -> GraphStructure:
         blocks: Dict[str, Block] = {}
         for decl in self.blocks:
-            surface = SurfaceWithBoundary(decl.orientable, decl.genus, decl.boundaries)
+            try:
+                surface = SurfaceWithBoundary(decl.orientable, decl.genus, decl.boundaries)
+            except ValueError as exc:
+                raise ManifestError(f"block {decl.label}: {exc}", decl.line) from None
             names = surface.generator_names()
             missing = [n for n in names if n not in decl.gens]
             if missing:

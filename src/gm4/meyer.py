@@ -56,11 +56,6 @@ def meyer_cocycle(a: Mat2, b: Mat2) -> int:
     return num // 3
 
 
-def psi_value(m: Mat2) -> Fraction:
-    """psi as an exact rational (integral here; kept rational per contract)."""
-    return Fraction(psi(m))
-
-
 def psi_by_folding(m: Mat2, pivot: str = "floor") -> int:
     """psi computed by decomposing m into R-power and S letters and folding
     psi(g w) = psi(g) + psi(w) - 3 tau(g, w) right to left.

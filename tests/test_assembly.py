@@ -8,13 +8,16 @@ from gm4 import (
     ClosedBaseError,
     Edge,
     I2,
+    L,
     Mat2,
     MonodromyRep,
     NotReducedError,
     Pi1Element,
+    R,
     StructureError,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
+    compose_isos,
     euler_characteristic,
     first_homology,
     invariant_report,
@@ -207,18 +210,36 @@ class TestReduce:
         assert validate_structure(red) == []
         assert (manifold_signature(red), first_homology(red)) == before
 
-    def test_merge_far_from_last_position(self):
+    @staticmethod
+    def _far_merge():
         # the contracted edge sits at boundary 51 of 52, so the merge
-        # rotates A 51 times and B 50 times
+        # rotates A by 51 positions and B by 50
         a = holed_sphere([upper(1)] * 51)
         b = holed_sphere([upper(-1)] * 51)
         edges = [Edge(("A", str(i)), ("B", str(i)), swap_iso(1)) for i in range(1, 51)]
         edges.append(Edge(("A", "51"), ("B", "51"), mirror_edge_iso(upper(1))))
         edges.append(Edge(("A", "52"), ("B", "52"), swap_iso(-51)))
-        red = reduce_structure(structure({"A": a, "B": b}, edges))
+        return structure({"A": a, "B": b}, edges)
+
+    def test_merge_far_from_last_position(self):
+        red = reduce_structure(self._far_merge())
         assert len(red.blocks) == 1
         assert len(red.edges) == 51
         assert validate_structure(red) == []
+
+    def test_one_surgery_per_block(self, monkeypatch):
+        import gm4.assembly as assembly
+
+        calls = []
+        real = assembly._apply_surgery
+
+        def counting(gs, label, new_block, mapping):
+            calls.append(label)
+            return real(gs, label, new_block, mapping)
+
+        monkeypatch.setattr(assembly, "_apply_surgery", counting)
+        reduce_structure(self._far_merge())
+        assert len(calls) <= 2
 
 
 class TestFirstHomology:
@@ -373,7 +394,7 @@ class TestGenusCarryingSurgeries:
         gs = swap_double(1, 2)
         before = (manifold_signature(gs), first_homology(gs))
         blocks = gs.block_map()
-        gs = _apply_surgery(gs, "A", *_rotate(blocks["A"]))
+        gs = _apply_surgery(gs, "A", *_rotate(blocks["A"], 1))
         assert validate_structure(gs) == []
         assert (manifold_signature(gs), first_homology(gs)) == before
 
@@ -402,9 +423,66 @@ class TestGenusCarryingSurgeries:
         gs = structure({"A": a, "B": b_block}, edges)
         assert validate_structure(gs) == []
         before = (manifold_signature(gs), first_homology(gs))
-        gs2 = _apply_surgery(gs, "A", *_rotate(gs.block("A")))
+        gs2 = _apply_surgery(gs, "A", *_rotate(gs.block("A"), 1))
         assert validate_structure(gs2) == []
         assert (manifold_signature(gs2), first_homology(gs2)) == before
+
+
+class TestClosedFormSurgeries:
+    @staticmethod
+    def _block():
+        # genus 1 with non-commuting handles, so the handle product N != I
+        surface = SurfaceWithBoundary(True, 1, 5)
+        images = (R, L, upper(1), Mat2(2, 1, 1, 1), upper(-2), Mat2(1, 0, 3, 1))
+        return Block(MonodromyRep(surface, images), ("p", "q", "r", "s", "u"))
+
+    def test_rotation_equals_single_steps(self):
+        from gm4.assembly import _rotate
+
+        block = self._block()
+        b = block.rep.surface.boundary_count
+        for k in range(b):
+            stepped = block
+            composed = {
+                lbl: BoundaryIso.identity(TorusBundleOverCircle(m))
+                for lbl, m in block.boundary_monodromies()
+            }
+            for _ in range(k):
+                stepped, step = _rotate(stepped, 1)
+                for lbl, (new_lbl, mu) in step.items():
+                    assert new_lbl == lbl
+                    composed[lbl] = compose_isos(mu, composed[lbl])
+            rotated, mapping = _rotate(block, k)
+            assert rotated == stepped, k
+            assert {lbl: mu for lbl, (_, mu) in mapping.items()} == composed, k
+
+    def test_move_to_front_preserves_structure(self):
+        from gm4.assembly import _apply_surgery, _mirror, _move_to_front
+
+        a = self._block()
+        b_block, mapping = _mirror(a)
+        edges = tuple(
+            Edge(("A", lbl), ("B", mapping[lbl][0]), mapping[lbl][1])
+            for lbl in a.boundary_labels()
+        )
+        gs = structure({"A": a, "B": b_block}, edges)
+        assert validate_structure(gs) == []
+        before = (manifold_signature(gs), first_homology(gs))
+        for p in range(1, a.rep.surface.boundary_count):
+            moved = _apply_surgery(gs, "A", *_move_to_front(a, p))
+            assert moved.block("A").boundary_labels()[0] == a.boundary_labels()[p - 1]
+            assert validate_structure(moved) == [], p
+            assert (manifold_signature(moved), first_homology(moved)) == before, p
+
+    def test_monodromy_check_raises(self):
+        from gm4.assembly import _apply_surgery, _rotate
+
+        gs = swap_double(1, 2)
+        new_block, mapping = _rotate(gs.block("A"), 1)
+        wrong = BoundaryIso.identity(TorusBundleOverCircle(upper(7)))
+        mapping["1"] = ("1", wrong)
+        with pytest.raises(RuntimeError, match="A.1"):
+            _apply_surgery(gs, "A", new_block, mapping)
 
 
 class TestEulerDiagnosticMode:

@@ -136,6 +136,17 @@ class TestBoundaryMonodromies:
         monos = [m for _, m in block.boundary_monodromies()]
         assert handles @ monos[0] @ monos[1] @ monos[2] == I2
 
+    def test_single_lookup_agrees(self):
+        surface = SurfaceWithBoundary(True, 1, 4)
+        block = Block(
+            MonodromyRep(surface, (R, L, Mat2(2, 1, 1, 1), upper(3), S)),
+            ("p", "q", "r", "s"),
+        )
+        monos = dict(block.boundary_monodromies())
+        assert {lbl: block.boundary_monodromy(lbl) for lbl in monos} == monos
+        with pytest.raises(KeyError):
+            block.boundary_monodromy("t")
+
 
 class TestPi1Arithmetic:
     def test_twisted_product(self):

@@ -89,6 +89,31 @@ class TestParse:
         assert "(a,b,k)" in str(err.value)
 
 
+NONORIENTABLE_GM = """\
+version 1
+block A
+  base nonorientable genus 1 boundaries 2
+  gen d1 [[1,0],[0,-1]]
+  gen c1 [[1,1],[0,1]]
+end
+block B
+  base nonorientable genus 1 boundaries 2
+  gen d1 [[1,0],[0,-1]]
+  gen c1 [[1,1],[0,1]]
+end
+glue A.1 B.2
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,-1)
+end
+glue A.2 B.1
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,-1)
+end
+"""
+
+
 @pytest.fixture()
 def gm_files(tmp_path):
     paths = {}
@@ -142,6 +167,33 @@ class TestCli:
         out = capsys.readouterr().out
         gs = manifest.load_structure(out)
         assert validate_structure(gs) == []
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            "orientable genus 0 boundaries 0",
+            "orientable genus -1 boundaries 3",
+            "nonorientable genus 0 boundaries 3",
+        ],
+    )
+    def test_bad_base_line_exit_code(self, base, tmp_path, capsys):
+        path = tmp_path / "base.gm"
+        path.write_text(DOUBLE_GM.replace("orientable genus 0 boundaries 3", base, 1))
+        for command in ("validate", "invariants", "reduce"):
+            assert main([command, str(path)]) == 12
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "line 3" in err and "Traceback" not in err
+
+    def test_reduce_nonorientable_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nonorientable.gm"
+        path.write_text(NONORIENTABLE_GM)
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", str(path)]) == 12
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "non-orientable bases is not supported" in err
 
     def test_compare_same(self, gm_files, capsys):
         assert main(["compare", gm_files["double"], gm_files["double"]]) == 0

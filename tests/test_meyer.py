@@ -20,7 +20,6 @@ from gm4 import (
     meyer_cocycle,
     psi,
     psi_by_folding,
-    psi_value,
 )
 
 from conftest import mirror_double, pants, trivial_double, upper
@@ -69,10 +68,6 @@ class TestPsi:
     def test_rejects_det_minus_one(self):
         with pytest.raises(NotInSL2ZError):
             psi(Mat2(1, 0, 0, -1))
-
-    def test_psi_value_is_exact_fraction(self):
-        v = psi_value(Mat2(1, 4, 0, 1))
-        assert isinstance(v, Fraction) and v == 4
 
     @given(sl2z_matrices, sl2z_matrices)
     @settings(max_examples=200, deadline=None)
