@@ -128,15 +128,17 @@ def validate_structure(gs: GraphStructure) -> List[str]:
             for v in validate_glueing(edge.iso):
                 out.append(f"edge {idx}: {v}")
     if len(labels) > 1:
+        adjacent: Dict[str, List[str]] = {lbl: [] for lbl in labels}
+        for edge in gs.edges:
+            adjacent[edge.end1[0]].append(edge.end2[0])
+            adjacent[edge.end2[0]].append(edge.end1[0])
         reached = {labels[0]}
         frontier = [labels[0]]
         while frontier:
-            cur = frontier.pop()
-            for edge in gs.edges:
-                for a, b in ((edge.end1[0], edge.end2[0]), (edge.end2[0], edge.end1[0])):
-                    if a == cur and b not in reached:
-                        reached.add(b)
-                        frontier.append(b)
+            for b in adjacent[frontier.pop()]:
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
         if reached != set(labels):
             missing = sorted(set(labels) - reached)
             out.append(f"underlying graph not connected: unreachable blocks {missing}")
@@ -259,9 +261,7 @@ def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
                 bump(("g", l2, gen), -img.k * exp)
             add_row(coeffs)
 
-    n = len(cols)
-    mat = [[row.get(j, 0) for j in range(n)] for row in rows]
-    return smith.abelian_invariants(mat, n)
+    return smith.abelian_invariants(rows, len(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -526,7 +526,7 @@ def fibration_unique(bundle: TorusBundleOverCircle) -> bool:
 def torus_bundle_homology(bundle: TorusBundleOverCircle) -> Tuple[int, List[int]]:
     """(rank, torsion coefficients) of H1 = Z + coker(phi - I)."""
     phi = bundle.phi
-    k = [[phi.a - 1, phi.b], [phi.c, phi.d - 1]]
+    k = [{0: phi.a - 1, 1: phi.b}, {0: phi.c, 1: phi.d - 1}]
     rank, torsion = smith.abelian_invariants(k, 2)
     return rank + 1, torsion
 

@@ -78,6 +78,7 @@ def parse_triple(text: str, line: int = 0, col: int = 1) -> Pi1Element:
 class BlockDecl:
     label: str
     line: int
+    base_line: int = 0
     orientable: Optional[bool] = None
     genus: int = 0
     boundaries: int = 0
@@ -106,7 +107,7 @@ class Manifest:
             try:
                 surface = SurfaceWithBoundary(decl.orientable, decl.genus, decl.boundaries)
             except ValueError as exc:
-                raise ManifestError(f"block {decl.label}: {exc}", decl.line) from None
+                raise ManifestError(f"block {decl.label}: {exc}", decl.base_line) from None
             names = surface.generator_names()
             missing = [n for n in names if n not in decl.gens]
             if missing:
@@ -264,6 +265,7 @@ def parse(text: str) -> Manifest:
                     "expected: base orientable|nonorientable genus <g> boundaries <b>",
                     lineno,
                 )
+            current_block.base_line = lineno
             try:
                 current_block.orientable = tokens[1] == "orientable"
                 current_block.genus = int(tokens[3])

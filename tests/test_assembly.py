@@ -110,7 +110,9 @@ class TestValidateStructure:
             for e in gs1.edges
         ]
         gs = structure(blocks, edges)
-        assert any("not connected" in d for d in validate_structure(gs))
+        assert validate_structure(gs) == [
+            "underlying graph not connected: unreachable blocks ['A2', 'B2']"
+        ]
 
 
 class TestIsReduced:

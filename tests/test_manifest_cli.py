@@ -183,7 +183,7 @@ class TestCli:
             assert main([command, str(path)]) == 12
             out, err = capsys.readouterr()
             assert out == ""
-            assert "line 3" in err and "Traceback" not in err
+            assert "line 4" in err and "Traceback" not in err
 
     def test_reduce_nonorientable_exit_code(self, tmp_path, capsys):
         path = tmp_path / "nonorientable.gm"
