@@ -23,6 +23,23 @@ SL(2,Z) conjugacy classes are canonicalized as follows:
   rotation.  The stored word is the lexicographically least rotation with
   R < L.
 
+The hyperbolic normal form works on the run-length form of the word, the
+exponents (a1, b1, ..., ak, bk) of R^a1 L^b1 ... R^ak L^bk, so its cost
+grows with the number of runs and the size of the entries, not with the
+length of the word:
+
+* a Farey walk conjugates the matrix by R^q or L^q until all its entries
+  are nonnegative; each quotient q comes from exact comparisons of the
+  eigendirection, a quadratic surd, with the mediants of the cone;
+* the nonnegative matrix is peeled into its runs, q rows at a time;
+* the least rotation starts at an R run, and comparing two rotations run
+  by run orders the runs by the key (-a, b): a longer R run first, then a
+  shorter L run.  Booth's algorithm (Inf. Proc. Lett. 10(4), 1980) finds
+  the least rotation of the key sequence in linear time, and of equal
+  rotations of a periodic word it takes the first;
+* the conjugator and the final check U^-1 M U == word_matrix(word) are
+  products of one R^a and one L^b per run.
+
 Conjugacy witnesses follow the convention  C @ M1 @ C.inverse() == M2.
 """
 from __future__ import annotations
@@ -257,67 +274,155 @@ def _slope_params(m: Mat2) -> Tuple[int, int, int, int]:
     return p, e, q, disc
 
 
+def _verify(ok: bool, what: str, m: Mat2) -> None:
+    """Raise RuntimeError unless a computed result passed its check.  Not an
+    assert, so that it also runs under python -O."""
+    if not ok:
+        raise RuntimeError(f"{what} of {m} failed its check")
+
+
+def _run(letter: str, k: int) -> Mat2:
+    """R**k or L**k."""
+    return Mat2(1, k, 0, 1) if letter == "R" else Mat2(1, 0, k, 1)
+
+
+def _nonnegative(m: Mat2) -> bool:
+    return min(m.a, m.b, m.c, m.d) >= 0
+
+
+def _last_true(pred) -> int:
+    """Largest j >= 1 with pred(j), for pred true at 1 and false from some
+    j on: a galloping search with O(log j) calls."""
+    lo, step = 1, 1
+    while pred(lo + step):
+        lo += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if pred(lo + step):
+            lo += step
+    return lo
+
+
+def _least_rotation(seq: list) -> int:
+    """Booth's algorithm: the index of the least rotation of seq in O(len).
+
+    Of equal least rotations (a periodic seq) it returns the first, since k
+    only ever moves on to a strictly smaller rotation."""
+    s = seq + seq
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:  # then i == -1
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
+def _pairs_matrix(pairs) -> Mat2:
+    """Product of R**a @ L**b = [[1+ab,a],[b,1]] over the (a, b) pairs."""
+    out = I2
+    for a, b in pairs:
+        out = out @ Mat2(1 + a * b, a, b, 1)
+    return out
+
+
 def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     """For trace(m) > 2 return (canonical cyclic word, U) with
-    U.inverse() @ m @ U == word_matrix(word)."""
+    U.inverse() @ m @ U == word_matrix(word).
+
+    Works on runs of letters: each run of the Farey walk and of the peel is
+    one matrix product, and the least rotation is found over the runs."""
     cur = m
-    u_acc = I2
+    rot = I2
     p, e, q, disc = _slope_params(cur)
     if _sign_surd(p, e, disc) < 0:
         # rotate so the expanding eigendirection has positive slope
+        rot = S
         cur = S.inverse() @ cur @ S
-        u_acc = S
         p, e, q, disc = _slope_params(cur)
-        assert _sign_surd(p, e, disc) > 0
-    # Farey walk: shrink the cone spanned by (u, w) onto the eigendirection
-    # until the conjugated matrix maps the cone into itself (all entries >= 0).
-    cu, cw = (1, 0), (0, 1)
-    guard = 0
-    while cur.a < 0 or cur.b < 0 or cur.c < 0 or cur.d < 0:
-        guard += 1
-        if guard > 100000:
-            raise AssertionError(f"hyperbolic reduction did not terminate: {m}")
-        med = (cu[0] + cw[0], cu[1] + cw[1])
-        # compare slope with med[1]/med[0]
-        t_cmp = med[0] * p - med[1] * q
-        e_cmp = med[0] * e
-        if _sign_surd(t_cmp, e_cmp, disc) < 0:
-            cw = med
-            cur = R.inverse() @ cur @ R
-            u_acc = u_acc @ R
+
+    def below(x: int, y: int) -> bool:
+        # the eigendirection slope is below y / x (x > 0)
+        return _sign_surd(x * p - y * q, x * e, disc) < 0
+
+    # Farey walk: shrink the cone spanned by the columns u, w of `cone` onto
+    # the eigendirection until the conjugated matrix maps the cone into
+    # itself (all entries >= 0).  A run of R steps replaces w by w + j*u
+    # while the slope stays below w + j*u; a run of L steps replaces u by
+    # u + j*w while it stays above.  Once nonnegative, every further step
+    # stays so; the walk ends at the first nonnegative step.
+    cone = I2
+    while not _nonnegative(cur):
+        (u0, w0), (u1, w1) = (cone.a, cone.b), (cone.c, cone.d)
+        if below(u0 + w0, u1 + w1):
+            letter = "R"
+            k = _last_true(lambda j: below(w0 + j * u0, w1 + j * u1))
         else:
-            cu = med
-            cur = L.inverse() @ cur @ L
-            u_acc = u_acc @ L
-    # peel the nonnegative matrix into its unique R/L factorization
-    letters = []
+            letter = "L"
+            k = _last_true(lambda j: not below(u0 + j * w0, u1 + j * w1))
+        nxt = _run(letter, -k) @ cur @ _run(letter, k)
+        if _nonnegative(nxt):
+            # the walk ends inside this run, at its first nonnegative step
+            whole = k
+            k = _last_true(
+                lambda j: j <= whole
+                and not _nonnegative(_run(letter, 1 - j) @ cur @ _run(letter, j - 1))
+            )
+            nxt = _run(letter, -k) @ cur @ _run(letter, k)
+        cur = nxt
+        cone = cone @ _run(letter, k)
+    # peel the nonnegative matrix into its unique R/L factorization, one
+    # run at a time: R**k takes k copies of the second row off the first
+    runs = []
     v = cur
-    guard = 0
     while v != I2:
-        guard += 1
-        if guard > 100000:
-            raise AssertionError(f"peeling did not terminate: {m}")
         if v.a >= v.c and v.b >= v.d:
-            letters.append("R")
-            v = Mat2(v.a - v.c, v.b - v.d, v.c, v.d)
+            k = v.b if v.c == 0 else min(v.a // v.c, v.b // v.d)
+            runs.append(("R", k))
+            v = Mat2(v.a - k * v.c, v.b - k * v.d, v.c, v.d)
+        elif v.c >= v.a and v.d >= v.b:
+            k = v.c if v.b == 0 else min(v.c // v.a, v.d // v.b)
+            runs.append(("L", k))
+            v = Mat2(v.a, v.b, v.c - k * v.a, v.d - k * v.b)
         else:
-            assert v.c >= v.a and v.d >= v.b, (m, v)
-            letters.append("L")
-            v = Mat2(v.a, v.b, v.c - v.a, v.d - v.b)
-    assert "R" in letters and "L" in letters, (m, letters)
-    # canonical cyclic rotation, lexicographically least with R < L
-    rank = {"R": 0, "L": 1}
-    best: Optional[Tuple[Tuple[int, ...], int]] = None
-    for i in range(len(letters)):
-        rot = tuple(rank[x] for x in letters[i:] + letters[:i])
-        if best is None or rot < best[0]:
-            best = (rot, i)
-    i0 = best[1]
-    word = tuple(letters[i0:] + letters[:i0])
-    prefix = word_matrix(tuple(letters[:i0]))
-    u_acc = u_acc @ prefix
-    assert u_acc.inverse() @ m @ u_acc == word_matrix(word)
-    return word, u_acc
+            raise RuntimeError(f"peeling {m} reached {v}, which is not a positive word")
+    if len(runs) < 2:
+        raise RuntimeError(f"peeling {m} gave the word {runs}, without both letters")
+    # the cyclic word as (a, b) pairs R**a L**b: join the two ends of a run
+    # that the cut splits and start at an R run.  The R run at index 2i of
+    # the cycle starts where run 2i + shift of the peel does, so the R runs
+    # keep their order in the peel.
+    cyc = [k for _, k in runs]
+    shift = 0
+    if runs[0][0] == runs[-1][0]:
+        first = cyc.pop(0)
+        cyc[-1] += first
+        shift = 1
+    if runs[shift][0] == "L":
+        cyc.append(cyc.pop(0))
+        shift += 1
+    pairs = list(zip(cyc[::2], cyc[1::2]))
+    # lexicographically least rotation with R < L: it starts at an R run,
+    # and a longer R run, then a shorter L run, sorts first; of equal ones
+    # the first in the peel is taken
+    r0 = _least_rotation([(-a, b) for a, b in pairs])
+    pairs = pairs[r0:] + pairs[:r0]
+    # U moves on along the peeled word to where that rotation starts
+    u = rot @ cone
+    for letter, k in runs[: 2 * r0 + shift]:
+        u = u @ _run(letter, k)
+    _verify(u.inverse() @ m @ u == _pairs_matrix(pairs), "hyperbolic normal form", m)
+    return tuple("".join("R" * a + "L" * b for a, b in pairs)), u
 
 
 def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
@@ -333,11 +438,7 @@ def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
     t = m.trace()
     order = {0: 4, 1: 6, -1: 3}[t]
     num_im = 4 - t * t  # 4*c^2*Im(z)^2
-    guard = 0
     while True:
-        guard += 1
-        if guard > 10000:
-            raise AssertionError(f"elliptic reduction did not terminate: {m}")
         c = cur.c
         assert c != 0
         # Re(z) = (a - d) / (2c); translate to |Re| <= 1/2
@@ -367,8 +468,7 @@ def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
             u_acc = u_acc @ R.inverse()
     for (ordr, chir), rep in _ELLIPTIC_REPS.items():
         if cur == rep:
-            assert ordr == order
-            assert u_acc.inverse() @ m @ u_acc == rep
+            _verify(ordr == order and u_acc.inverse() @ m @ u_acc == rep, "elliptic normal form", m)
             return order, chir, u_acc
     raise AssertionError(f"elliptic endgame failed: {m} reduced to {cur}")
 
@@ -385,8 +485,7 @@ def _parabolic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
         v = primitive((k.d, -k.c))
     u = extend_to_unimodular(v)
     canon = u.inverse() @ mp @ u
-    assert (canon.a, canon.c, canon.d) == (1, 0, 1), (m, canon)
-    assert canon.b != 0
+    _verify((canon.a, canon.c, canon.d) == (1, 0, 1) and canon.b != 0, "parabolic normal form", m)
     return sign, canon.b, u
 
 
@@ -431,13 +530,7 @@ def conjugate_in(m1: Mat2, m2: Mat2, ambient: str = SL2Z) -> Tuple[bool, Optiona
     if ambient == SL2Z:
         if m1.det() != 1 or m2.det() != 1:
             raise NotInSL2ZError("SL2Z ambient requires determinant +1 inputs")
-        cls1, u1 = _normal_form(m1)
-        cls2, u2 = _normal_form(m2)
-        if cls1 != cls2:
-            return False, None
-        witness = u2 @ u1.inverse()
-        assert witness @ m1 @ witness.inverse() == m2
-        return True, witness
+        return _match_normal_forms(m1, _normal_form(m1), m2, _normal_form(m2))
     if ambient != GL2Z:
         raise ValueError(f"unknown ambient {ambient!r}")
     d1, d2 = m1.det(), m2.det()
@@ -446,16 +539,29 @@ def conjugate_in(m1: Mat2, m2: Mat2, ambient: str = SL2Z) -> Tuple[bool, Optiona
     if d1 != d2:
         return False, None
     if d1 == 1:
-        ok, witness = conjugate_in(m1, m2, SL2Z)
+        nf2 = _normal_form(m2)
+        ok, witness = _match_normal_forms(m1, _normal_form(m1), m2, nf2)
         if ok:
             return ok, witness
-        ok, witness = conjugate_in(J_FLIP @ m1 @ J_FLIP, m2, SL2Z)
-        if ok:
-            witness = witness @ J_FLIP
-            assert witness @ m1 @ witness.inverse() == m2
-            return True, witness
-        return False, None
+        flipped = J_FLIP @ m1 @ J_FLIP
+        ok, witness = _match_normal_forms(flipped, _normal_form(flipped), m2, nf2)
+        if not ok:
+            return False, None
+        witness = witness @ J_FLIP
+        _verify(witness @ m1 @ witness.inverse() == m2, "GL(2,Z) conjugacy witness", m1)
+        return True, witness
     return _conjugate_det_minus_one(m1, m2)
+
+
+def _match_normal_forms(m1: Mat2, nf1, m2: Mat2, nf2) -> Tuple[bool, Optional[Mat2]]:
+    """SL(2,Z) conjugacy of m1 and m2 from their normal forms (class, U):
+    the witness is U2 @ U1.inverse()."""
+    (cls1, u1), (cls2, u2) = nf1, nf2
+    if cls1 != cls2:
+        return False, None
+    witness = u2 @ u1.inverse()
+    _verify(witness @ m1 @ witness.inverse() == m2, "SL(2,Z) conjugacy witness", m1)
+    return True, witness
 
 
 def _involution_normalize(m: Mat2) -> Tuple[Mat2, Mat2]:
@@ -481,7 +587,7 @@ def _involution_normalize(m: Mat2) -> Tuple[Mat2, Mat2]:
         u = Mat2(w1[0], w2[0], w1[1], w2[1])
         assert abs(u.det()) == 1
         rep = Mat2(0, 1, 1, 0)
-    assert u.inverse() @ m @ u == rep
+    _verify(u.inverse() @ m @ u == rep, "involution normal form", m)
     return rep, u
 
 
@@ -495,13 +601,12 @@ def _conjugate_det_minus_one(m1: Mat2, m2: Mat2) -> Tuple[bool, Optional[Mat2]]:
         if rep1 != rep2:
             return False, None
         witness = u2 @ u1.inverse()
-        assert witness @ m1 @ witness.inverse() == m2
-        return True, witness
-    # m is determined by its square when trace != 0: m = (m^2 - I)/t
-    ok, witness = conjugate_in(m1 @ m1, m2 @ m2, GL2Z)
-    if not ok:
-        return False, None
-    assert witness @ m1 @ witness.inverse() == m2
+    else:
+        # m is determined by its square when trace != 0: m = (m^2 - I)/t
+        ok, witness = conjugate_in(m1 @ m1, m2 @ m2, GL2Z)
+        if not ok:
+            return False, None
+    _verify(witness @ m1 @ witness.inverse() == m2, "GL(2,Z) conjugacy witness", m1)
     return True, witness
 
 
@@ -521,11 +626,7 @@ def generator_word(m: Mat2, pivot: str = "floor") -> Tuple[Tuple[str, int], ...]
         raise NotInSL2ZError(f"determinant {m.det()}: {m}")
     out = []
     v = m
-    guard = 0
-    while v.c != 0:
-        guard += 1
-        if guard > 100000:
-            raise AssertionError(f"decomposition did not terminate: {m}")
+    while v.c != 0:  # |c| strictly decreases
         if pivot == "round":
             q = (2 * v.a + v.c) // (2 * v.c)
         else:
@@ -545,8 +646,8 @@ def generator_word(m: Mat2, pivot: str = "floor") -> Tuple[Tuple[str, int], ...]
             out.append(("R", -v.b))
     check = I2
     for gen, exp in out:
-        check = check @ ((R ** exp) if gen == "R" else S)
-    assert check == m, (m, out)
+        check = check @ (_run("R", exp) if gen == "R" else S)
+    _verify(check == m, "generator word", m)
     return tuple(out)
 
 

@@ -55,15 +55,23 @@ _MATRIX_RE = re.compile(
 _TRIPLE_RE = re.compile(r"^\((-?\d+),(-?\d+),(-?\d+)\)$")
 
 
+def _ints(groups, line: int, col: int):
+    try:
+        return [int(g) for g in groups]
+    except ValueError as exc:  # more digits than int() converts (sys.int_info)
+        raise ManifestError(str(exc), line, col) from None
+
+
 def parse_matrix(text: str, line: int = 0, col: int = 1) -> Mat2:
     m = _MATRIX_RE.match(text.replace(" ", ""))
     if not m:
         raise ManifestError(f"expected matrix [[a,b],[c,d]], got {text!r}", line, col)
-    mat = Mat2(*(int(g) for g in m.groups()))
-    if mat.det() not in (1, -1):
-        raise ManifestError(
-            f"determinant {mat.det()}, not unimodular: {text}", line, col
-        )
+    mat = Mat2(*_ints(m.groups(), line, col))
+    det = mat.det()
+    if det not in (1, -1):
+        # a determinant of entries near the digit limit is too long for str()
+        shown = det if det.bit_length() < 8000 else f"of {det.bit_length()} bits"
+        raise ManifestError(f"determinant {shown}, not unimodular: {text}", line, col)
     return mat
 
 
@@ -71,7 +79,7 @@ def parse_triple(text: str, line: int = 0, col: int = 1) -> Pi1Element:
     m = _TRIPLE_RE.match(text.replace(" ", ""))
     if not m:
         raise ManifestError(f"expected pi1 image (a,b,k), got {text!r}", line, col)
-    return Pi1Element(*(int(g) for g in m.groups()))
+    return Pi1Element(*_ints(m.groups(), line, col))
 
 
 @dataclass

@@ -5,8 +5,9 @@ psi is the conjugation-invariant integer class function pinned by
 
     psi(sign * [[1,n],[0,1]]) = n,      psi(+-I) = 0,
 
-extended to hyperbolic classes by the exponent sum of the canonical R/L
-word (R counted +1, L counted -1) and to elliptic classes by the unique
+extended to hyperbolic classes by the exponent sum #R - #L of the
+canonical R/L word (the alternating sum a1 - b1 + ... - bk of its runs
+R^a1 L^b1 ... R^ak L^bk) and to elliptic classes by the unique
 values in {-1,0,1} that keep psi congruent mod 3 to the abelianization
 character.  That congruence makes
 
@@ -38,12 +39,12 @@ def psi(m: Mat2) -> int:
     if cls.kind == "parabolic":
         base = cls.n
     elif cls.kind == "hyperbolic":
-        base = sum(1 if letter == "R" else -1 for letter in cls.word)
+        base = cls.word.count("R") - cls.word.count("L")
     else:
         base = 0
     kappa = _LIFT3[(abelianization_mod3(m) - base) % 3]
-    if cls.kind != "elliptic":
-        assert kappa == 0, (m, cls, kappa)
+    if cls.kind != "elliptic" and kappa != 0:
+        raise RuntimeError(f"psi({m}) = {base} disagrees with the abelianization mod 3")
     return base + kappa
 
 
@@ -52,7 +53,8 @@ def meyer_cocycle(a: Mat2, b: Mat2) -> int:
     if a.det() != 1 or b.det() != 1:
         raise NotInSL2ZError("cocycle arguments must lie in SL(2,Z)")
     num = psi(a) + psi(b) - psi(a @ b)
-    assert num % 3 == 0, (a, b, num)
+    if num % 3:
+        raise RuntimeError(f"coboundary of psi at ({a}, {b}) is {num}, not divisible by 3")
     return num // 3
 
 

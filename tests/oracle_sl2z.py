@@ -63,3 +63,56 @@ def sl2z_entries_up_to(bound: int) -> List[MTuple]:
                     if a * d - b * c == 1:
                         out.append((a, b, c, d))
     return out
+
+
+def _sign_surd(t: int, e: int, disc: int) -> int:
+    """Sign of t + e*sqrt(disc) for nonsquare disc > 0 and e != 0."""
+    if e > 0:
+        return 1 if t >= 0 or e * e * disc > t * t else -1
+    return -1 if t <= 0 or e * e * disc > t * t else 1
+
+
+def _slope(m: MTuple) -> Tuple[int, int, int, int]:
+    """Expanding eigendirection slope (p + e*sqrt(disc)) / q, q > 0."""
+    a, b, c, d = m
+    p, e, q = d - a, 1, 2 * b
+    if q < 0:
+        p, e, q = -p, -e, -q
+    return p, e, q, (a + d) ** 2 - 4
+
+
+def letterwise_normal_form(m: MTuple) -> Tuple[str, MTuple]:
+    """Hyperbolic normal form of m (trace > 2) one letter at a time.
+
+    A Farey walk conjugates by one R or L per step until every entry is
+    nonnegative, the peel takes one row off per letter, and the least
+    rotation (R < L, the first one on ties) comes from comparing all
+    rotations, in O(len^2).  Returns (word, U) with U^-1 m U equal to the
+    product of the word's letters."""
+    u, cur = I, m
+    p, e, q, disc = _slope(cur)
+    if _sign_surd(p, e, disc) < 0:
+        u, cur = S, mul(mul(inv(S), cur), S)
+        p, e, q, disc = _slope(cur)
+    cu, cw = (1, 0), (0, 1)
+    while min(cur) < 0:
+        med = (cu[0] + cw[0], cu[1] + cw[1])
+        if _sign_surd(med[0] * p - med[1] * q, med[0] * e, disc) < 0:
+            cw, g = med, R
+        else:
+            cu, g = med, L
+        cur, u = mul(mul(inv(g), cur), g), mul(u, g)
+    letters = []
+    a, b, c, d = cur
+    while (a, b, c, d) != I:
+        if a >= c and b >= d:
+            letters.append("R")
+            a, b = a - c, b - d
+        else:
+            letters.append("L")
+            c, d = c - a, d - b
+    ranked = "".join(letters).replace("R", "0").replace("L", "1")
+    i0 = min(range(len(ranked)), key=lambda i: (ranked[i:] + ranked[:i], i))
+    for x in letters[:i0]:
+        u = mul(u, R if x == "R" else L)
+    return "".join(letters[i0:] + letters[:i0]), u

@@ -16,9 +16,10 @@ from gm4 import (
     conjugate_in,
     eigenvector_eigenvalue_one,
 )
-from gm4.gl2z import generator_word, word_matrix
+from gm4 import gl2z, psi
+from gm4.gl2z import _least_rotation, _normal_form, generator_word, word_matrix
 
-from oracle_sl2z import conjugacy_orbit, sl2z_entries_up_to
+from oracle_sl2z import conjugacy_orbit, letterwise_normal_form, sl2z_entries_up_to
 
 
 def words(max_len=8):
@@ -157,6 +158,15 @@ class TestConjugateIn:
         ok, _ = conjugate_in(m, Mat2(2, 1, 1, 0), GL2Z)  # different trace
         assert not ok
 
+    def test_gl_normalises_each_matrix_once(self, monkeypatch):
+        seen = []
+        normal_form = gl2z._normal_form
+        monkeypatch.setattr(gl2z, "_normal_form", lambda m: seen.append(m) or normal_form(m))
+        m1, m2 = Mat2(1, 1, 0, 1), Mat2(1, -1, 0, 1)  # GL- but not SL-conjugate
+        ok, w = conjugate_in(m1, m2, GL2Z)
+        assert ok and w @ m1 @ w.inverse() == m2
+        assert len(seen) == 3  # m1, m2 and m1 flipped by J
+
     def test_mixed_determinants_not_conjugate(self):
         ok, w = conjugate_in(R, Mat2(1, 0, 0, -1), GL2Z)
         assert not ok and w is None
@@ -219,3 +229,91 @@ class TestGeneratorWord:
             for gen, exp in generator_word(m, pivot):
                 out = out @ ((R ** exp) if gen == "R" else S)
             assert out == m
+
+
+def rl_words(max_len=300):
+    """R/L words with both letters: free words, and periodic ones such as
+    (RL)^k and (RRL)^k, whose least rotation is not unique."""
+    free = st.text(alphabet="RL", min_size=2, max_size=max_len)
+    periodic = st.builds(
+        lambda base, k: base * k,
+        st.text(alphabet="RL", min_size=2, max_size=6),
+        st.integers(1, max_len // 6),
+    )
+    return st.one_of(free, periodic).filter(lambda w: "R" in w and "L" in w)
+
+
+disguises = st.lists(
+    st.tuples(st.sampled_from([R, L, S]), st.sampled_from([1, -1, 2, -3, 7, -40])),
+    max_size=12,
+).map(lambda gens: to_matrix([g ** k for g, k in gens]))
+
+
+class TestRunLengthNormalForm:
+    """The run-length normal form against the letter-by-letter one."""
+
+    @given(rl_words(), disguises, st.sampled_from([1, -1]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_letterwise_oracle(self, word, c, sign):
+        positive = c @ word_matrix(tuple(word)) @ c.inverse()
+        m = positive if sign == 1 else -positive
+        cls, u = _normal_form(m)
+        oracle_word, oracle_u = letterwise_normal_form(positive.entries())
+        assert cls == ConjClass("hyperbolic", sign, word=tuple(oracle_word))
+        assert u.entries() == oracle_u
+        assert psi(m) == word.count("R") - word.count("L")
+
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_booth_returns_first_least_rotation(self, base, k, periodic):
+        seq = base * k if periodic else base
+        rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
+        assert _least_rotation(seq) == rotations.index(min(rotations))
+
+    def test_matrix_products_grow_with_runs_not_letters(self, monkeypatch):
+        counts = [0]
+        product = Mat2.__matmul__
+
+        def counted(x, y):
+            counts[0] += 1
+            return product(x, y)
+
+        def products(m):
+            counts[0] = 0
+            classify(m)
+            return counts[0]
+
+        monkeypatch.setattr(Mat2, "__matmul__", counted)
+        # R^n L: two runs whatever n is
+        assert len({products(Mat2(n + 1, n, 1, 1)) for n in (10, 10**3, 10**5)}) == 1
+        # (RL)^n: n runs, and about one product per run
+        ns = (8, 64, 512)
+        rl = [products(word_matrix(("R", "L") * n)) for n in ns]
+        assert all(n <= p <= n + 10 for n, p in zip(ns, rl)), rl
+
+    def test_long_runs_past_the_old_step_guards(self):
+        assert classify(Mat2(150001, 150000, 1, 1)) == ConjClass(
+            "hyperbolic", 1, word=("R",) * 150000 + ("L",)
+        )
+        m = L ** 150000 @ R @ L @ L ** -150000
+        assert str(classify(m)) == "Hyperbolic(+1, RL)"
+
+
+class TestResultChecks:
+    """A failed result check raises RuntimeError, also under python -O."""
+
+    def test_normal_form_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "_pairs_matrix", lambda pairs: I2)
+        with pytest.raises(RuntimeError, match="hyperbolic normal form"):
+            classify(Mat2(2, 1, 1, 1))
+
+    def test_witness_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "_normal_form", lambda m: (ConjClass("central"), I2))
+        for ambient in (SL2Z, GL2Z):
+            with pytest.raises(RuntimeError, match="conjugacy witness"):
+                conjugate_in(R, L, ambient)
+
+    def test_generator_word_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "_run", lambda letter, k: I2)
+        with pytest.raises(RuntimeError, match="generator word"):
+            generator_word(Mat2(2, 1, 1, 1))

@@ -1,9 +1,13 @@
+import io
 import subprocess
 import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gm4 import manifest, validate_structure
+from gm4 import L, Mat2, R, S, classify, manifest, psi, validate_structure
 from gm4.cli import main
 from gm4.manifest import ManifestError
 
@@ -214,6 +218,18 @@ class TestCli:
         assert main(["matclass", "[[2,1],[1,1]]"]) == 0
         assert capsys.readouterr().out.strip() == "Hyperbolic(+1, RL)"
 
+    def test_long_run_word(self, capsys):
+        matrix = "[[150001,150000],[1,1]]"  # R^150000 L
+        proc = subprocess.run(
+            [sys.executable, "-m", "gm4.cli", "matclass", matrix],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "Hyperbolic(+1, " + "R" * 150000 + "L)\n"
+        assert main(["psi", matrix]) == 0
+        assert capsys.readouterr().out == "149999\n"
+
     def test_entry_point_subprocess(self, gm_files):
         proc = subprocess.run(
             [sys.executable, "-m", "gm4.cli", "psi", "[[1,-6],[0,1]]"],
@@ -222,3 +238,68 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-6"
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of an in-process gm4 run; an uncaught
+    exception prints its traceback to the captured stderr, as gm4 would."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception:
+            traceback.print_exc()
+            rc = 1
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _product(factors):
+    m = Mat2(1, 0, 0, 1)
+    for g, k in factors:
+        m = m @ g ** k
+    return m
+
+
+def _text(m):
+    return f"[[{m.a},{m.b}],[{m.c},{m.d}]]"
+
+
+# determinant +-1 with large entries; exponents stay moderate because a
+# hyperbolic class prints a word about as long as their sum
+_unimodular = st.builds(
+    lambda factors, flip: _text(_product(factors) @ (Mat2(1, 0, 0, -1) if flip else Mat2(1, 0, 0, 1))),
+    st.lists(
+        st.tuples(st.sampled_from([R, L, S]), st.integers(-3, 3) | st.integers(-5000, 5000)), max_size=10
+    ),
+    st.booleans(),
+)
+_big = st.integers(-(10**60), 10**60)
+_singular = st.builds(lambda a, b, k: _text(Mat2(a, b, k * a, k * b)), _big, _big, st.integers(-9, 9))
+_arbitrary = st.builds(lambda *e: _text(Mat2(*e)), _big, _big, _big, _big)
+# entries around the interpreter's 4300-digit int/str conversion limit
+_long_digits = st.builds(
+    lambda n, k: f"[[1,{'9' * n}],[0,{k}]]", st.integers(4250, 4350), st.integers(0, 2)
+)
+_malformed = st.one_of(st.text(alphabet="[],-0123456789 x.", max_size=30), st.text(max_size=30))
+matrix_texts = st.one_of(_unimodular, _singular, _arbitrary, _long_digits, _malformed)
+
+
+class TestMatrixCommandsFuzz:
+    """matclass and psi exit 0 with the library's answer or 12 with a
+    diagnostic, never with a traceback."""
+
+    @pytest.mark.parametrize("command, value", [("matclass", classify), ("psi", psi)])
+    @given(text=matrix_texts)
+    @settings(max_examples=250, deadline=None)
+    def test_exit_codes_and_output(self, command, value, text):
+        # "--": an argument starting with "-" would be an option to argparse
+        rc, out, err = run_cli([command, "--", text])
+        assert "Traceback" not in err
+        assert rc in (0, 12), (rc, err)
+        if rc == 12:
+            assert out == "" and err
+            return
+        assert err == ""
+        assert out == f"{value(manifest.parse_matrix(text, 1))}\n"

@@ -22,6 +22,8 @@ from gm4 import (
     psi_by_folding,
 )
 
+from gm4 import meyer
+
 from conftest import mirror_double, pants, trivial_double, upper
 
 
@@ -183,3 +185,17 @@ class TestSeededInvariantSuites:
             c = rnd.choice(pool)
             a = c @ Mat2(1, n, 0, 1) @ c.inverse()
             assert psi(a.inverse()) == -psi(a)
+
+
+class TestResultChecks:
+    """A failed result check raises RuntimeError, also under python -O."""
+
+    def test_kappa_check(self, monkeypatch):
+        monkeypatch.setattr(meyer, "abelianization_mod3", lambda m: 1)
+        with pytest.raises(RuntimeError, match="abelianization"):
+            psi.__wrapped__(Mat2(1, 3, 0, 1))  # uncached
+
+    def test_cocycle_divisibility_check(self, monkeypatch):
+        monkeypatch.setattr(meyer, "psi", lambda m: 1)
+        with pytest.raises(RuntimeError, match="not divisible by 3"):
+            meyer_cocycle(R, L)
