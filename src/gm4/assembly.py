@@ -842,7 +842,8 @@ def isomorphic_reduced(
             m1 = b1.boundary_monodromy(bd)
             m2 = b2.boundary_monodromy(new_bd)
             c = conj[lbl]
-            assert c @ m1 @ c.inverse() == m2
+            if c @ m1 @ c.inverse() != m2:
+                raise RuntimeError(f"conjugator {c} does not carry {m1} to {m2}")
             mu = _fp_iso(TorusBundleOverCircle(m1), TorusBundleOverCircle(m2), c, PI1_T)
             return (mapping[lbl], new_bd), mu
 

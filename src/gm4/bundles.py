@@ -14,13 +14,19 @@ Generator and boundary-word convention (fixed once for the whole package):
 pi1 of the torus bundle M_phi over a circle is presented on x, y, t with
 [x, y] = 1,  t x t^-1 = x^phi11 y^phi21,  t y t^-1 = x^phi12 y^phi22,
 and its elements are kept in the normal form x^a y^b t^k, written (a,b,k).
+
+A glueing (BoundaryIso) is given by the images of x, y and t.  It is valid
+when the images satisfy the source relations and the map is bijective:
+the winding numbers k of the three images have gcd 1, so some w0 maps to
+winding 1, and the fiber image L0 + phi L0 is all of Z^2, where L0 is
+spanned by the fiber parts of the generator images once their w0 powers
+are removed (one Euclid echelon pass, no fixpoint).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gl2z import I2, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd
@@ -308,146 +314,64 @@ def compose_isos(second: BoundaryIso, first: BoundaryIso) -> BoundaryIso:
     )
 
 
-class _TrackedLattice:
-    """Sublattice of Z^2 whose basis vectors carry source-group expressions.
-
-    Each stored pair (v, e) satisfies: the glueing map sends e to the fiber
-    element with coordinates v.  Kept in echelon form: first basis vector has
-    positive x, second has x = 0 and positive y.
-    """
-
-    def __init__(self, group: TorusBundleOverCircle):
-        self.group = group
-        self.b1: Optional[Tuple[Tuple[int, int], Pi1Element]] = None
-        self.b2: Optional[Tuple[Tuple[int, int], Pi1Element]] = None
-
-    def _norm(self, v, e):
-        lead = v[0] if v[0] != 0 else v[1]
-        if lead < 0:
-            return (-v[0], -v[1]), self.group.inv(e)
-        return v, e
-
-    def add(self, v: Tuple[int, int], e: Pi1Element) -> None:
-        g = self.group
-        if v[0] != 0:
-            if self.b1 is None:
-                self.b1 = self._norm(v, e)
-                v = (0, 0)
-            else:
-                w, f = self.b1
-                while v[0] != 0:
-                    if abs(v[0]) < abs(w[0]):
-                        (v, e), (w, f) = (w, f), (v, e)
-                    q = v[0] // w[0]
-                    v = (v[0] - q * w[0], v[1] - q * w[1])
-                    e = g.mul(e, g.power(f, -q))
-                self.b1 = self._norm(w, f)
-        if v[1] != 0:
-            if self.b2 is None:
-                self.b2 = self._norm(v, e)
-            else:
-                w, f = self.b2
-                while v[1] != 0:
-                    if abs(v[1]) < abs(w[1]):
-                        (v, e), (w, f) = (w, f), (v, e)
-                    q = v[1] // w[1]
-                    v = (0, v[1] - q * w[1])
-                    e = g.mul(e, g.power(f, -q))
-                self.b2 = self._norm(w, f)
-
-    def _reduce(self) -> None:
-        if self.b1 and self.b2:
-            (v1, e1), (v2, e2) = self.b1, self.b2
-            q = v1[1] // v2[1]
-            if q:
-                self.b1 = (
-                    (v1[0], v1[1] - q * v2[1]),
-                    self.group.mul(e1, self.group.power(e2, -q)),
-                )
-
-    def signature(self):
-        self._reduce()
-        return (
-            self.b1[0] if self.b1 else None,
-            self.b2[0] if self.b2 else None,
-        )
-
-    def is_full(self) -> bool:
-        return self.signature() == ((1, 0), (0, 1))
-
-    def solve(self, v: Tuple[int, int]) -> Optional[Pi1Element]:
-        """Source element mapping to fiber vector v, or None."""
-        self._reduce()
-        g = self.group
-        m = n = 0
-        x, y = v
-        if self.b1:
-            m, rem = divmod(x, self.b1[0][0])
-            if rem:
-                return None
-            y -= m * self.b1[0][1]
-        elif x != 0:
-            return None
-        if self.b2:
-            n, rem = divmod(y, self.b2[0][1])
-            if rem:
-                return None
-        elif y != 0:
-            return None
-        out = Pi1Element(0, 0, 0)
-        if self.b1:
-            out = g.mul(out, g.power(self.b1[1], m))
-        if self.b2:
-            out = g.mul(out, g.power(self.b2[1], n))
-        return out
+def _echelon_pivot(group: TorusBundleOverCircle, rows, i: int):
+    """One Euclid pass on coordinate i over (fiber vector, source element)
+    rows, each element mapping to its vector: (pivot row, other rows), where
+    the pivot's coordinate i is +-gcd and every other row's is 0."""
+    pivot = None
+    rest = []
+    for v, e in rows:
+        if pivot is None and v[i]:
+            pivot = (v, e)
+            continue
+        if pivot is not None:
+            w, f = pivot
+            while v[i]:
+                q = w[i] // v[i]
+                rem = (w[0] - q * v[0], w[1] - q * v[1])
+                w, f, v, e = v, e, rem, group.mul(f, group.power(e, -q))
+            pivot = (w, f)
+        rest.append((v, e))
+    return pivot, rest
 
 
-def _image_data(iso: BoundaryIso):
-    """(winding gcd g, tracked fiber-image lattice or None, w0 pair or None).
+def _image_data(iso: BoundaryIso) -> Tuple[int, Optional[Tuple[Pi1Element, ...]]]:
+    """(winding gcd g, source preimages of x, y, t or None if not bijective).
 
-    w0 is a pair (source element, target image) with target winding 1; the
-    lattice is the intersection of the image subgroup with the target fiber,
-    with a source-side expression per basis vector.
+    With g = 1, w0 is a source element of target winding 1, and each source
+    generator times a power of w0 maps to a target fiber vector v_i.  Their
+    span L0 plus phi L0 (conjugation by w0 acts on the fiber by the target
+    monodromy phi) is the image of the fiber: by Cayley-Hamilton it is closed
+    under phi and phi^-1.  The glueing is bijective iff that lattice is Z^2,
+    i.e. its echelon basis is ((+-1, r), (0, +-1)).
     """
     src, tgt = iso.source, iso.target
-    ks = (iso.x_img.k, iso.y_img.k, iso.t_img.k)
-    g = gcd(gcd(abs(ks[0]), abs(ks[1])), abs(ks[2]))
+    g1, p, q = _ext_gcd(iso.x_img.k, iso.y_img.k)
+    g, u, v = _ext_gcd(g1, iso.t_img.k)
     if g != 1:
-        return g, None, None
-    g1, p, q = _ext_gcd(ks[0], ks[1])
-    g2, u, v = _ext_gcd(g1, ks[2])
-    assert g2 == 1
-    alpha, beta, gamma = p * u, q * u, v
-    w0_src = Pi1Element(0, 0, 0)
-    w0_src = src.mul(src.power(PI1_X, alpha), src.power(PI1_Y, beta))
-    w0_src = src.mul(w0_src, src.power(PI1_T, gamma))
+        return g, None
+    w0_src = Pi1Element(p * u, q * u, v)
     w0_tgt = iso.apply(w0_src)
-    assert w0_tgt.k == 1
-    lat = _TrackedLattice(src)
-    pairs = []
-    for gen, kk in ((PI1_X, ks[0]), (PI1_Y, ks[1]), (PI1_T, ks[2])):
-        e_src = src.mul(gen, src.power(w0_src, -kk))
-        e_tgt = tgt.mul(iso.apply(gen), tgt.power(w0_tgt, -kk))
-        assert e_tgt.k == 0
-        pairs.append(((e_tgt.a, e_tgt.b), e_src))
-    for vec, e in pairs:
-        lat.add(vec, e)
-    # close under conjugation by w0 (acts on the target fiber by phi)
-    phi = tgt.phi
-    phi_inv = phi.inverse()
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 200:
-            raise AssertionError("image lattice closure did not stabilize")
-        sig = lat.signature()
-        basis = [b for b in (lat.b1, lat.b2) if b]
-        for vec, e in basis:
-            lat.add(phi.apply(vec), src.conjugate(w0_src, e))
-            lat.add(phi_inv.apply(vec), src.conjugate(src.inv(w0_src), e))
-        if lat.signature() == sig:
-            break
-    return 1, lat, (w0_src, w0_tgt)
+    if w0_tgt.k != 1:
+        raise RuntimeError(f"winding element {w0_src} maps to {w0_tgt}, not to winding 1")
+    rows = []
+    for gen, img in ((PI1_X, iso.x_img), (PI1_Y, iso.y_img), (PI1_T, iso.t_img)):
+        e = tgt.mul(img, tgt.power(w0_tgt, -img.k))
+        rows.append(((e.a, e.b), src.mul(gen, src.power(w0_src, -img.k))))
+    rows += [(tgt.phi.apply(vec), src.conjugate(w0_src, e)) for vec, e in rows]
+    pivot_x, rest = _echelon_pivot(src, rows, 0)
+    pivot_y, _ = _echelon_pivot(src, rest, 1)
+    if pivot_x is None or pivot_y is None:
+        return 1, None
+    (sx, r), ex = pivot_x
+    (_, sy), ey = pivot_y
+    if abs(sx) != 1 or abs(sy) != 1:
+        return 1, None
+    y_pre = src.power(ey, sy)
+    x_pre = src.power(src.mul(ex, src.power(y_pre, -r)), sx)
+    delta = tgt.mul(PI1_T, tgt.inv(w0_tgt))  # a fiber element, as w0_tgt.k == 1
+    t_pre = src.mul(src.mul(src.power(x_pre, delta.a), src.power(y_pre, delta.b)), w0_src)
+    return 1, (x_pre, y_pre, t_pre)
 
 
 def validate_glueing(iso: BoundaryIso) -> List[str]:
@@ -469,10 +393,10 @@ def validate_glueing(iso: BoundaryIso) -> List[str]:
         out.append("relation t y t^-1 = x^phi12 y^phi22 fails on images")
     if out:
         return out
-    g, lat, _ = _image_data(iso)
+    g, pre = _image_data(iso)
     if g != 1:
         out.append(f"not surjective: base winding numbers have gcd {g}")
-    elif not lat.is_full():
+    elif pre is None:
         out.append("not bijective: fiber image lattice is a proper sublattice")
     return out
 
@@ -492,21 +416,13 @@ def fiber_matrix(iso: BoundaryIso) -> Mat2:
 
 def iso_inverse(iso: BoundaryIso) -> BoundaryIso:
     """Inverse isomorphism, computed from generator preimages."""
-    g, lat, w0 = _image_data(iso)
-    if g != 1 or lat is None or not lat.is_full():
+    g, pre = _image_data(iso)
+    if pre is None:
         raise ValueError("iso is not bijective")
-    w0_src, w0_tgt = w0
-    src, tgt = iso.source, iso.target
-    x_pre = lat.solve((1, 0))
-    y_pre = lat.solve((0, 1))
-    delta = tgt.mul(PI1_T, tgt.inv(w0_tgt))
-    assert delta.k == 0
-    t_pre = src.mul(lat.solve((delta.a, delta.b)), w0_src)
-    inv = BoundaryIso(iso.target, iso.source, x_pre, y_pre, t_pre)
-    assert iso.apply(x_pre) == PI1_X
-    assert iso.apply(y_pre) == PI1_Y
-    assert iso.apply(t_pre) == PI1_T
-    return inv
+    for img, gen in zip(map(iso.apply, pre), (PI1_X, PI1_Y, PI1_T)):
+        if img != gen:
+            raise RuntimeError(f"computed preimage of {gen} maps to {img}")
+    return BoundaryIso(iso.target, iso.source, *pre)
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +494,17 @@ def _combo(basis: Sequence[Mat2], coeffs: Sequence[int]) -> Mat2:
     return out
 
 
-def fiber_covering_exists(
-    phi1: Mat2, phi2: Mat2, witness_bound: int = 8
-) -> Tuple[bool, Optional[Mat2]]:
+WITNESS_BOUND = 8
+
+
+def fiber_covering_exists(phi1: Mat2, phi2: Mat2) -> Tuple[bool, Optional[Mat2]]:
     """Decide whether a fiber covering map M_phi1 -> M_phi2 exists: an alpha
     with nonzero determinant and alpha @ phi1 == phi2 @ alpha.
 
     The decision is exact (a quadratic form vanishes on a lattice iff it
     vanishes on all {-1,0,1} coefficient vectors of a basis); the returned
     witness has the smallest |det| among coefficient vectors with entries
-    bounded by witness_bound, ties broken lexicographically.
+    bounded by WITNESS_BOUND, ties broken lexicographically.
     """
     basis = intertwiner_basis([(phi1, phi2)])
     if not basis:
@@ -596,7 +513,7 @@ def fiber_covering_exists(
     if all(_combo(basis, c).det() == 0 for c in product(range(-1, 2), repeat=r)):
         return False, None
     best: Optional[Tuple[Tuple, Mat2]] = None
-    for coeffs in product(range(-witness_bound, witness_bound + 1), repeat=r):
+    for coeffs in product(range(-WITNESS_BOUND, WITNESS_BOUND + 1), repeat=r):
         x = _combo(basis, coeffs)
         det = x.det()
         if det == 0:
@@ -613,5 +530,6 @@ def fiber_covering_exists(
             best = (key, x)
     assert best is not None
     witness = best[1]
-    assert witness @ phi1 == phi2 @ witness and witness.det() != 0
+    if witness @ phi1 != phi2 @ witness or witness.det() == 0:
+        raise RuntimeError(f"witness {witness} does not intertwine {phi1} and {phi2}")
     return True, witness

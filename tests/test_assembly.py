@@ -291,6 +291,16 @@ class TestIsomorphicReduced:
         assert r1.verdict == "no"
         assert r1.separating is not None
 
+    def test_conjugator_check_raises(self, monkeypatch):
+        # a result check, not an assert: it must also hold under python -O
+        import gm4.assembly as assembly
+
+        rotation = Mat2(0, -1, 1, 0)  # does not conjugate R^n to R^n
+        monkeypatch.setattr(assembly, "_det_pm1_conjugators", lambda pairs, bound: [rotation])
+        gs = swap_double(1, 2)
+        with pytest.raises(RuntimeError, match="does not carry"):
+            isomorphic_reduced(gs, gs)
+
     def test_non_reduced_rejected(self):
         gs = partial_reducible(1, 2)
         with pytest.raises(NotReducedError):

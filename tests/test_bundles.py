@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,7 @@ from gm4 import (
     validate_block,
     validate_glueing,
 )
+from gm4 import bundles
 from gm4.bundles import PI1_T, PI1_X, PI1_Y
 
 from conftest import mirror_edge_iso, pants, swap_iso, upper
@@ -252,6 +255,166 @@ class TestGlueings:
         ident = compose_isos(g, f)
         for e in (PI1_X, PI1_Y, PI1_T):
             assert ident.apply(e) == e
+
+
+class TestResultChecksRaise:
+    """Result checks are exceptions, not asserts, so they hold under python -O."""
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_iso_inverse_witness_checks(self, monkeypatch, i):
+        real = bundles._image_data
+
+        def broken(iso):
+            g, pre = real(iso)
+            pre = list(pre)
+            pre[i] = iso.source.mul(pre[i], PI1_X)
+            return g, tuple(pre)
+
+        monkeypatch.setattr(bundles, "_image_data", broken)
+        gen = (PI1_X, PI1_Y, PI1_T)[i]
+        with pytest.raises(RuntimeError, match=re.escape(f"preimage of {gen} maps to")):
+            iso_inverse(swap_iso(3))
+
+    def test_winding_check(self, monkeypatch):
+        monkeypatch.setattr(bundles, "_ext_gcd", lambda p, q: (1, 0, 0))
+        with pytest.raises(RuntimeError, match="not to winding 1"):
+            validate_glueing(swap_iso(3))
+
+    def test_fiber_covering_witness_check(self, monkeypatch):
+        monkeypatch.setattr(bundles, "intertwiner_basis", lambda pairs: [I2])
+        with pytest.raises(RuntimeError, match="does not intertwine"):
+            fiber_covering_exists(R, L)
+
+
+# Random glueings, built from draws pick(lo, hi) of integers in [lo, hi], such
+# as Hypothesis' data.draw of st.integers or random.Random.randint.
+
+
+def _unimodular(pick) -> Mat2:
+    """A GL(2,Z) element: a signed product of elementary matrices."""
+    m = I2 if pick(0, 1) else Mat2(0, 1, 1, 0)
+    for _ in range(pick(0, 4)):
+        n = pick(-3, 3)
+        m = m @ (Mat2(1, n, 0, 1) if pick(0, 1) else Mat2(1, 0, n, 1))
+    return -m if pick(0, 1) else m
+
+
+def _fp(pick, phi: Mat2, onto: bool = False) -> BoundaryIso:
+    """Fiber-preserving iso (A, u, eps) from M_phi to a random bundle, or
+    from a random bundle onto M_phi."""
+    a, eps = _unimodular(pick), 1 - 2 * pick(0, 1)
+    src = (a.inverse() @ phi @ a) ** eps if onto else phi
+    return BoundaryIso(
+        TorusBundleOverCircle(src),
+        TorusBundleOverCircle(a @ src ** eps @ a.inverse()),
+        Pi1Element(a.a, a.c, 0),
+        Pi1Element(a.b, a.d, 0),
+        Pi1Element(pick(-3, 3), pick(-3, 3), eps),
+    )
+
+
+def _inner(pick, tb: TorusBundleOverCircle) -> BoundaryIso:
+    g = Pi1Element(pick(-3, 3), pick(-3, 3), pick(-2, 2))
+    return BoundaryIso(tb, tb, *(tb.conjugate(g, e) for e in (PI1_X, PI1_Y, PI1_T)))
+
+
+def _gl3(pick) -> BoundaryIso:
+    """A GL(3,Z) automorphism of pi1(T^3) = Z^3, by column operations."""
+    cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(pick(1, 6)):
+        i, j, n = pick(0, 2), pick(0, 2), pick(-3, 3)
+        if i == j:
+            cols[i] = [-c for c in cols[i]]
+        else:
+            cols[i] = [c + n * d for c, d in zip(cols[i], cols[j])]
+    tb = TorusBundleOverCircle(I2)
+    return BoundaryIso(tb, tb, *(Pi1Element(*c) for c in cols))
+
+
+def _chain(*isos: BoundaryIso) -> BoundaryIso:
+    out = isos[0]
+    for iso in isos[1:]:
+        out = compose_isos(iso, out)
+    return out
+
+
+def _random_monodromy(pick) -> Mat2:
+    a = _unimodular(pick)
+    kinds = [I2, upper(pick(-4, 4)), Mat2(2, 1, 1, 1), S, -I2, Mat2(1, 0, 0, -1)]
+    return a @ kinds[pick(0, 5)] @ a.inverse()
+
+
+def random_bijective_glueing(pick) -> BoundaryIso:
+    """Fiber-preserving isos, TRADE isos (x -> x, y -> t, t -> y from R^n to
+    R^-n), inner automorphisms and GL(3,Z) automorphisms of Z^3, composed."""
+    kind = pick(0, 2)
+    if kind == 0:
+        n = pick(-4, 4)
+        trade = swap_iso(n)
+        return _chain(
+            _fp(pick, upper(n), onto=True), trade, _inner(pick, trade.target), _fp(pick, upper(-n))
+        )
+    if kind == 1:
+        first = _fp(pick, _random_monodromy(pick), onto=True)
+        return _chain(first, _inner(pick, first.target), _fp(pick, first.target.phi))
+    return _chain(_fp(pick, I2, onto=True), _gl3(pick), _fp(pick, I2))
+
+
+def random_index_glueing(pick, d: int) -> BoundaryIso:
+    """x -> x^d from R^n to R^dn, between random bijections."""
+    n = pick(-3, 3)
+    src, tgt = TorusBundleOverCircle(upper(n)), TorusBundleOverCircle(upper(d * n))
+    index = BoundaryIso(src, tgt, Pi1Element(d, 0, 0), PI1_Y, PI1_T)
+    return _chain(_fp(pick, upper(n), onto=True), index, _inner(pick, tgt), _fp(pick, upper(d * n)))
+
+
+def random_winding_glueing(pick, d: int) -> BoundaryIso:
+    """t -> t^d from M_{phi^d} to M_phi, between random bijections; those of
+    the target are fiber-preserving or inner, which keep the winding numbers
+    up to sign."""
+    phi = _random_monodromy(pick)
+    src, tgt = TorusBundleOverCircle(phi ** d), TorusBundleOverCircle(phi)
+    wind = BoundaryIso(src, tgt, PI1_X, PI1_Y, Pi1Element(0, 0, d))
+    before = [_fp(pick, src.phi, onto=True), _inner(pick, src)]
+    if src.phi == I2:
+        before.append(_gl3(pick))
+    return _chain(*before, wind, _inner(pick, tgt), _fp(pick, phi))
+
+
+def _drawer(data):
+    return lambda lo, hi: data.draw(st.integers(lo, hi))
+
+
+class TestRandomGlueings:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bijective_glueings_validate_and_invert(self, data):
+        pick = _drawer(data)
+        iso = random_bijective_glueing(pick)
+        assert validate_glueing(iso) == []
+        inv = iso_inverse(iso)
+        assert validate_glueing(inv) == []
+        for _ in range(3):
+            e = data.draw(elements)
+            assert inv.apply(iso.apply(e)) == e
+            assert iso.apply(inv.apply(e)) == e
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 5))
+    def test_index_d_is_a_proper_sublattice(self, data, d):
+        iso = random_index_glueing(_drawer(data), d)
+        proper = "not bijective: fiber image lattice is a proper sublattice"
+        assert validate_glueing(iso) == [proper]
+        with pytest.raises(ValueError):
+            iso_inverse(iso)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 5))
+    def test_winding_gcd_d_is_not_surjective(self, data, d):
+        iso = random_winding_glueing(_drawer(data), d)
+        assert validate_glueing(iso) == [f"not surjective: base winding numbers have gcd {d}"]
+        with pytest.raises(ValueError):
+            iso_inverse(iso)
 
 
 class TestFiberCovering:
