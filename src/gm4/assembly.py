@@ -21,7 +21,6 @@ from .bundles import (
     Block,
     BoundaryIso,
     MonodromyRep,
-    PI1_T,
     Pi1Element,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
@@ -360,6 +359,28 @@ def _fp_iso(src: TorusBundleOverCircle, dst: TorusBundleOverCircle,
     )
 
 
+Transport = Tuple[str, Mat2, int]  # (new boundary label, A, eps)
+
+
+def _transport(m: Mat2, a: Mat2, eps: int) -> Tuple[BoundaryIso, BoundaryIso]:
+    """The transport iso M_m -> M_{A m^eps A^-1}, (x, y) -> A (x, y) and
+    t -> t^eps, and its inverse, which is the transport (A^-1, eps)."""
+    a_inv = a.inverse()
+    src = TorusBundleOverCircle(m)
+    dst = TorusBundleOverCircle(a @ m ** eps @ a_inv)
+    t_img = Pi1Element(0, 0, eps)
+    return _fp_iso(src, dst, a, t_img), _fp_iso(dst, src, a_inv, t_img)
+
+
+def _then(first: Dict[str, Transport], second: Dict[str, Transport]) -> Dict[str, Transport]:
+    """The transports of first followed by those of second: (A2 A1, eps1 eps2)."""
+    out = {}
+    for lbl, (mid, a1, eps1) in first.items():
+        new, a2, eps2 = second[mid]
+        out[lbl] = (new, a2 @ a1, eps1 * eps2)
+    return out
+
+
 def _handle_word(genus: int) -> Word:
     word: Word = tuple()
     for i in range(1, genus + 1):
@@ -369,19 +390,13 @@ def _handle_word(genus: int) -> Word:
     return word
 
 
-def _identity_mapping(monos: Dict[str, Mat2]) -> Dict[str, Tuple[str, BoundaryIso]]:
-    return {lbl: (lbl, BoundaryIso.identity(TorusBundleOverCircle(m))) for lbl, m in monos.items()}
-
-
-def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
+def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     """Cycle boundary positions down by steps (0 <= steps < b): old positions
     1..steps go last, in order, their monodromies conjugated by the handle
-    product N (from N m_1 ... m_b = I)."""
+    product N (from N m_1 ... m_b = I), so their transports are (N, 1).
+    Rotation by 0 is the identity re-presentation."""
     surface = block.rep.surface
     assert surface.orientable
-    b = surface.boundary_count
-    if b < 2:
-        raise UnsupportedOperationError("rotation needs at least two boundaries")
     labels = block.boundary_labels()
     monos = dict(block.boundary_monodromies())
     n_mat = block.rep.evaluate(_handle_word(surface.genus))
@@ -391,18 +406,15 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Tuple[str, Bound
     handles = block.rep.images[: 2 * surface.genus]
     new_cs = tuple(moved.get(lbl, monos[lbl]) for lbl in new_labels[:-1])
     new_block = Block(MonodromyRep(surface, handles + new_cs), new_labels)
-    mapping = _identity_mapping(monos)
-    for lbl, m in moved.items():
-        src, dst = TorusBundleOverCircle(monos[lbl]), TorusBundleOverCircle(m)
-        mapping[lbl] = (lbl, _fp_iso(src, dst, n_mat, PI1_T))
-    return new_block, mapping
+    return new_block, {lbl: (lbl, n_mat if lbl in moved else I2, 1) for lbl in labels}
 
 
-def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
+def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
     """Move boundary position p (1-based, below the last) to position 1.
 
-    With P = m_1 ... m_{p-1}, position 1 gets P m_p P^-1 and positions
-    2..p get m_1 .. m_{p-1}; the other positions keep their monodromies.
+    With P = m_1 ... m_{p-1}, position 1 gets P m_p P^-1, so its transport is
+    (P, 1), and positions 2..p get m_1 .. m_{p-1}; the other positions keep
+    their monodromies.  Moving position 1 is the identity re-presentation.
     """
     surface = block.rep.surface
     b = surface.boundary_count
@@ -413,22 +425,18 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Tuple[str, Bo
     p_mat = I2
     for m in cs[: p - 1]:
         p_mat = p_mat @ m
-    m_p = cs[p - 1]
-    moved = p_mat @ m_p @ p_mat.inverse()
+    moved = p_mat @ cs[p - 1] @ p_mat.inverse()
     new_cs = (moved,) + cs[: p - 1] + cs[p:]
     new_labels = (labels[p - 1],) + labels[: p - 1] + labels[p:]
     new_block = Block(MonodromyRep(surface, head + new_cs), new_labels)
-    mapping = _identity_mapping(dict(block.boundary_monodromies()))
-    src, dst = TorusBundleOverCircle(m_p), TorusBundleOverCircle(moved)
-    mapping[labels[p - 1]] = (labels[p - 1], _fp_iso(src, dst, p_mat, PI1_T))
-    return new_block, mapping
+    return new_block, {lbl: (lbl, p_mat if lbl == labels[p - 1] else I2, 1) for lbl in labels}
 
 
-def _mirror(block: Block) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
+def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
     """Orientation-reversing re-presentation of an orientable block.
 
     Boundary words invert (up to conjugation) and the boundary order below
-    the last position reverses; the transport isos send t to t^-1.
+    the last position reverses; the transports send t to t^-1.
     """
     surface = block.rep.surface
     assert surface.orientable
@@ -449,21 +457,9 @@ def _mirror(block: Block) -> Tuple[Block, Dict[str, Tuple[str, BoundaryIso]]]:
             new_images.append(n_inv @ monos[labels[b - i - 1]].inverse() @ n_mat)
     new_labels = tuple(list(reversed(labels[: b - 1])) + [labels[-1]])
     new_block = Block(MonodromyRep(surface, tuple(new_images)), new_labels)
-    mapping: Dict[str, Tuple[str, BoundaryIso]] = {}
-    for pos, lbl in enumerate(labels):
-        m_old = monos[lbl]
-        u = n_inv if pos < b - 1 else n_inv @ n_inv
-        m_new = u @ m_old.inverse() @ u.inverse()
-        mapping[lbl] = (
-            lbl,
-            _fp_iso(
-                TorusBundleOverCircle(m_old),
-                TorusBundleOverCircle(m_new),
-                u,
-                Pi1Element(0, 0, -1),
-            ),
-        )
-    return new_block, mapping
+    transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
+    transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
+    return new_block, transports
 
 
 def _reglue(
@@ -471,22 +467,27 @@ def _reglue(
     old_labels: set,
     new_label: str,
     new_block: Block,
-    mapping: Dict[End, Tuple[str, BoundaryIso]],
+    mapping: Dict[End, Transport],
     drop: Optional[int] = None,
 ) -> GraphStructure:
     """Replace the blocks old_labels by new_block under new_label, dropping
     edge drop and moving each edge end in mapping to its new boundary label
-    through the transport iso (old boundary bundle -> new one).
+    through its transport (A, eps), in one rewrite of the edge list.
 
-    Raises RuntimeError when a transport iso does not land on the boundary
+    Raises RuntimeError when a transport does not land on the boundary
     monodromy of new_block: the re-presentation would be wrong."""
     monos = dict(new_block.boundary_monodromies())
-    for new_bd, mu in mapping.values():
+
+    def transport(end: End, m: Mat2) -> Tuple[End, BoundaryIso, BoundaryIso]:
+        new_bd, a, eps = mapping[end]
+        mu, mu_inv = _transport(m, a, eps)
         if monos[new_bd] != mu.target.phi:
             raise RuntimeError(
                 f"re-presented boundary {new_label}.{new_bd} has monodromy "
                 f"{monos[new_bd]}, transport iso targets {mu.target.phi}"
             )
+        return (new_label, new_bd), mu, mu_inv
+
     new_blocks = [(lbl, blk) for lbl, blk in gs.blocks if lbl not in old_labels]
     new_blocks.append((new_label, new_block))
     new_edges = []
@@ -495,26 +496,13 @@ def _reglue(
             continue
         iso, end1, end2 = edge.iso, edge.end1, edge.end2
         if end1 in mapping:
-            new_bd, mu = mapping[end1]
-            iso = compose_isos(iso, iso_inverse(mu))
-            end1 = (new_label, new_bd)
+            end1, _, mu_inv = transport(end1, iso.source.phi)
+            iso = compose_isos(iso, mu_inv)
         if end2 in mapping:
-            new_bd, mu = mapping[end2]
+            end2, mu, _ = transport(end2, iso.target.phi)
             iso = compose_isos(mu, iso)
-            end2 = (new_label, new_bd)
         new_edges.append(Edge(end1, end2, iso))
     return GraphStructure(tuple(sorted(new_blocks)), tuple(new_edges))
-
-
-def _apply_surgery(
-    gs: GraphStructure,
-    label: str,
-    new_block: Block,
-    mapping: Dict[str, Tuple[str, BoundaryIso]],
-) -> GraphStructure:
-    """Replace a block by a re-presented copy, updating incident edges."""
-    ends = {(label, bd): target for bd, target in mapping.items()}
-    return _reglue(gs, {label}, label, new_block, ends)
 
 
 def _position(block: Block, lbl: str) -> int:
@@ -524,26 +512,21 @@ def _position(block: Block, lbl: str) -> int:
 def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     """Contract a fiber-preserving edge between two distinct blocks."""
     edge = gs.edges[edge_idx]
-    l1, l2 = edge.end1[0], edge.end2[0]
+    (l1, bd1), (l2, bd2) = edge.end1, edge.end2
     blocks = gs.block_map()
-    if not (blocks[l1].rep.surface.orientable and blocks[l2].rep.surface.orientable):
+    b1, b2 = blocks[l1], blocks[l2]
+    if not (b1.rep.surface.orientable and b2.rep.surface.orientable):
         raise UnsupportedOperationError(
             "merging blocks with non-orientable bases is not supported"
         )
     # normalize the base-circle direction of the glueing to t -> t^-1 (the
-    # mirror's transport isos send t to t^-1)
-    if edge.iso.t_img.k == 1:
-        gs = _apply_surgery(gs, l2, *_mirror(blocks[l2]))
-        blocks = gs.block_map()
+    # mirror's transports send t to t^-1)
+    b2, trans2 = _mirror(b2) if edge.iso.t_img.k == 1 else _rotate(b2, 0)
     # one rotation per block puts the glued boundary last on the end1 side
-    # and first on the end2 side; the surgeries keep boundary labels
-    steps1 = _position(blocks[l1], edge.end1[1]) % blocks[l1].rep.surface.boundary_count
-    steps2 = _position(blocks[l2], edge.end2[1]) - 1
-    for lbl, steps in ((l1, steps1), (l2, steps2)):
-        if steps:
-            gs = _apply_surgery(gs, lbl, *_rotate(blocks[lbl], steps))
-    edge = gs.edges[edge_idx]
-    b1, b2 = gs.block(l1), gs.block(l2)
+    # and first on the end2 side; re-presentations keep boundary labels
+    b1, trans1 = _rotate(b1, _position(b1, bd1) % b1.rep.surface.boundary_count)
+    b2, rotation = _rotate(b2, _position(b2, bd2) - 1)
+    trans2 = _then(trans2, rotation)
     s1, s2 = b1.rep.surface, b2.rep.surface
     g1, n1 = s1.genus, s1.boundary_count
     g2, n2 = s2.genus, s2.boundary_count
@@ -552,7 +535,8 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "contracting this glueing closes the base: the structure is a "
             "torus bundle over a closed surface, not a block presentation"
         )
-    c_mat = fiber_matrix(edge.iso)
+    # fiber matrix of the contracted edge between the re-presented blocks
+    c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
     c_inv = c_mat.inverse()
     imgs1, imgs2 = b1.rep.image_map(), b2.rep.image_map()
     merged_surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
@@ -579,20 +563,13 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "merged block is invalid (orientation-incoherent glueing?): "
             + "; ".join(diags)
         )
-    monos1, monos2 = dict(b1.boundary_monodromies()), dict(b2.boundary_monodromies())
-    mapping: Dict[End, Tuple[str, BoundaryIso]] = {}
+    mapping: Dict[End, Transport] = {}
     for lbl in labels1[: n1 - 1]:
-        mapping[(l1, lbl)] = (
-            f"{l1}.{lbl}",
-            BoundaryIso.identity(TorusBundleOverCircle(monos1[lbl])),
-        )
+        _, a, eps = trans1[lbl]
+        mapping[(l1, lbl)] = (f"{l1}.{lbl}", a, eps)
     for lbl in labels2[1:]:
-        m = monos2[lbl]
-        m_new = c_inv @ m @ c_mat
-        mapping[(l2, lbl)] = (
-            f"{l2}.{lbl}",
-            _fp_iso(TorusBundleOverCircle(m), TorusBundleOverCircle(m_new), c_inv, PI1_T),
-        )
+        _, a, eps = trans2[lbl]
+        mapping[(l2, lbl)] = (f"{l2}.{lbl}", c_inv @ a, eps)
     return _reglue(gs, {l1, l2}, f"{l1}+{l2}", merged, mapping, edge_idx)
 
 
@@ -618,20 +595,15 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "a torus bundle over a closed surface, not a block presentation"
         )
     # rotate the end1 boundary last, then move the end2 boundary to position 1
-    steps = _position(block, edge.end1[1]) % b
-    if steps:
-        gs = _apply_surgery(gs, lbl, *_rotate(block, steps))
-    p = _position(gs.block(lbl), edge.end2[1])
-    if p > 1:
-        gs = _apply_surgery(gs, lbl, *_move_to_front(gs.block(lbl), p))
-    edge = gs.edges[edge_idx]
-    block = gs.block(lbl)
+    bd1, bd2 = edge.end1[1], edge.end2[1]
+    block, trans = _rotate(block, _position(block, bd1) % b)
+    block, front = _move_to_front(block, _position(block, bd2))
+    trans = _then(trans, front)
     imgs = block.rep.image_map()
     labels = block.boundary_labels()
-    monos = dict(block.boundary_monodromies())
-    m_last = monos[labels[-1]]  # monodromy at the contracted source boundary
+    m_last = block.boundary_monodromy(labels[-1])  # at the contracted source boundary
     m_last_inv = m_last.inverse()
-    c_mat = fiber_matrix(edge.iso)
+    c_mat = trans[bd2][1] @ fiber_matrix(edge.iso) @ trans[bd1][1].inverse()
     merged_surface = SurfaceWithBoundary(True, g + 1, b - 2)
     new_images: List[Mat2] = []
     for j in range(1, g + 1):
@@ -649,14 +621,10 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "merged block is invalid (orientation-incoherent glueing?): "
             + "; ".join(diags)
         )
-    mapping: Dict[End, Tuple[str, BoundaryIso]] = {}
+    mapping: Dict[End, Transport] = {}
     for old in labels[1 : b - 1]:
-        m = monos[old]
-        m_new = m_last_inv @ m @ m_last
-        mapping[(lbl, old)] = (
-            f"{lbl}.{old}",
-            _fp_iso(TorusBundleOverCircle(m), TorusBundleOverCircle(m_new), m_last_inv, PI1_T),
-        )
+        _, a, eps = trans[old]
+        mapping[(lbl, old)] = (f"{lbl}.{old}", m_last_inv @ a, eps)
     return _reglue(gs, {lbl}, f"{lbl}*", merged, mapping, edge_idx)
 
 
@@ -833,7 +801,7 @@ def isomorphic_reduced(
         if not feasible:
             continue
 
-        def map_end(end: End, conj: Dict[str, Mat2]) -> Tuple[End, BoundaryIso]:
+        def map_end(end: End, conj: Dict[str, Mat2]) -> Tuple[End, BoundaryIso, BoundaryIso]:
             lbl, bd = end
             b1 = blocks1[lbl]
             pos = b1.boundary_labels().index(bd)
@@ -842,18 +810,18 @@ def isomorphic_reduced(
             m1 = b1.boundary_monodromy(bd)
             m2 = b2.boundary_monodromy(new_bd)
             c = conj[lbl]
-            if c @ m1 @ c.inverse() != m2:
+            mu, mu_inv = _transport(m1, c, 1)
+            if mu.target.phi != m2:
                 raise RuntimeError(f"conjugator {c} does not carry {m1} to {m2}")
-            mu = _fp_iso(TorusBundleOverCircle(m1), TorusBundleOverCircle(m2), c, PI1_T)
-            return (mapping[lbl], new_bd), mu
+            return (mapping[lbl], new_bd), mu, mu_inv
 
         for combo in itertools.product(*(conj_options[lbl] for lbl in labels1)):
             conj = dict(zip(labels1, combo))
             ok = True
             for e in gs1.edges:
-                (new_end1, mu1) = map_end(e.end1, conj)
-                (new_end2, mu2) = map_end(e.end2, conj)
-                transported = compose_isos(mu2, compose_isos(e.iso, iso_inverse(mu1)))
+                new_end1, _, mu1_inv = map_end(e.end1, conj)
+                new_end2, mu2, _ = map_end(e.end2, conj)
+                transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
                 matched = False
                 for cand in edge_index2.get((new_end1, new_end2), []):
                     if _iso_matches(cand.iso, transported, search_bound):

@@ -374,9 +374,8 @@ def _image_data(iso: BoundaryIso) -> Tuple[int, Optional[Tuple[Pi1Element, ...]]
     return 1, (x_pre, y_pre, t_pre)
 
 
-def validate_glueing(iso: BoundaryIso) -> List[str]:
-    """Check the glueing invariants: source relations hold on the images and
-    the induced map is bijective (by solving for generator preimages)."""
+def _relation_violations(iso: BoundaryIso) -> List[str]:
+    """The source relations that fail on the images."""
     out: List[str] = []
     tgt = iso.target
     x, y, t = iso.x_img, iso.y_img, iso.t_img
@@ -391,6 +390,13 @@ def validate_glueing(iso: BoundaryIso) -> List[str]:
     rhs = tgt.mul(tgt.power(x, phi.b), tgt.power(y, phi.d))
     if lhs != rhs:
         out.append("relation t y t^-1 = x^phi12 y^phi22 fails on images")
+    return out
+
+
+def validate_glueing(iso: BoundaryIso) -> List[str]:
+    """Check the glueing invariants: source relations hold on the images and
+    the induced map is bijective (by solving for generator preimages)."""
+    out = _relation_violations(iso)
     if out:
         return out
     g, pre = _image_data(iso)
@@ -415,7 +421,12 @@ def fiber_matrix(iso: BoundaryIso) -> Mat2:
 
 
 def iso_inverse(iso: BoundaryIso) -> BoundaryIso:
-    """Inverse isomorphism, computed from generator preimages."""
+    """Inverse isomorphism, computed from generator preimages.  Raises
+    ValueError when the images break the source relations or the map is
+    not bijective."""
+    broken = _relation_violations(iso)
+    if broken:
+        raise ValueError("iso is not a homomorphism: " + "; ".join(broken))
     g, pre = _image_data(iso)
     if pre is None:
         raise ValueError("iso is not bijective")

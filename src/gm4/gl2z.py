@@ -240,7 +240,7 @@ def eigenvector_eigenvalue_one(m: Mat2) -> EigenResult:
         v = primitive((k.b, -k.a))
     else:
         v = primitive((k.d, -k.c))
-    assert m.apply(v) == v
+    _verify(m.apply(v) == v, "eigenvector of eigenvalue 1", m)
     return v
 
 
@@ -466,11 +466,10 @@ def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
         if re_sign < 0:
             cur = R @ cur @ R.inverse()
             u_acc = u_acc @ R.inverse()
-    for (ordr, chir), rep in _ELLIPTIC_REPS.items():
-        if cur == rep:
-            _verify(ordr == order and u_acc.inverse() @ m @ u_acc == rep, "elliptic normal form", m)
-            return order, chir, u_acc
-    raise AssertionError(f"elliptic endgame failed: {m} reduced to {cur}")
+    found = next((key for key, rep in _ELLIPTIC_REPS.items() if rep == cur), None)
+    ok = found is not None and found[0] == order and u_acc.inverse() @ m @ u_acc == cur
+    _verify(ok, "elliptic normal form", m)
+    return order, found[1], u_acc
 
 
 def _parabolic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
@@ -577,15 +576,15 @@ def _involution_normalize(m: Mat2) -> Tuple[Mat2, Mat2]:
     assert isinstance(u_minus, tuple)
     if m.b % 2 == 0 and m.c % 2 == 0:
         u = Mat2(u_plus[0], u_minus[0], u_plus[1], u_minus[1])
-        assert abs(u.det()) == 1
+        _verify(abs(u.det()) == 1, "eigenbasis", m)
         rep = J_FLIP
     else:
         w1 = ((u_plus[0] + u_minus[0]) // 2, (u_plus[1] + u_minus[1]) // 2)
-        if (w1[0] * 2, w1[1] * 2) != (u_plus[0] + u_minus[0], u_plus[1] + u_minus[1]):
-            raise AssertionError(f"half-sum not integral for {m}")
+        _verify((w1[0] * 2, w1[1] * 2) == (u_plus[0] + u_minus[0], u_plus[1] + u_minus[1]),
+                "integral half-sum", m)
         w2 = m.apply(w1)
         u = Mat2(w1[0], w2[0], w1[1], w2[1])
-        assert abs(u.det()) == 1
+        _verify(abs(u.det()) == 1, "half-sum basis", m)
         rep = Mat2(0, 1, 1, 0)
     _verify(u.inverse() @ m @ u == rep, "involution normal form", m)
     return rep, u

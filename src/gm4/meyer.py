@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .gl2z import Mat2, NotInSL2ZError, R, S, abelianization_mod3, classify, generator_word
+from .gl2z import Mat2, NotInSL2ZError, R, S, _verify, abelianization_mod3, classify, generator_word
 from .bundles import Block, UnsupportedOperationError
 
 _LIFT3 = {0: 0, 1: 1, 2: -1}
@@ -72,7 +72,7 @@ def psi_by_folding(m: Mat2, pivot: str = "floor") -> int:
     for g in reversed(letters[:-1]):
         val = psi(g) + val - 3 * meyer_cocycle(g, acc)
         acc = g @ acc
-    assert acc == m
+    _verify(acc == m, "R/S decomposition", m)
     return val
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gm4 import (
     Block,
@@ -14,6 +16,7 @@ from gm4 import (
     NotReducedError,
     Pi1Element,
     R,
+    S,
     StructureError,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
@@ -22,6 +25,7 @@ from gm4 import (
     first_homology,
     invariant_report,
     is_reduced,
+    iso_inverse,
     isomorphic_reduced,
     manifold_signature,
     reduce_structure,
@@ -47,6 +51,25 @@ from conftest import (
 def identity_iso(phi):
     tb = TorusBundleOverCircle(phi)
     return BoundaryIso.identity(tb)
+
+
+def reglue_block(gs, label, new_block, transports):
+    """gs with block label replaced by its re-presentation new_block."""
+    from gm4.assembly import _reglue
+
+    return _reglue(gs, {label}, label, new_block, {(label, bd): t for bd, t in transports.items()})
+
+
+def mirror_pair(a):
+    """Block a as A, glued to its mirror as B by the mirror's transports."""
+    from gm4.assembly import _mirror, _transport
+
+    b_block, transports = _mirror(a)
+    edges = []
+    for lbl, m in a.boundary_monodromies():
+        new_lbl, u, eps = transports[lbl]
+        edges.append(Edge(("A", lbl), ("B", new_lbl), _transport(m, u, eps)[0]))
+    return structure({"A": a, "B": b_block}, edges)
 
 
 def identity_double(m1, m2):
@@ -229,19 +252,36 @@ class TestReduce:
         assert len(red.edges) == 51
         assert validate_structure(red) == []
 
-    def test_one_surgery_per_block(self, monkeypatch):
+    def test_one_reglue_per_merge(self, monkeypatch):
+        # the rotations of both blocks and the merge rewrite the edges once
         import gm4.assembly as assembly
 
         calls = []
-        real = assembly._apply_surgery
+        real = assembly._reglue
 
-        def counting(gs, label, new_block, mapping):
-            calls.append(label)
-            return real(gs, label, new_block, mapping)
+        def counting(gs, *args):
+            calls.append(args[1])
+            return real(gs, *args)
 
-        monkeypatch.setattr(assembly, "_apply_surgery", counting)
+        monkeypatch.setattr(assembly, "_reglue", counting)
         reduce_structure(self._far_merge())
-        assert len(calls) <= 2
+        assert calls == ["A+B"]
+
+    def test_no_iso_inverse(self, monkeypatch, full_corpus):
+        # transports invert in closed form, (A, eps) -> (A^-1, eps)
+        import gm4.assembly as assembly
+        import gm4.bundles as bundles
+
+        def refuse(iso):
+            raise RuntimeError("reduce_structure inverted an iso")
+
+        monkeypatch.setattr(assembly, "iso_inverse", refuse)
+        monkeypatch.setattr(bundles, "iso_inverse", refuse)
+        for gs in [*full_corpus.values(), self._far_merge()]:
+            try:
+                reduce_structure(gs)
+            except ClosedBaseError:
+                continue
 
 
 class TestFirstHomology:
@@ -385,7 +425,7 @@ class TestGenusCarryingSurgeries:
         assert (manifold_signature(red), first_homology(red)) == before
 
     def test_mirror_surgery_preserves_structure(self):
-        from gm4.assembly import _apply_surgery, _mirror
+        from gm4.assembly import _mirror
         from conftest import swap_chain3
 
         gs = swap_chain3(1, 2, 4)
@@ -394,19 +434,19 @@ class TestGenusCarryingSurgeries:
         blocks = gs.block_map()
         for label in ("A", "B", "C"):
             new_block, mapping = _mirror(blocks[label])
-            gs = _apply_surgery(gs, label, new_block, mapping)
+            gs = reglue_block(gs, label, new_block, mapping)
             blocks = gs.block_map()
         assert validate_structure(gs) == []
         assert (manifold_signature(gs), first_homology(gs)) == before[:2]
 
     def test_rotation_surgery_preserves_structure(self):
-        from gm4.assembly import _apply_surgery, _rotate
+        from gm4.assembly import _rotate
         from conftest import swap_double
 
         gs = swap_double(1, 2)
         before = (manifold_signature(gs), first_homology(gs))
         blocks = gs.block_map()
-        gs = _apply_surgery(gs, "A", *_rotate(blocks["A"], 1))
+        gs = reglue_block(gs, "A", *_rotate(blocks["A"], 1))
         assert validate_structure(gs) == []
         assert (manifold_signature(gs), first_homology(gs)) == before
 
@@ -419,7 +459,7 @@ class TestGenusCarryingSurgeries:
         assert any("glued to itself" in d for d in validate_structure(gs))
 
     def test_rotation_with_noncommuting_handles(self):
-        from gm4.assembly import _apply_surgery, _mirror, _rotate
+        from gm4.assembly import _rotate
         from gm4 import L, R
 
         # genus-1 block whose handle images do not commute: the rotated
@@ -427,15 +467,10 @@ class TestGenusCarryingSurgeries:
         n_mat = R @ L @ R.inverse() @ L.inverse()
         surface = SurfaceWithBoundary(True, 1, 2)
         a = Block(MonodromyRep(surface, (R, L, n_mat.inverse())))
-        b_block, mapping = _mirror(a)
-        edges = tuple(
-            Edge(("A", lbl), ("B", mapping[lbl][0]), mapping[lbl][1])
-            for lbl in a.boundary_labels()
-        )
-        gs = structure({"A": a, "B": b_block}, edges)
+        gs = mirror_pair(a)
         assert validate_structure(gs) == []
         before = (manifold_signature(gs), first_homology(gs))
-        gs2 = _apply_surgery(gs, "A", *_rotate(gs.block("A"), 1))
+        gs2 = reglue_block(gs, "A", *_rotate(gs.block("A"), 1))
         assert validate_structure(gs2) == []
         assert (manifold_signature(gs2), first_homology(gs2)) == before
 
@@ -449,52 +484,83 @@ class TestClosedFormSurgeries:
         return Block(MonodromyRep(surface, images), ("p", "q", "r", "s", "u"))
 
     def test_rotation_equals_single_steps(self):
-        from gm4.assembly import _rotate
+        from gm4.assembly import _rotate, _then, _transport
 
         block = self._block()
         b = block.rep.surface.boundary_count
+        monos = dict(block.boundary_monodromies())
         for k in range(b):
             stepped = block
-            composed = {
-                lbl: BoundaryIso.identity(TorusBundleOverCircle(m))
-                for lbl, m in block.boundary_monodromies()
+            composed = {lbl: (lbl, I2, 1) for lbl in monos}
+            composed_isos = {
+                lbl: BoundaryIso.identity(TorusBundleOverCircle(m)) for lbl, m in monos.items()
             }
             for _ in range(k):
+                current = dict(stepped.boundary_monodromies())
                 stepped, step = _rotate(stepped, 1)
-                for lbl, (new_lbl, mu) in step.items():
+                for lbl, (new_lbl, a, eps) in step.items():
                     assert new_lbl == lbl
-                    composed[lbl] = compose_isos(mu, composed[lbl])
+                    mu, _ = _transport(current[lbl], a, eps)
+                    composed_isos[lbl] = compose_isos(mu, composed_isos[lbl])
+                composed = _then(composed, step)
             rotated, mapping = _rotate(block, k)
             assert rotated == stepped, k
-            assert {lbl: mu for lbl, (_, mu) in mapping.items()} == composed, k
+            assert mapping == composed, k
+            isos = {lbl: _transport(monos[lbl], a, eps)[0] for lbl, (_, a, eps) in mapping.items()}
+            assert isos == composed_isos, k
 
     def test_move_to_front_preserves_structure(self):
-        from gm4.assembly import _apply_surgery, _mirror, _move_to_front
+        from gm4.assembly import _move_to_front
 
         a = self._block()
-        b_block, mapping = _mirror(a)
-        edges = tuple(
-            Edge(("A", lbl), ("B", mapping[lbl][0]), mapping[lbl][1])
-            for lbl in a.boundary_labels()
-        )
-        gs = structure({"A": a, "B": b_block}, edges)
+        gs = mirror_pair(a)
         assert validate_structure(gs) == []
         before = (manifold_signature(gs), first_homology(gs))
         for p in range(1, a.rep.surface.boundary_count):
-            moved = _apply_surgery(gs, "A", *_move_to_front(a, p))
+            moved = reglue_block(gs, "A", *_move_to_front(a, p))
             assert moved.block("A").boundary_labels()[0] == a.boundary_labels()[p - 1]
             assert validate_structure(moved) == [], p
             assert (manifold_signature(moved), first_homology(moved)) == before, p
 
     def test_monodromy_check_raises(self):
-        from gm4.assembly import _apply_surgery, _rotate
+        from gm4.assembly import _rotate
 
         gs = swap_double(1, 2)
         new_block, mapping = _rotate(gs.block("A"), 1)
-        wrong = BoundaryIso.identity(TorusBundleOverCircle(upper(7)))
-        mapping["1"] = ("1", wrong)
+        mapping["1"] = ("1", I2, -1)  # lands on the inverse monodromy
         with pytest.raises(RuntimeError, match="A.1"):
-            _apply_surgery(gs, "A", new_block, mapping)
+            reglue_block(gs, "A", new_block, mapping)
+
+
+def _word_matrix(word):
+    return reduce(lambda acc, m: acc @ m, word, I2)
+
+
+sl2z = st.lists(st.sampled_from([R, L, S, R.inverse(), L.inverse()]), max_size=6).map(_word_matrix)
+gl2z = st.tuples(sl2z, st.sampled_from([I2, Mat2(0, 1, 1, 0)])).map(lambda p: p[0] @ p[1])
+signs = st.sampled_from([1, -1])
+
+
+class TestTransports:
+    @given(m=sl2z, a=gl2z, eps=signs)
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_is_the_general_inverse(self, m, a, eps):
+        from gm4.assembly import _transport
+
+        mu, mu_inv = _transport(m, a, eps)
+        assert mu.target.phi == a @ m ** eps @ a.inverse()
+        assert mu_inv == iso_inverse(mu)
+
+    @given(m=sl2z, a1=gl2z, eps1=signs, a2=gl2z, eps2=signs)
+    @settings(max_examples=150, deadline=None)
+    def test_then_is_composition(self, m, a1, eps1, a2, eps2):
+        from gm4.assembly import _then, _transport
+
+        first, _ = _transport(m, a1, eps1)
+        second, _ = _transport(first.target.phi, a2, eps2)
+        (lbl, a, eps), = _then({"p": ("q", a1, eps1)}, {"q": ("r", a2, eps2)}).values()
+        assert lbl == "r"
+        assert _transport(m, a, eps)[0] == compose_isos(second, first)
 
 
 class TestEulerDiagnosticMode:
@@ -509,9 +575,7 @@ class TestEulerDiagnosticMode:
 
 def _conjugate_structure(gs, c):
     """Copy of gs with every block's fiber basis changed by c."""
-    from gm4 import TorusBundleOverCircle, compose_isos, iso_inverse
-    from gm4.assembly import _fp_iso
-    from gm4.bundles import PI1_T
+    from gm4.assembly import _transport
 
     new_blocks = {}
     mus = {}
@@ -519,18 +583,9 @@ def _conjugate_structure(gs, c):
         imgs = tuple(c @ m @ c.inverse() for m in block.rep.images)
         new_blocks[lbl] = Block(MonodromyRep(block.rep.surface, imgs), block.boundary_labels())
         for bd, m in block.boundary_monodromies():
-            mus[(lbl, bd)] = _fp_iso(
-                TorusBundleOverCircle(m),
-                TorusBundleOverCircle(c @ m @ c.inverse()),
-                c,
-                PI1_T,
-            )
+            mus[(lbl, bd)] = _transport(m, c, 1)
     new_edges = tuple(
-        Edge(
-            e.end1,
-            e.end2,
-            compose_isos(mus[e.end2], compose_isos(e.iso, iso_inverse(mus[e.end1]))),
-        )
+        Edge(e.end1, e.end2, compose_isos(mus[e.end2][0], compose_isos(e.iso, mus[e.end1][1])))
         for e in gs.edges
     )
     return structure(new_blocks, new_edges)

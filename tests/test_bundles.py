@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gm4 import (
     Block,
@@ -415,6 +415,24 @@ class TestRandomGlueings:
         assert validate_glueing(iso) == [f"not surjective: base winding numbers have gcd {d}"]
         with pytest.raises(ValueError):
             iso_inverse(iso)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_relation_breaking_isos_are_rejected(self, data):
+        pick = _drawer(data)
+        src, tgt = (TorusBundleOverCircle(_random_monodromy(pick)) for _ in range(2))
+        imgs = (Pi1Element(pick(-2, 2), pick(-2, 2), pick(-2, 2)) for _ in range(3))
+        iso = BoundaryIso(src, tgt, *imgs)
+        broken = validate_glueing(iso)
+        assume(broken and all(d.startswith("relation ") for d in broken))
+        with pytest.raises(ValueError, match=re.escape("; ".join(broken))):
+            iso_inverse(iso)
+
+    def test_identity_images_between_different_bundles(self):
+        src, tgt = TorusBundleOverCircle(Mat2(2, 1, 1, 1)), TorusBundleOverCircle(I2)
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            iso_inverse(BoundaryIso(src, tgt, PI1_X, PI1_Y, PI1_T))
 
 
 class TestFiberCovering:

@@ -317,3 +317,29 @@ class TestResultChecks:
         monkeypatch.setattr(gl2z, "_run", lambda letter, k: I2)
         with pytest.raises(RuntimeError, match="generator word"):
             generator_word(Mat2(2, 1, 1, 1))
+
+    def test_eigenvector_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "primitive", lambda v: (1, 1))
+        with pytest.raises(RuntimeError, match="eigenvector of eigenvalue 1"):
+            eigenvector_eigenvalue_one(R)
+
+    def test_eigenbasis_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "eigenvector_eigenvalue_one", lambda m: (1, 0))
+        with pytest.raises(RuntimeError, match="eigenbasis"):
+            gl2z._involution_normalize(Mat2(1, 0, 0, -1))
+
+    def test_half_sum_integrality_check(self, monkeypatch):
+        vectors = iter([(1, 0), (1, 1)])  # the +1 and -1 eigenvectors
+        monkeypatch.setattr(gl2z, "eigenvector_eigenvalue_one", lambda m: next(vectors))
+        with pytest.raises(RuntimeError, match="integral half-sum"):
+            gl2z._involution_normalize(Mat2(0, 1, 1, 0))
+
+    def test_half_sum_basis_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "eigenvector_eigenvalue_one", lambda m: (1, 1))
+        with pytest.raises(RuntimeError, match="half-sum basis"):
+            gl2z._involution_normalize(Mat2(0, 1, 1, 0))
+
+    def test_elliptic_endgame_check(self, monkeypatch):
+        monkeypatch.setattr(gl2z, "_ELLIPTIC_REPS", {})
+        with pytest.raises(RuntimeError, match="elliptic normal form"):
+            gl2z._elliptic_normalize(S)

@@ -1,0 +1,65 @@
+"""Code hygiene of src/gm4, read with the standard library's ast: no
+module-level import that nothing uses, and no _private function or class
+that nothing references."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gm4"
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _names(tree):
+    """Identifiers a module reads: bare names and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported_from(trees, module):
+    """Names that modules of the package import from module."""
+    out = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_unused_module_imports():
+    trees = _trees()
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__":  # re-exports
+            continue
+        used = _names(tree) | _imported_from(trees, module)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    trees = _trees()
+    used = set().union(*(_names(tree) for tree in trees.values()))
+    unreferenced = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []

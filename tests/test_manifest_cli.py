@@ -1,8 +1,11 @@
 import io
+import re
 import subprocess
 import sys
+import tempfile
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,3 +306,57 @@ class TestMatrixCommandsFuzz:
             return
         assert err == ""
         assert out == f"{value(manifest.parse_matrix(text, 1))}\n"
+
+
+MANIFESTS = sorted((Path(__file__).resolve().parent.parent / "manifests").glob("*.gm"))
+
+
+def _mutant(data, text):
+    """text after one to three mutations: an integer perturbed, a line
+    deleted or duplicated, or two whitespace-separated tokens swapped."""
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(("integer", "delete", "duplicate", "swap")))
+        if kind in ("delete", "duplicate"):
+            lines = text.splitlines(keepends=True)
+            if not lines:
+                continue
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if kind == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                del lines[i]
+            text = "".join(lines)
+            continue
+        spans = [m.span() for m in re.finditer(r"-?\d+" if kind == "integer" else r"\S+", text)]
+        if len(spans) < 2:
+            continue
+        if kind == "integer":
+            a, b = spans[data.draw(st.integers(0, len(spans) - 1))]
+            text = text[:a] + str(int(text[a:b]) + data.draw(st.integers(-3, 3))) + text[b:]
+        else:
+            pick = st.lists(st.integers(0, len(spans) - 1), min_size=2, max_size=2, unique=True)
+            (a, b), (c, d) = (spans[i] for i in sorted(data.draw(pick)))
+            text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    return text
+
+
+class TestManifestFuzz:
+    """validate, invariants and reduce exit 0, or 12 with a diagnostic, on
+    mutated manifests, never with a traceback.  compare is left out: a
+    mutant can send its bijection search into minutes."""
+
+    @given(data=st.data(), path=st.sampled_from(MANIFESTS))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_manifests(self, data, path):
+        text = _mutant(data, path.read_text(encoding="utf-8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            mutant = Path(tmp) / path.name
+            mutant.write_text(text, encoding="utf-8")
+            for command in ("validate", "invariants", "reduce"):
+                rc, out, err = run_cli([command, str(mutant)])
+                assert "Traceback" not in err, err
+                assert rc in (0, 12), (command, rc, err)
+                if rc == 12:
+                    assert out == "" and err, command
+                else:
+                    assert out and err == "", command

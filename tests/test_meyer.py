@@ -199,3 +199,8 @@ class TestResultChecks:
         monkeypatch.setattr(meyer, "psi", lambda m: 1)
         with pytest.raises(RuntimeError, match="not divisible by 3"):
             meyer_cocycle(R, L)
+
+    def test_decomposition_check(self, monkeypatch):
+        monkeypatch.setattr(meyer, "generator_word", lambda m, pivot: (("S", 1),))
+        with pytest.raises(RuntimeError, match="R/S decomposition"):
+            psi_by_folding(Mat2(2, 1, 1, 1))
