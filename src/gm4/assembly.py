@@ -34,7 +34,6 @@ from .bundles import (
     iso_inverse,
     validate_block,
     validate_glueing,
-    word_concat,
 )
 from .meyer import signature_sum
 
@@ -381,13 +380,11 @@ def _then(first: Dict[str, Transport], second: Dict[str, Transport]) -> Dict[str
     return out
 
 
-def _handle_word(genus: int) -> Word:
-    word: Word = tuple()
-    for i in range(1, genus + 1):
-        word = word_concat(
-            word, ((f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1))
-        )
-    return word
+def _product(mats) -> Mat2:
+    out = I2
+    for m in mats:
+        out = out @ m
+    return out
 
 
 def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
@@ -398,9 +395,9 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     surface = block.rep.surface
     assert surface.orientable
     labels = block.boundary_labels()
-    monos = dict(block.boundary_monodromies())
-    n_mat = block.rep.evaluate(_handle_word(surface.genus))
-    n_inv = n_mat.inverse()
+    monos = block.monodromies
+    n_inv = _product(monos.values())
+    n_mat = n_inv.inverse()
     moved = {lbl: n_mat @ monos[lbl] @ n_inv for lbl in labels[:steps]}
     new_labels = labels[steps:] + labels[:steps]
     handles = block.rep.images[: 2 * surface.genus]
@@ -422,9 +419,7 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
     labels = block.boundary_labels()
     first_c = len(block.rep.images) - (b - 1)
     head, cs = block.rep.images[:first_c], block.rep.images[first_c:]
-    p_mat = I2
-    for m in cs[: p - 1]:
-        p_mat = p_mat @ m
+    p_mat = _product(cs[: p - 1])
     moved = p_mat @ cs[p - 1] @ p_mat.inverse()
     new_cs = (moved,) + cs[: p - 1] + cs[p:]
     new_labels = (labels[p - 1],) + labels[: p - 1] + labels[p:]
@@ -435,28 +430,21 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
 def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
     """Orientation-reversing re-presentation of an orientable block.
 
-    Boundary words invert (up to conjugation) and the boundary order below
-    the last position reverses; the transports send t to t^-1.
+    Handles reverse (a_i <-> b_{g+1-i}), boundary words invert (up to
+    conjugation by N) and the boundary order below the last position
+    reverses; the transports send t to t^-1.
     """
     surface = block.rep.surface
     assert surface.orientable
-    g, b = surface.genus, surface.boundary_count
-    imgs = block.rep.image_map()
+    split = 2 * surface.genus
     labels = block.boundary_labels()
-    monos = dict(block.boundary_monodromies())
-    n_mat = block.rep.evaluate(_handle_word(g))
-    n_inv = n_mat.inverse()
-    new_images = []
-    for name in surface.generator_names():
-        if name.startswith("a"):
-            new_images.append(imgs[f"b{g + 1 - int(name[1:])}"])
-        elif name.startswith("b"):
-            new_images.append(imgs[f"a{g + 1 - int(name[1:])}"])
-        else:
-            i = int(name[1:])
-            new_images.append(n_inv @ monos[labels[b - i - 1]].inverse() @ n_mat)
-    new_labels = tuple(list(reversed(labels[: b - 1])) + [labels[-1]])
-    new_block = Block(MonodromyRep(surface, tuple(new_images)), new_labels)
+    n_inv = _product(block.monodromies.values())
+    n_mat = n_inv.inverse()
+    new_images = tuple(reversed(block.rep.images[:split])) + tuple(
+        n_inv @ m.inverse() @ n_mat for m in reversed(block.rep.images[split:])
+    )
+    new_labels = tuple(reversed(labels[:-1])) + labels[-1:]
+    new_block = Block(MonodromyRep(surface, new_images), new_labels)
     transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
     transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
     return new_block, transports
@@ -474,9 +462,16 @@ def _reglue(
     edge drop and moving each edge end in mapping to its new boundary label
     through its transport (A, eps), in one rewrite of the edge list.
 
-    Raises RuntimeError when a transport does not land on the boundary
-    monodromy of new_block: the re-presentation would be wrong."""
-    monos = dict(new_block.boundary_monodromies())
+    Raises UnsupportedOperationError when new_block is invalid, and
+    RuntimeError when a transport does not land on the boundary monodromy
+    of new_block: the re-presentation would be wrong."""
+    diags = validate_block(new_block)
+    if diags:
+        raise UnsupportedOperationError(
+            "merged block is invalid (orientation-incoherent glueing?): "
+            + "; ".join(diags)
+        )
+    monos = new_block.monodromies
 
     def transport(end: End, m: Mat2) -> Tuple[End, BoundaryIso, BoundaryIso]:
         new_bd, a, eps = mapping[end]
@@ -538,31 +533,21 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     # fiber matrix of the contracted edge between the re-presented blocks
     c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
     c_inv = c_mat.inverse()
-    imgs1, imgs2 = b1.rep.image_map(), b2.rep.image_map()
-    merged_surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
-    new_images: List[Mat2] = []
-    for j in range(1, g2 + 1):
-        new_images.append(c_inv @ imgs2[f"a{j}"] @ c_mat)
-        new_images.append(c_inv @ imgs2[f"b{j}"] @ c_mat)
-    for j in range(1, g1 + 1):
-        new_images.append(imgs1[f"a{j}"])
-        new_images.append(imgs1[f"b{j}"])
-    for i in range(1, n1):
-        new_images.append(imgs1[f"c{i}"])
-    for i in range(2, n2):
-        new_images.append(c_inv @ imgs2[f"c{i}"] @ c_mat)
+    # images by position: block 2's handles, block 1's handles and c's, then
+    # block 2's c's after its (glued) first one, conjugated into block 1's fiber
+    imgs2 = b2.rep.images
+    new_images = (
+        tuple(c_inv @ m @ c_mat for m in imgs2[: 2 * g2])
+        + b1.rep.images
+        + tuple(c_inv @ m @ c_mat for m in imgs2[2 * g2 + 1 :])
+    )
     labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
     new_labels = tuple(
         [f"{l1}.{lbl}" for lbl in labels1[: n1 - 1]]
         + [f"{l2}.{lbl}" for lbl in labels2[1:]]
     )
-    merged = Block(MonodromyRep(merged_surface, tuple(new_images)), new_labels)
-    diags = validate_block(merged)
-    if diags:
-        raise UnsupportedOperationError(
-            "merged block is invalid (orientation-incoherent glueing?): "
-            + "; ".join(diags)
-        )
+    merged_surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
+    merged = Block(MonodromyRep(merged_surface, new_images), new_labels)
     mapping: Dict[End, Transport] = {}
     for lbl in labels1[: n1 - 1]:
         _, a, eps = trans1[lbl]
@@ -599,28 +584,21 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     block, trans = _rotate(block, _position(block, bd1) % b)
     block, front = _move_to_front(block, _position(block, bd2))
     trans = _then(trans, front)
-    imgs = block.rep.image_map()
+    imgs = block.rep.images
     labels = block.boundary_labels()
-    m_last = block.boundary_monodromy(labels[-1])  # at the contracted source boundary
+    m_last = block.monodromies[labels[-1]]  # at the contracted source boundary
     m_last_inv = m_last.inverse()
     c_mat = trans[bd2][1] @ fiber_matrix(edge.iso) @ trans[bd1][1].inverse()
-    merged_surface = SurfaceWithBoundary(True, g + 1, b - 2)
-    new_images: List[Mat2] = []
-    for j in range(1, g + 1):
-        new_images.append(imgs[f"a{j}"])
-        new_images.append(imgs[f"b{j}"])
-    new_images.append(c_mat)       # new handle a_{g+1}: the stable letter
-    new_images.append(m_last_inv)  # new handle b_{g+1}: inverse glued word
-    for i in range(2, b - 1):
-        new_images.append(m_last_inv @ imgs[f"c{i}"] @ m_last)
+    # images by position: the old handles; new handles a_{g+1} = the stable
+    # letter and b_{g+1} = the inverse glued word; then c_2 .. c_{b-2}
+    new_images = (
+        imgs[: 2 * g]
+        + (c_mat, m_last_inv)
+        + tuple(m_last_inv @ m @ m_last for m in imgs[2 * g + 1 : -1])
+    )
     new_labels = tuple(f"{lbl}.{old}" for old in labels[1 : b - 1])
-    merged = Block(MonodromyRep(merged_surface, tuple(new_images)), new_labels)
-    diags = validate_block(merged)
-    if diags:
-        raise UnsupportedOperationError(
-            "merged block is invalid (orientation-incoherent glueing?): "
-            + "; ".join(diags)
-        )
+    merged_surface = SurfaceWithBoundary(True, g + 1, b - 2)
+    merged = Block(MonodromyRep(merged_surface, new_images), new_labels)
     mapping: Dict[End, Transport] = {}
     for old in labels[1 : b - 1]:
         _, a, eps = trans[old]
@@ -694,9 +672,11 @@ def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso, bound: int) -> bool:
     """Whether f_goal = g_t o f_base o g_s for fiber-preserving self-isos
     g_s, g_t of the source and target bundles.
 
-    Fiber parts of g_s, g_t are enumerated within the coefficient bound; the
-    fiber translation parts are solved for exactly (the composite's generator
-    images are affine in them)."""
+    Fiber parts of g_s, g_t are enumerated within the coefficient bound.  The
+    composite's generator images are not affine in the fiber translation
+    parts u (a t-image can be quadratic in them), so the system is linearised
+    at u = 0 and solved; the final check == goal keeps every True sound, and
+    a translation the linearisation misses can only leave "inconclusive"."""
     src, tgt = f_base.source, f_base.target
     if (f_goal.source.phi, f_goal.target.phi) != (src.phi, tgt.phi):
         return False

@@ -39,13 +39,6 @@ def word_inverse(word: Word) -> Word:
     return tuple((gen, -exp) for gen, exp in reversed(word))
 
 
-def word_concat(*words: Word) -> Word:
-    out: List[Tuple[str, int]] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
 class UnsupportedOperationError(ValueError):
     """Input is outside the operation's stated scope."""
 
@@ -172,18 +165,20 @@ class Block:
             return self.labels
         return tuple(str(i) for i in range(1, self.rep.surface.boundary_count + 1))
 
-    def boundary_monodromies(self) -> Tuple[Tuple[str, Mat2], ...]:
+    @cached_property
+    def monodromies(self) -> Dict[str, Mat2]:
+        """Boundary label -> boundary monodromy, in boundary order: each
+        boundary word is evaluated once per (immutable) block."""
         words = self.rep.surface.boundary_words()
-        return tuple(
-            (label, self.rep.evaluate(word))
-            for label, word in zip(self.boundary_labels(), words)
-        )
+        return {lbl: self.rep.evaluate(w) for lbl, w in zip(self.boundary_labels(), words)}
+
+    def boundary_monodromies(self) -> Tuple[Tuple[str, Mat2], ...]:
+        return tuple(self.monodromies.items())
 
     def boundary_monodromy(self, label: str) -> Mat2:
-        for lbl, word in zip(self.boundary_labels(), self.rep.surface.boundary_words()):
-            if lbl == label:
-                return self.rep.evaluate(word)
-        raise KeyError(f"no boundary component labeled {label!r}")
+        if label not in self.monodromies:
+            raise KeyError(f"no boundary component labeled {label!r}")
+        return self.monodromies[label]
 
 
 def validate_block(block: Block) -> List[str]:
@@ -382,14 +377,12 @@ def _relation_violations(iso: BoundaryIso) -> List[str]:
     if tgt.mul(x, y) != tgt.mul(y, x):
         out.append("relation [x,y] = 1 fails on images")
     phi = iso.source.phi
-    lhs = tgt.mul(tgt.mul(t, x), tgt.inv(t))
-    rhs = tgt.mul(tgt.power(x, phi.a), tgt.power(y, phi.c))
-    if lhs != rhs:
-        out.append("relation t x t^-1 = x^phi11 y^phi21 fails on images")
-    lhs = tgt.mul(tgt.mul(t, y), tgt.inv(t))
-    rhs = tgt.mul(tgt.power(x, phi.b), tgt.power(y, phi.d))
-    if lhs != rhs:
-        out.append("relation t y t^-1 = x^phi12 y^phi22 fails on images")
+    for name, j, gen, p, q in (("x", 1, x, phi.a, phi.c), ("y", 2, y, phi.b, phi.d)):
+        # windings add, so a winding mismatch fails the relation before any
+        # power (whose cost grows with the exponents) is taken
+        rhs_k = p * x.k + q * y.k
+        if gen.k != rhs_k or tgt.conjugate(t, gen) != tgt.mul(tgt.power(x, p), tgt.power(y, q)):
+            out.append(f"relation t {name} t^-1 = x^phi1{j} y^phi2{j} fails on images")
     return out
 
 

@@ -477,12 +477,7 @@ def _parabolic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
     U.inverse() @ m @ U == sign * [[1,n],[0,1]]."""
     sign = 1 if m.trace() == 2 else -1
     mp = m if sign == 1 else -m
-    k = Mat2(mp.a - 1, mp.b, mp.c, mp.d - 1)
-    if (k.a, k.b) != (0, 0):
-        v = primitive((k.b, -k.a))
-    else:
-        v = primitive((k.d, -k.c))
-    u = extend_to_unimodular(v)
+    u = extend_to_unimodular(eigenvector_eigenvalue_one(mp))
     canon = u.inverse() @ mp @ u
     _verify((canon.a, canon.c, canon.d) == (1, 0, 1) and canon.b != 0, "parabolic normal form", m)
     return sign, canon.b, u

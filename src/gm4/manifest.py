@@ -169,37 +169,6 @@ class Manifest:
             edges.append(Edge(glue.end1, glue.end2, iso))
         return GraphStructure(tuple(sorted(blocks.items())), tuple(edges))
 
-    @staticmethod
-    def from_structure(gs: GraphStructure) -> "Manifest":
-        decls = []
-        for lbl, block in gs.blocks:
-            surface = block.rep.surface
-            decl = BlockDecl(
-                label=lbl,
-                line=0,
-                orientable=surface.orientable,
-                genus=surface.genus,
-                boundaries=surface.boundary_count,
-                labels=block.boundary_labels(),
-                gens=dict(zip(surface.generator_names(), block.rep.images)),
-            )
-            decls.append(decl)
-        glues = []
-        for edge in gs.edges:
-            glues.append(
-                GlueDecl(
-                    edge.end1,
-                    edge.end2,
-                    line=0,
-                    images={
-                        "x": edge.iso.x_img,
-                        "y": edge.iso.y_img,
-                        "t": edge.iso.t_img,
-                    },
-                )
-            )
-        return Manifest(1, decls, glues)
-
 
 def _end_ref(token: str, line: int) -> Tuple[str, str]:
     if "." not in token:
@@ -316,32 +285,29 @@ def parse(text: str) -> Manifest:
     return Manifest(version, blocks, glues)
 
 
-def serialize(manifest: Manifest) -> str:
-    lines = [f"version {manifest.version}"]
-    for decl in sorted(manifest.blocks, key=lambda d: d.label):
-        lines.append(f"block {decl.label}")
-        kind = "orientable" if decl.orientable else "nonorientable"
-        lines.append(f"  base {kind} genus {decl.genus} boundaries {decl.boundaries}")
-        default = tuple(str(i) for i in range(1, decl.boundaries + 1))
-        if decl.labels and tuple(decl.labels) != default:
-            lines.append("  labels " + " ".join(decl.labels))
-        surface = SurfaceWithBoundary(decl.orientable, decl.genus, decl.boundaries)
-        for name in surface.generator_names():
-            lines.append(f"  gen {name} {decl.gens[name]}")
-        lines.append("end")
-    for glue in sorted(manifest.glues, key=lambda g: (g.end1, g.end2)):
-        lines.append(
-            f"glue {glue.end1[0]}.{glue.end1[1]} {glue.end2[0]}.{glue.end2[1]}"
-        )
-        for gen in ("x", "y", "t"):
-            lines.append(f"  {gen} {glue.images[gen]}")
-        lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
 def load_structure(text: str) -> GraphStructure:
     return parse(text).to_structure()
 
 
 def dump_structure(gs: GraphStructure) -> str:
-    return serialize(Manifest.from_structure(gs))
+    """Canonical .gm text: blocks by label, glues by (end1, end2), labels
+    only where they differ from 1..b."""
+    lines = ["version 1"]
+    for lbl, block in sorted(gs.blocks, key=lambda item: item[0]):
+        surface = block.rep.surface
+        kind = "orientable" if surface.orientable else "nonorientable"
+        lines.append(f"block {lbl}")
+        lines.append(f"  base {kind} genus {surface.genus} boundaries {surface.boundary_count}")
+        labels = tuple(block.boundary_labels())
+        if labels != tuple(str(i) for i in range(1, surface.boundary_count + 1)):
+            lines.append("  labels " + " ".join(labels))
+        for name, m in zip(surface.generator_names(), block.rep.images):
+            lines.append(f"  gen {name} {m}")
+        lines.append("end")
+    for edge in sorted(gs.edges, key=lambda e: (e.end1, e.end2)):
+        (b1, bd1), (b2, bd2) = edge.end1, edge.end2
+        lines.append(f"glue {b1}.{bd1} {b2}.{bd2}")
+        for gen, img in zip("xyt", (edge.iso.x_img, edge.iso.y_img, edge.iso.t_img)):
+            lines.append(f"  {gen} {img}")
+        lines.append("end")
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -22,6 +23,7 @@ from gm4 import (
     TorusBundleOverCircle,
     compose_isos,
     euler_characteristic,
+    fiber_matrix,
     first_homology,
     invariant_report,
     is_reduced,
@@ -606,3 +608,186 @@ class TestComparisonThreeValued:
         assert validate_structure(mirror) == []
         result = isomorphic_reduced(gs, mirror)
         assert result.verdict == "no"  # parabolic classes flip n -> -n
+
+
+# Name-keyed oracles for the positional surgeries: the generator names of
+# the bundles convention (a_i, b_i, c_i) looked up through image_map(), and
+# the handle product N evaluated from the commutator word.
+
+
+def _oracle_handle_product(rep, genus):
+    word = []
+    for i in range(1, genus + 1):
+        word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
+    return rep.evaluate(tuple(word))
+
+
+def _oracle_monodromies(block):
+    words = block.rep.surface.boundary_words()
+    return {lbl: block.rep.evaluate(w) for lbl, w in zip(block.boundary_labels(), words)}
+
+
+def _oracle_mirror(block):
+    surface = block.rep.surface
+    g, b = surface.genus, surface.boundary_count
+    imgs = block.rep.image_map()
+    labels = block.boundary_labels()
+    monos = _oracle_monodromies(block)
+    n_mat = _oracle_handle_product(block.rep, g)
+    n_inv = n_mat.inverse()
+    new_images = []
+    for name in surface.generator_names():
+        kind, i = name[0], int(name[1:])
+        if kind == "a":
+            new_images.append(imgs[f"b{g + 1 - i}"])
+        elif kind == "b":
+            new_images.append(imgs[f"a{g + 1 - i}"])
+        else:
+            new_images.append(n_inv @ monos[labels[b - i - 1]].inverse() @ n_mat)
+    new_labels = tuple(reversed(labels[: b - 1])) + (labels[-1],)
+    transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
+    transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
+    return Block(MonodromyRep(surface, tuple(new_images)), new_labels), transports
+
+
+def _oracle_merge_distinct(gs, edge_idx):
+    """The (old labels, new label, merged block, mapping, drop) that a merge
+    of two distinct blocks hands to _reglue."""
+    from gm4.assembly import _position, _rotate, _then
+
+    edge = gs.edges[edge_idx]
+    (l1, bd1), (l2, bd2) = edge.end1, edge.end2
+    b1, b2 = gs.block(l1), gs.block(l2)
+    b2, trans2 = _oracle_mirror(b2) if edge.iso.t_img.k == 1 else _rotate(b2, 0)
+    b1, trans1 = _rotate(b1, _position(b1, bd1) % b1.rep.surface.boundary_count)
+    b2, rotation = _rotate(b2, _position(b2, bd2) - 1)
+    trans2 = _then(trans2, rotation)
+    (g1, n1), (g2, n2) = ((b.rep.surface.genus, b.rep.surface.boundary_count) for b in (b1, b2))
+    c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
+    c_inv = c_mat.inverse()
+    imgs1, imgs2 = b1.rep.image_map(), b2.rep.image_map()
+    images = []
+    for j in range(1, g2 + 1):
+        images += [c_inv @ imgs2[f"a{j}"] @ c_mat, c_inv @ imgs2[f"b{j}"] @ c_mat]
+    for j in range(1, g1 + 1):
+        images += [imgs1[f"a{j}"], imgs1[f"b{j}"]]
+    images += [imgs1[f"c{i}"] for i in range(1, n1)]
+    images += [c_inv @ imgs2[f"c{i}"] @ c_mat for i in range(2, n2)]
+    labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
+    new_labels = tuple([f"{l1}.{x}" for x in labels1[: n1 - 1]] + [f"{l2}.{x}" for x in labels2[1:]])
+    surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
+    merged = Block(MonodromyRep(surface, tuple(images)), new_labels)
+    mapping = {(l1, x): (f"{l1}.{x}",) + trans1[x][1:] for x in labels1[: n1 - 1]}
+    for x in labels2[1:]:
+        _, a, eps = trans2[x]
+        mapping[(l2, x)] = (f"{l2}.{x}", c_inv @ a, eps)
+    return {l1, l2}, f"{l1}+{l2}", merged, mapping, edge_idx
+
+
+def _oracle_merge_self(gs, edge_idx):
+    from gm4.assembly import _move_to_front, _position, _rotate, _then
+
+    edge = gs.edges[edge_idx]
+    lbl = edge.end1[0]
+    block = gs.block(lbl)
+    g, b = block.rep.surface.genus, block.rep.surface.boundary_count
+    bd1, bd2 = edge.end1[1], edge.end2[1]
+    block, trans = _rotate(block, _position(block, bd1) % b)
+    block, front = _move_to_front(block, _position(block, bd2))
+    trans = _then(trans, front)
+    imgs = block.rep.image_map()
+    labels = block.boundary_labels()
+    m_last = _oracle_monodromies(block)[labels[-1]]
+    m_last_inv = m_last.inverse()
+    c_mat = trans[bd2][1] @ fiber_matrix(edge.iso) @ trans[bd1][1].inverse()
+    images = []
+    for j in range(1, g + 1):
+        images += [imgs[f"a{j}"], imgs[f"b{j}"]]
+    images += [c_mat, m_last_inv]
+    images += [m_last_inv @ imgs[f"c{i}"] @ m_last for i in range(2, b - 1)]
+    surface = SurfaceWithBoundary(True, g + 1, b - 2)
+    merged = Block(MonodromyRep(surface, tuple(images)), tuple(f"{lbl}.{x}" for x in labels[1 : b - 1]))
+    mapping = {}
+    for x in labels[1 : b - 1]:
+        _, a, eps = trans[x]
+        mapping[(lbl, x)] = (f"{lbl}.{x}", m_last_inv @ a, eps)
+    return {lbl}, f"{lbl}*", merged, mapping, edge_idx
+
+
+def _random_block(rnd, genus, boundaries, prefix=""):
+    letters = [R, L, S, R.inverse(), L.inverse()]
+    images = tuple(
+        _word_matrix(rnd.choice(letters) for _ in range(rnd.randint(1, 5)))
+        for _ in range(2 * genus + boundaries - 1)
+    )
+    labels = tuple(f"{prefix}{i}" for i in range(boundaries))
+    return Block(MonodromyRep(SurfaceWithBoundary(True, genus, boundaries), images), labels)
+
+
+def _fiber_preserving(m1, m2, fiber, eps):
+    """Fiber-preserving iso M_m1 -> M_m2 with the given fiber part and t -> t^eps
+    (only its fiber part and winding are read by the merges)."""
+    return BoundaryIso(
+        TorusBundleOverCircle(m1),
+        TorusBundleOverCircle(m2),
+        Pi1Element(fiber.a, fiber.c, 0),
+        Pi1Element(fiber.b, fiber.d, 0),
+        Pi1Element(0, 0, eps),
+    )
+
+
+class TestPositionalSurgeries:
+    """_mirror, _merge_distinct and _merge_self build images by position;
+    each must agree with the name-keyed oracle above on images, labels and
+    transports."""
+
+    @staticmethod
+    def _captured(monkeypatch, merge, gs, edge_idx):
+        import gm4.assembly as assembly
+
+        seen = []
+        monkeypatch.setattr(assembly, "_reglue", lambda gs, *args: seen.append(args) or gs)
+        merge(gs, edge_idx)
+        (args,) = seen
+        return args
+
+    def test_mirror(self):
+        from gm4.assembly import _mirror
+
+        rnd = random.Random(7)
+        for genus in (0, 1, 2, 3):
+            for boundaries in (1, 2, 3, 4):
+                for _ in range(3):
+                    block = _random_block(rnd, genus, boundaries)
+                    assert _mirror(block) == _oracle_mirror(block), (genus, boundaries)
+
+    def test_merge_distinct(self, monkeypatch):
+        from gm4.assembly import _merge_distinct
+
+        rnd = random.Random(11)
+        fiber = Mat2(2, 1, 1, 1)
+        for g1, g2 in ((1, 1), (2, 1), (1, 3), (3, 2)):
+            for n1, n2 in ((1, 2), (2, 3), (4, 2), (1, 4)):
+                for eps in (1, -1):
+                    a = _random_block(rnd, g1, n1, "p")
+                    b = _random_block(rnd, g2, n2, "q")
+                    bd1, bd2 = rnd.choice(a.boundary_labels()), rnd.choice(b.boundary_labels())
+                    iso = _fiber_preserving(a.boundary_monodromy(bd1), b.boundary_monodromy(bd2), fiber, eps)
+                    gs = structure({"A": a, "B": b}, [Edge(("A", bd1), ("B", bd2), iso)])
+                    got = self._captured(monkeypatch, _merge_distinct, gs, 0)
+                    assert got == _oracle_merge_distinct(gs, 0), (g1, g2, n1, n2, eps)
+
+    def test_merge_self(self, monkeypatch):
+        from gm4.assembly import _merge_self
+
+        rnd = random.Random(13)
+        fiber = Mat2(1, 1, 1, 2)
+        for genus in (1, 2, 3):
+            for boundaries in (4, 5, 6):
+                block = _random_block(rnd, genus, boundaries)
+                labels = block.boundary_labels()
+                for bd1, bd2 in ((labels[0], labels[-1]), (labels[-1], labels[1]), (labels[2], labels[1])):
+                    iso = _fiber_preserving(block.boundary_monodromy(bd1), block.boundary_monodromy(bd2), fiber, -1)
+                    gs = structure({"A": block}, [Edge(("A", bd1), ("A", bd2), iso)])
+                    got = self._captured(monkeypatch, _merge_self, gs, 0)
+                    assert got == _oracle_merge_self(gs, 0), (genus, boundaries, bd1, bd2)

@@ -150,6 +150,34 @@ class TestBoundaryMonodromies:
         with pytest.raises(KeyError):
             block.boundary_monodromy("t")
 
+    def test_each_boundary_word_evaluated_once(self, monkeypatch):
+        # a ring of 48 pants blocks (P_i.2 - P_{i+1}.1 and rungs
+        # P_2j.3 - P_2j+1.3, all trading fiber and base), parsed and reported
+        from gm4 import invariant_report, structure
+        from gm4.assembly import Edge
+        from gm4.manifest import dump_structure, load_structure
+
+        a, bs = 2, [1 + j % 5 for j in range(24)]
+        blocks, edges = {}, []
+        for j, b in enumerate(bs):
+            blocks[f"P{2 * j:02d}"] = pants(upper(a), upper(b))
+            blocks[f"P{2 * j + 1:02d}"] = pants(upper(-b), upper(-a))
+            edges.append(Edge((f"P{2 * j:02d}", "2"), (f"P{2 * j + 1:02d}", "1"), swap_iso(b)))
+            edges.append(Edge((f"P{2 * j + 1:02d}", "2"), (f"P{(2 * j + 2) % 48:02d}", "1"), swap_iso(-a)))
+            edges.append(Edge((f"P{2 * j:02d}", "3"), (f"P{2 * j + 1:02d}", "3"), swap_iso(-a - b)))
+        text = dump_structure(structure(blocks, edges))
+        calls = []
+        real = MonodromyRep.evaluate
+
+        def counting(rep, word):
+            calls.append(word)
+            return real(rep, word)
+
+        monkeypatch.setattr(MonodromyRep, "evaluate", counting)
+        report = invariant_report(load_structure(text))
+        assert report.block_count == 48 and not report.findings
+        assert len(calls) == 48 * 3
+
 
 class TestPi1Arithmetic:
     def test_twisted_product(self):
@@ -428,6 +456,28 @@ class TestRandomGlueings:
         assume(broken and all(d.startswith("relation ") for d in broken))
         with pytest.raises(ValueError, match=re.escape("; ".join(broken))):
             iso_inverse(iso)
+
+    def test_winding_mismatch_fails_before_any_power(self, monkeypatch):
+        # y -> x and t^phi12 with phi12 = 10^6 in a hyperbolic target: the
+        # winding parts of t y t^-1 (0) and x^phi12 y^phi22 (10^6) differ,
+        # so no power t^(10^6) is formed
+        exponents = []
+        real = TorusBundleOverCircle.power
+
+        def recording(group, e, n):
+            exponents.append(n)
+            return real(group, e, n)
+
+        monkeypatch.setattr(TorusBundleOverCircle, "power", recording)
+        src = TorusBundleOverCircle(upper(10 ** 6))
+        tgt = TorusBundleOverCircle(Mat2(2, 1, 1, 1))
+        iso = BoundaryIso(src, tgt, PI1_T, PI1_X, PI1_Y)
+        assert validate_glueing(iso) == [
+            "relation [x,y] = 1 fails on images",
+            "relation t x t^-1 = x^phi11 y^phi21 fails on images",
+            "relation t y t^-1 = x^phi12 y^phi22 fails on images",
+        ]
+        assert max(map(abs, exponents)) <= 1
 
     def test_identity_images_between_different_bundles(self):
         src, tgt = TorusBundleOverCircle(Mat2(2, 1, 1, 1)), TorusBundleOverCircle(I2)

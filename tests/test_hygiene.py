@@ -1,10 +1,12 @@
 """Code hygiene of src/gm4, read with the standard library's ast: no
-module-level import that nothing uses, and no _private function or class
-that nothing references."""
+module-level import that nothing uses, no _private function or class
+that nothing references, and every function the bench traces exists."""
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gm4"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gm4"
 
 
 def _trees():
@@ -63,3 +65,20 @@ def test_no_unreferenced_private_definitions():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def test_bench_targets_resolve():
+    # bench/tracing.py wraps these (module, function) pairs by name; read
+    # with ast, so the bench itself is not imported
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    ]
+    missing = [
+        f"{module}.{name}"
+        for module, name in targets
+        if not callable(getattr(importlib.import_module(f"gm4.{module}"), name, None))
+    ]
+    assert targets and missing == []

@@ -53,9 +53,8 @@ class TestParse:
         assert validate_structure(gs) == []
 
     def test_round_trip_canonical(self):
-        m = manifest.parse(DOUBLE_GM)
-        text1 = manifest.serialize(m)
-        text2 = manifest.serialize(manifest.parse(text1))
+        text1 = manifest.dump_structure(manifest.load_structure(DOUBLE_GM))
+        text2 = manifest.dump_structure(manifest.load_structure(text1))
         assert text1 == text2
 
     def test_round_trip_on_corpus(self, full_corpus):
