@@ -11,9 +11,9 @@ blocks land back in that convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import smith
 from .gl2z import I2, Mat2, classify
@@ -534,11 +534,14 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
     c_inv = c_mat.inverse()
     # images by position: block 2's handles, block 1's handles and c's, then
-    # block 2's c's after its (glued) first one, conjugated into block 1's fiber
+    # block 2's c's after its (glued) first one, conjugated into block 1's
+    # fiber.  When block 2 has one boundary, block 1's last c becomes the
+    # merged block's last boundary, which has no generator.
+    imgs1 = b1.rep.images if n2 > 1 else b1.rep.images[:-1]
     imgs2 = b2.rep.images
     new_images = (
         tuple(c_inv @ m @ c_mat for m in imgs2[: 2 * g2])
-        + b1.rep.images
+        + imgs1
         + tuple(c_inv @ m @ c_mat for m in imgs2[2 * g2 + 1 :])
     )
     labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
@@ -632,9 +635,20 @@ def reduce_structure(gs: GraphStructure) -> GraphStructure:
 
 @dataclass(frozen=True)
 class Comparison:
+    """Verdict of isomorphic_reduced.  The search fields say how much of the
+    bounded search ran; they take no part in equality."""
+
     verdict: str  # "yes" | "no" | "inconclusive"
     witness: Optional[str] = None
     separating: Optional[str] = None
+    bijections: int = field(default=0, compare=False)  # complete ones searched
+    conjugator_nodes: int = field(default=0, compare=False)  # conjugators assigned
+    edge_checks: int = field(default=0, compare=False)  # edge glueings tested
+    # some block pair had more conjugators than CONJUGATOR_OPTIONS
+    truncated: bool = field(default=False, compare=False)
+
+
+CONJUGATOR_OPTIONS = 24  # conjugators tried per block pair
 
 
 def _det_pm1_conjugators(pairs, bound: int) -> List[Mat2]:
@@ -723,6 +737,34 @@ def _block_key(block: Block) -> Tuple:
     return (s.orientable, s.genus, s.boundary_count, classes)
 
 
+def _depth_first(width: int, options: Callable, accept: Callable) -> Iterator[list]:
+    """Every path x_0 .. x_{width-1} with x_i from options(i, path[:i]) and
+    accept(i, path[:i+1]) true at every i, in lexicographic order of the
+    options: a depth-first search, without recursion, that abandons a prefix
+    as soon as accept fails.  The path yielded is reused; copy it to keep it."""
+    if width == 0:
+        yield []
+        return
+    path: list = []
+    stack = [iter(options(0, path))]
+    while stack:
+        for x in stack[-1]:
+            path.append(x)
+            if accept(len(path) - 1, path):
+                break
+            path.pop()
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        if len(path) == width:
+            yield path
+            path.pop()
+        else:
+            stack.append(iter(options(len(path), path)))
+
+
 def isomorphic_reduced(
     gs1: GraphStructure, gs2: GraphStructure, search_bound: int = 4
 ) -> Comparison:
@@ -736,6 +778,15 @@ def isomorphic_reduced(
     The implemented relation is a documented, possibly coarser proxy for
     structure-preserving diffeomorphism, so "yes" and "no" are final while
     "inconclusive" may improve with a larger bound.
+
+    The search backtracks twice.  Block bijections are built in the sorted
+    label order of gs1, candidates in that of gs2, and a partial bijection
+    is dropped when a block key, a base surface or the existence of a
+    conjugator fails, or when an edge between assigned blocks maps to ends
+    that gs2 does not glue.  For each complete bijection the conjugators
+    are assigned in the same block order, and each edge is checked as soon
+    as both of its blocks have one.  The witness is the first bijection, in
+    the order of itertools.permutations, with a matching conjugator choice.
     """
     reports = []
     for gs in (gs1, gs2):
@@ -754,68 +805,81 @@ def isomorphic_reduced(
     blocks1, blocks2 = gs1.block_map(), gs2.block_map()
     keys1 = {lbl: _block_key(b) for lbl, b in gs1.blocks}
     keys2 = {lbl: _block_key(b) for lbl, b in gs2.blocks}
-
-    def candidate_bijections():
-        for perm in itertools.permutations(labels2):
-            mapping = dict(zip(labels1, perm))
-            if all(keys1[a] == keys2[b] for a, b in mapping.items()):
-                yield mapping
-
     edge_index2: Dict[Tuple[End, End], List[Edge]] = {}
     for e in gs2.edges:
         edge_index2.setdefault((e.end1, e.end2), []).append(e)
+    # the edges of gs1 by the depth at which both of their blocks are assigned
+    depth = {lbl: i for i, lbl in enumerate(labels1)}
+    closing: List[List[Edge]] = [[] for _ in labels1]
+    for e in gs1.edges:
+        closing[max(depth[e.end1[0]], depth[e.end2[0]])].append(e)
+    counts = {"bijections": 0, "conjugator_nodes": 0, "edge_checks": 0, "truncated": False}
+    options: Dict[Tuple[str, str], List[Mat2]] = {}  # per block pair, computed once
 
-    for mapping in candidate_bijections():
-        conj_options: Dict[str, List[Mat2]] = {}
-        feasible = True
-        for lbl in labels1:
-            b1, b2 = blocks1[lbl], blocks2[mapping[lbl]]
-            if b1.rep.surface != b2.rep.surface:
-                feasible = False
-                break
-            opts = _det_pm1_conjugators(list(zip(b1.rep.images, b2.rep.images)), search_bound)
-            if not opts:
-                feasible = False
-                break
-            conj_options[lbl] = opts[:24]
-        if not feasible:
-            continue
+    def conjugators(lbl1: str, lbl2: str) -> List[Mat2]:
+        if (lbl1, lbl2) not in options:
+            b1, b2 = blocks1[lbl1], blocks2[lbl2]
+            opts = []
+            if b1.rep.surface == b2.rep.surface:
+                opts = _det_pm1_conjugators(list(zip(b1.rep.images, b2.rep.images)), search_bound)
+            counts["truncated"] |= len(opts) > CONJUGATOR_OPTIONS
+            options[(lbl1, lbl2)] = opts[:CONJUGATOR_OPTIONS]
+        return options[(lbl1, lbl2)]
 
-        def map_end(end: End, conj: Dict[str, Mat2]) -> Tuple[End, BoundaryIso, BoundaryIso]:
-            lbl, bd = end
-            b1 = blocks1[lbl]
-            pos = b1.boundary_labels().index(bd)
-            b2 = blocks2[mapping[lbl]]
-            new_bd = b2.boundary_labels()[pos]
-            m1 = b1.boundary_monodromy(bd)
-            m2 = b2.boundary_monodromy(new_bd)
-            c = conj[lbl]
-            mu, mu_inv = _transport(m1, c, 1)
-            if mu.target.phi != m2:
-                raise RuntimeError(f"conjugator {c} does not carry {m1} to {m2}")
-            return (mapping[lbl], new_bd), mu, mu_inv
+    def image(end: End, mapping: Dict[str, str]) -> End:
+        lbl, bd = end
+        pos = blocks1[lbl].boundary_labels().index(bd)
+        return mapping[lbl], blocks2[mapping[lbl]].boundary_labels()[pos]
 
-        for combo in itertools.product(*(conj_options[lbl] for lbl in labels1)):
-            conj = dict(zip(labels1, combo))
-            ok = True
-            for e in gs1.edges:
-                new_end1, _, mu1_inv = map_end(e.end1, conj)
-                new_end2, mu2, _ = map_end(e.end2, conj)
-                transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
-                matched = False
-                for cand in edge_index2.get((new_end1, new_end2), []):
-                    if _iso_matches(cand.iso, transported, search_bound):
-                        matched = True
-                        break
-                if not matched:
-                    for cand in edge_index2.get((new_end2, new_end1), []):
-                        if _iso_matches(cand.iso, iso_inverse(transported), search_bound):
-                            matched = True
-                            break
-                if not matched:
-                    ok = False
-                    break
-            if ok:
-                desc = ", ".join(f"{a}->{b}" for a, b in sorted(mapping.items()))
-                return Comparison("yes", witness=f"block matching {desc}")
-    return Comparison("inconclusive")
+    def admissible(i: int, path: List[str]) -> bool:
+        if keys1[labels1[i]] != keys2[path[i]] or not conjugators(labels1[i], path[i]):
+            return False
+        mapping = dict(zip(labels1, path))
+        for e in closing[i]:  # conjugators cannot glue ends that gs2 leaves apart
+            new1, new2 = image(e.end1, mapping), image(e.end2, mapping)
+            if (new1, new2) not in edge_index2 and (new2, new1) not in edge_index2:
+                return False
+        return True
+
+    def map_end(end: End, mapping: Dict[str, str], conj: Dict[str, Mat2]):
+        new_end = image(end, mapping)
+        m1 = blocks1[end[0]].boundary_monodromy(end[1])
+        m2 = blocks2[new_end[0]].boundary_monodromy(new_end[1])
+        c = conj[end[0]]
+        mu, mu_inv = _transport(m1, c, 1)
+        if mu.target.phi != m2:
+            raise RuntimeError(f"conjugator {c} does not carry {m1} to {m2}")
+        return new_end, mu, mu_inv
+
+    def edge_matches(e: Edge, mapping: Dict[str, str], conj: Dict[str, Mat2]) -> bool:
+        counts["edge_checks"] += 1
+        new_end1, _, mu1_inv = map_end(e.end1, mapping, conj)
+        new_end2, mu2, _ = map_end(e.end2, mapping, conj)
+        transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
+        return any(
+            _iso_matches(cand.iso, transported, search_bound)
+            for cand in edge_index2.get((new_end1, new_end2), [])
+        ) or any(
+            _iso_matches(cand.iso, iso_inverse(transported), search_bound)
+            for cand in edge_index2.get((new_end2, new_end1), [])
+        )
+
+    def unassigned(i: int, path: List[str]) -> List[str]:
+        return [lbl for lbl in labels2 if lbl not in path]
+
+    for path in _depth_first(len(labels1), unassigned, admissible):
+        counts["bijections"] += 1
+        mapping = dict(zip(labels1, path))
+
+        def consistent(i: int, chosen: List[Mat2]) -> bool:
+            counts["conjugator_nodes"] += 1
+            conj = dict(zip(labels1, chosen))
+            return all(edge_matches(e, mapping, conj) for e in closing[i])
+
+        def choices(i: int, chosen: List[Mat2]) -> List[Mat2]:
+            return options[(labels1[i], mapping[labels1[i]])]
+
+        if next(_depth_first(len(labels1), choices, consistent), None) is not None:
+            desc = ", ".join(f"{a}->{b}" for a, b in sorted(mapping.items()))
+            return Comparison("yes", witness=f"block matching {desc}", **counts)
+    return Comparison("inconclusive", **counts)

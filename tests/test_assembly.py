@@ -254,6 +254,26 @@ class TestReduce:
         assert len(red.edges) == 51
         assert validate_structure(red) == []
 
+    def test_one_boundary_end2_block(self):
+        # a pants block A with A.1 - A.2 traded, glued at A.3 by a
+        # fiber-preserving edge to a genus-1 block B with one boundary:
+        # both orders of the glued ends must reduce, to equal reports
+        a = pants(upper(1), upper(-1))
+        b = Block(MonodromyRep(SurfaceWithBoundary(True, 1, 1), (upper(1), upper(1))))
+        trade = swap_iso(1)
+        reports = []
+        for ends in ((("A", "3"), ("B", "1")), (("B", "1"), ("A", "3"))):
+            keep = Edge(*ends, mirror_edge_iso(I2))
+            gs = structure({"A": a, "B": b}, (Edge(("A", "1"), ("A", "2"), trade), keep))
+            assert validate_structure(gs) == []
+            red = reduce_structure(gs)
+            assert validate_structure(red) == [] and is_reduced(red)[0]
+            (_, block), = red.blocks
+            assert (block.rep.surface.genus, block.rep.surface.boundary_count) == (1, 2)
+            assert first_homology(red) == first_homology(gs)
+            reports.append(invariant_report(red))
+        assert reports[0] == reports[1]
+
     def test_one_reglue_per_merge(self, monkeypatch):
         # the rotations of both blocks and the merge rewrite the edges once
         import gm4.assembly as assembly
@@ -671,7 +691,8 @@ def _oracle_merge_distinct(gs, edge_idx):
         images += [c_inv @ imgs2[f"a{j}"] @ c_mat, c_inv @ imgs2[f"b{j}"] @ c_mat]
     for j in range(1, g1 + 1):
         images += [imgs1[f"a{j}"], imgs1[f"b{j}"]]
-    images += [imgs1[f"c{i}"] for i in range(1, n1)]
+    # with a one-boundary block 2, block 1's last c is the merged last boundary
+    images += [imgs1[f"c{i}"] for i in range(1, n1 if n2 > 1 else n1 - 1)]
     images += [c_inv @ imgs2[f"c{i}"] @ c_mat for i in range(2, n2)]
     labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
     new_labels = tuple([f"{l1}.{x}" for x in labels1[: n1 - 1]] + [f"{l2}.{x}" for x in labels2[1:]])
@@ -767,7 +788,7 @@ class TestPositionalSurgeries:
         rnd = random.Random(11)
         fiber = Mat2(2, 1, 1, 1)
         for g1, g2 in ((1, 1), (2, 1), (1, 3), (3, 2)):
-            for n1, n2 in ((1, 2), (2, 3), (4, 2), (1, 4)):
+            for n1, n2 in ((1, 2), (2, 3), (4, 2), (1, 4), (3, 1)):
                 for eps in (1, -1):
                     a = _random_block(rnd, g1, n1, "p")
                     b = _random_block(rnd, g2, n2, "q")

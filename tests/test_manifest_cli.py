@@ -341,8 +341,8 @@ def _mutant(data, text):
 
 class TestManifestFuzz:
     """validate, invariants and reduce exit 0, or 12 with a diagnostic, on
-    mutated manifests, never with a traceback.  compare is left out: a
-    mutant can send its bijection search into minutes."""
+    mutated manifests, and compare of a mutant with its original, either
+    way round, exits 0, 10, 11 or 12; never with a traceback."""
 
     @given(data=st.data(), path=st.sampled_from(MANIFESTS))
     @settings(max_examples=150, deadline=None)
@@ -359,3 +359,7 @@ class TestManifestFuzz:
                     assert out == "" and err, command
                 else:
                     assert out and err == "", command
+            for pair in ((mutant, path), (path, mutant)):
+                rc, out, err = run_cli(["compare", *map(str, pair)])
+                assert "Traceback" not in err, err
+                assert rc in (0, 10, 11, 12), (pair, rc, err)
