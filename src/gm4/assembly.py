@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import smith
@@ -79,6 +80,8 @@ def structure(blocks: Dict[str, Block], edges: Sequence[Edge]) -> GraphStructure
 def validate_structure(gs: GraphStructure) -> List[str]:
     out: List[str] = []
     labels = [lbl for lbl, _ in gs.blocks]
+    if not labels:
+        out.append("structure has no blocks")
     if len(set(labels)) != len(labels):
         out.append("block labels are not distinct")
         return out
@@ -393,7 +396,8 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     product N (from N m_1 ... m_b = I), so their transports are (N, 1).
     Rotation by 0 is the identity re-presentation."""
     surface = block.rep.surface
-    assert surface.orientable
+    if not surface.orientable:
+        raise ValueError("rotations re-present orientable bases only")
     labels = block.boundary_labels()
     monos = block.monodromies
     n_inv = _product(monos.values())
@@ -415,7 +419,8 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
     """
     surface = block.rep.surface
     b = surface.boundary_count
-    assert 1 <= p <= b - 1
+    if not 1 <= p <= b - 1:
+        raise ValueError(f"boundary position {p} is not below the last of {b}")
     labels = block.boundary_labels()
     first_c = len(block.rep.images) - (b - 1)
     head, cs = block.rep.images[:first_c], block.rep.images[first_c:]
@@ -435,7 +440,8 @@ def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
     reverses; the transports send t to t^-1.
     """
     surface = block.rep.surface
-    assert surface.orientable
+    if not surface.orientable:
+        raise ValueError("mirrors re-present orientable bases only")
     split = 2 * surface.genus
     labels = block.boundary_labels()
     n_inv = _product(block.monodromies.values())
@@ -672,62 +678,49 @@ def _det_pm1_conjugators(pairs, bound: int) -> List[Mat2]:
     return out
 
 
-def _self_fiber_maps(phi: Mat2, bound: int) -> List[Tuple[Mat2, int]]:
+@lru_cache(maxsize=None)
+def _self_fiber_maps(phi: Mat2, bound: int) -> Tuple[Tuple[Mat2, int], ...]:
     """Fiber parts (A, eps) of fiber-preserving self-isos of M_phi:
-    A phi A^-1 = phi^eps with A in GL(2,Z)."""
-    out = []
-    for eps in (1, -1):
-        for a in _det_pm1_conjugators([(phi, phi ** eps)], bound):
-            out.append((a, eps))
-    return out
+    A phi A^-1 = phi^eps with A in GL(2,Z), A within the coefficient bound."""
+    return tuple(
+        (a, eps) for eps in (1, -1) for a in _det_pm1_conjugators([(phi, phi ** eps)], bound)
+    )
 
 
 def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso, bound: int) -> bool:
     """Whether f_goal = g_t o f_base o g_s for fiber-preserving self-isos
     g_s, g_t of the source and target bundles.
 
-    Fiber parts of g_s, g_t are enumerated within the coefficient bound.  The
-    composite's generator images are not affine in the fiber translation
-    parts u (a t-image can be quadratic in them), so the system is linearised
-    at u = 0 and solved; the final check == goal keeps every True sound, and
-    a translation the linearisation misses can only leave "inconclusive"."""
+    Only the fiber part (A, eps) of g_t is enumerated, within the coefficient
+    bound: g_s = f_base^-1 o g_t^-1 o f_goal is then an automorphism of the
+    source, and it preserves fibers exactly when the windings of g_s(x) and
+    g_s(y) are 0.  Winding is a homomorphism and g_t^-1 is affine in the
+    translation part u of g_t, so those windings are affine in u and one
+    2 x 2 integer system decides u exactly: False means no g_s exists for any
+    g_t whose fiber part is in the bound."""
     src, tgt = f_base.source, f_base.target
     if (f_goal.source.phi, f_goal.target.phi) != (src.phi, tgt.phi):
         return False
-    goal = []
-    for img in (f_goal.x_img, f_goal.y_img, f_goal.t_img):
-        goal.extend([img.a, img.b, img.k])
+    f_inv = iso_inverse(f_base)
+    for a, eps in _self_fiber_maps(tgt.phi, bound):
+        a_inv = a.inverse()
 
-    def composite(a_s, eps_s, u_s, a_t, eps_t, u_t) -> List[int]:
-        g_s = _fp_iso(src, src, a_s, Pi1Element(u_s[0], u_s[1], eps_s))
-        g_t = _fp_iso(tgt, tgt, a_t, Pi1Element(u_t[0], u_t[1], eps_t))
-        h = compose_isos(g_t, compose_isos(f_base, g_s))
-        vec = []
-        for img in (h.x_img, h.y_img, h.t_img):
-            vec.extend([img.a, img.b, img.k])
-        return vec
+        def source_map(u: Tuple[int, int]) -> BoundaryIso:
+            # g_t = (A, u, eps) sends t to (u, eps); g_t^-1 has fiber part A^-1
+            # and sends t to (-A^-1 u, 1) or, when eps = -1, (A^-1 phi u, -1)
+            v = a_inv.apply(u) if eps == 1 else (a_inv @ tgt.phi).apply(u)
+            g_t_inv = _fp_iso(tgt, tgt, a_inv, Pi1Element(-eps * v[0], -eps * v[1], eps))
+            return compose_isos(f_inv, compose_isos(g_t_inv, f_goal))
 
-    units = ((1, 0), (0, 1))
-    for a_s, eps_s in _self_fiber_maps(src.phi, bound):
-        for a_t, eps_t in _self_fiber_maps(tgt.phi, bound):
-            base = composite(a_s, eps_s, (0, 0), a_t, eps_t, (0, 0))
-            if [base[i] for i in (2, 5, 8)] != [goal[i] for i in (2, 5, 8)]:
-                continue
-            cols = []
-            for pos in range(4):
-                u_s = units[pos] if pos < 2 else (0, 0)
-                u_t = units[pos - 2] if pos >= 2 else (0, 0)
-                shifted = composite(a_s, eps_s, u_s, a_t, eps_t, u_t)
-                cols.append([shifted[i] - base[i] for i in range(9)])
-            rows_idx = (0, 1, 3, 4, 6, 7)
-            mat = [[cols[j][i] for j in range(4)] for i in rows_idx]
-            rhs = [goal[i] - base[i] for i in rows_idx]
-            sol = smith.solve_integer(mat, rhs)
-            if sol is None:
-                continue
-            check = composite(a_s, eps_s, (sol[0], sol[1]), a_t, eps_t, (sol[2], sol[3]))
-            if check == goal:
-                return True
+        # windings of g_s(x), g_s(y) at u = 0, (1, 0) and (0, 1)
+        w0, wx, wy = ((g.x_img.k, g.y_img.k) for g in map(source_map, ((0, 0), (1, 0), (0, 1))))
+        u = smith.solve_integer([[wx[i] - w0[i], wy[i] - w0[i]] for i in range(2)], [-w0[0], -w0[1]])
+        if u is None:
+            continue
+        g_s = source_map((u[0], u[1]))
+        g_t = _fp_iso(tgt, tgt, a, Pi1Element(u[0], u[1], eps))
+        if is_fiber_preserving(g_s) and compose_isos(g_t, compose_isos(f_base, g_s)) == f_goal:
+            return True
     return False
 
 
@@ -774,10 +767,12 @@ def isomorphic_reduced(
     matching is found: a block bijection matching surface types, monodromy
     representations related by simultaneous GL(2,Z) conjugation, and edge
     glueings corresponding up to composition with fiber-preserving bundle
-    self-maps, all searched within search_bound.  Otherwise "inconclusive".
-    The implemented relation is a documented, possibly coarser proxy for
-    structure-preserving diffeomorphism, so "yes" and "no" are final while
-    "inconclusive" may improve with a larger bound.
+    self-maps.  The conjugators and the fiber parts of the target-side
+    self-maps are searched within search_bound; the translation parts and
+    the source-side self-map are then solved for exactly (_iso_matches).
+    Otherwise "inconclusive".  The implemented relation is a documented,
+    possibly coarser proxy for structure-preserving diffeomorphism, so "yes"
+    and "no" are final while "inconclusive" may improve with a larger bound.
 
     The search backtracks twice.  Block bijections are built in the sorted
     label order of gs1, candidates in that of gs2, and a partial bijection

@@ -532,7 +532,8 @@ def fiber_covering_exists(phi1: Mat2, phi2: Mat2) -> Tuple[bool, Optional[Mat2]]
         )
         if best is None or key < best[0]:
             best = (key, x)
-    assert best is not None
+    if best is None:
+        raise RuntimeError(f"no witness within the bound for {phi1} and {phi2}")
     witness = best[1]
     if witness @ phi1 != phi2 @ witness or witness.det() == 0:
         raise RuntimeError(f"witness {witness} does not intertwine {phi1} and {phi2}")

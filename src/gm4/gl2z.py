@@ -440,7 +440,7 @@ def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
     num_im = 4 - t * t  # 4*c^2*Im(z)^2
     while True:
         c = cur.c
-        assert c != 0
+        _verify(c != 0, "elliptic reduction step", m)
         # Re(z) = (a - d) / (2c); translate to |Re| <= 1/2
         re_num, re_den = cur.a - cur.d, 2 * c
         if re_den < 0:
@@ -566,9 +566,9 @@ def _involution_normalize(m: Mat2) -> Tuple[Mat2, Mat2]:
     eigenlattices (split case) or the half-sum basis (swap case).
     """
     u_plus = eigenvector_eigenvalue_one(m)
-    assert isinstance(u_plus, tuple)
+    _verify(isinstance(u_plus, tuple), "eigenvector of eigenvalue 1", m)
     u_minus = eigenvector_eigenvalue_one(-m)
-    assert isinstance(u_minus, tuple)
+    _verify(isinstance(u_minus, tuple), "eigenvector of eigenvalue -1", m)
     if m.b % 2 == 0 and m.c % 2 == 0:
         u = Mat2(u_plus[0], u_minus[0], u_plus[1], u_minus[1])
         _verify(abs(u.det()) == 1, "eigenbasis", m)

@@ -1,8 +1,9 @@
 """Exact integer matrix routines: Smith normal form, kernels, solving.
 
 Matrices are lists of rows of Python ints.  ``snf_with_transforms`` is a dense
-gcd-pivot algorithm that keeps both transforms; ``kernel_basis`` and
-``solve_integer`` use it on their 4-column systems.
+gcd-pivot algorithm that keeps both transforms; ``kernel_basis`` uses it on
+its 4-column systems and ``solve_integer`` on the 2 x 2 translation systems
+of the comparison's edge test.
 
 ``abelian_invariants`` takes H1 presentations, which grow with the structure
 (416 x 289 for a ring of 64 pants blocks) and are sparse, with mostly unit
@@ -269,7 +270,7 @@ def solve_integer(
         if i < cols:
             y[i] = ub[i] // d
     x = [sum(v[i][j] * y[j] for j in range(cols)) for i in range(cols)]
-    # verify: cheap on the 6 x 4 systems of the conjugator search
+    # verify: cheap on the 2 x 2 systems of the edge test
     for i in range(rows):
         if sum(mat[i][j] * x[j] for j in range(cols)) != rhs[i]:
             return None

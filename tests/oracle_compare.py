@@ -1,4 +1,6 @@
-"""Reference block matching for the test suite: the exhaustive search that
+"""Reference block matching and edge test for the test suite.
+
+`reference_isomorphic_reduced` is the exhaustive search that
 `isomorphic_reduced` ran before it backtracked.
 
 Every label permutation in `itertools.permutations` order, filtered by
@@ -10,12 +12,71 @@ pruning, not the arithmetic.  It looks the enumeration and the edge test up
 on `gm4.assembly` at each call, so a test that replaces them there replaces
 them for both searches.  It is exponential: use it on structures of at most
 four blocks.
+
+`reference_iso_matches` is the edge test `_iso_matches` ran before it read
+the source self-map off the target one: both self-maps enumerated within
+the bound, and the translation parts found by linearising at u = 0.  Its
+True answers are sound, so the library must answer True wherever it does.
 """
 import itertools
 
-from gm4 import assembly
-from gm4.assembly import Comparison, NotReducedError, _block_key, _transport, invariant_report
-from gm4.bundles import compose_isos, iso_inverse
+from gm4 import assembly, smith
+from gm4.assembly import (
+    Comparison,
+    NotReducedError,
+    _block_key,
+    _fp_iso,
+    _self_fiber_maps,
+    _transport,
+    invariant_report,
+)
+from gm4.bundles import Pi1Element, compose_isos, iso_inverse
+
+
+def reference_iso_matches(f_goal, f_base, bound):
+    """Whether f_goal = g_t o f_base o g_s for fiber-preserving self-isos
+    g_s, g_t whose fiber parts are within the bound.  The composite's images
+    are not affine in the translation parts u (a t-image can be quadratic in
+    them), so the system is linearised at u = 0; the final check keeps a
+    True sound, and a translation the linearisation misses gives False."""
+    src, tgt = f_base.source, f_base.target
+    if (f_goal.source.phi, f_goal.target.phi) != (src.phi, tgt.phi):
+        return False
+    goal = []
+    for img in (f_goal.x_img, f_goal.y_img, f_goal.t_img):
+        goal.extend([img.a, img.b, img.k])
+
+    def composite(a_s, eps_s, u_s, a_t, eps_t, u_t):
+        g_s = _fp_iso(src, src, a_s, Pi1Element(u_s[0], u_s[1], eps_s))
+        g_t = _fp_iso(tgt, tgt, a_t, Pi1Element(u_t[0], u_t[1], eps_t))
+        h = compose_isos(g_t, compose_isos(f_base, g_s))
+        vec = []
+        for img in (h.x_img, h.y_img, h.t_img):
+            vec.extend([img.a, img.b, img.k])
+        return vec
+
+    units = ((1, 0), (0, 1))
+    for a_s, eps_s in _self_fiber_maps(src.phi, bound):
+        for a_t, eps_t in _self_fiber_maps(tgt.phi, bound):
+            base = composite(a_s, eps_s, (0, 0), a_t, eps_t, (0, 0))
+            if [base[i] for i in (2, 5, 8)] != [goal[i] for i in (2, 5, 8)]:
+                continue
+            cols = []
+            for pos in range(4):
+                u_s = units[pos] if pos < 2 else (0, 0)
+                u_t = units[pos - 2] if pos >= 2 else (0, 0)
+                shifted = composite(a_s, eps_s, u_s, a_t, eps_t, u_t)
+                cols.append([shifted[i] - base[i] for i in range(9)])
+            rows_idx = (0, 1, 3, 4, 6, 7)
+            mat = [[cols[j][i] for j in range(4)] for i in rows_idx]
+            rhs = [goal[i] - base[i] for i in rows_idx]
+            sol = smith.solve_integer(mat, rhs)
+            if sol is None:
+                continue
+            check = composite(a_s, eps_s, (sol[0], sol[1]), a_t, eps_t, (sol[2], sol[3]))
+            if check == goal:
+                return True
+    return False
 
 
 def reference_isomorphic_reduced(gs1, gs2, search_bound=4):

@@ -2,9 +2,13 @@
 exhaustive reference search of oracle_compare.py: on the manifests, on
 small generated match pairs, and with a stand-in edge test that makes both
 searches backtrack; then the pants ring renamed by an odd shift, which the
-exhaustive search cannot finish in minutes, and the search report."""
+exhaustive search cannot finish in minutes, and the search report.  The
+edge test `_iso_matches` against the linearised reference edge test of
+oracle_compare.py and against goals built from known self-maps."""
 import hashlib
 import importlib.util
+import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -12,9 +16,19 @@ import pytest
 
 import gm4.assembly as assembly
 from gm4 import Comparison, isomorphic_reduced, load_structure
+from gm4.bundles import (
+    PI1_X,
+    PI1_Y,
+    BoundaryIso,
+    Pi1Element,
+    compose_isos,
+    is_fiber_preserving,
+    iso_inverse,
+    validate_glueing,
+)
 
-from conftest import relabel, swap_chain3, swap_double
-from oracle_compare import reference_isomorphic_reduced
+from conftest import REDUCED_CORPUS, relabel, swap_chain3, swap_double, swap_iso
+from oracle_compare import reference_isomorphic_reduced, reference_iso_matches
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = sorted((ROOT / "manifests").glob("*.gm"))
@@ -128,3 +142,62 @@ class TestSearchReport:
 
     def test_equality_ignores_the_search(self):
         assert Comparison("yes", "w", bijections=3, truncated=True) == Comparison("yes", "w")
+
+
+def test_edge_test_accepts_whatever_the_reference_accepts(monkeypatch):
+    # every edge test that comparing the manifests pairwise and the small
+    # generated match pairs makes
+    pairs = [
+        (load_structure(p1.read_text(encoding="utf-8")), load_structure(p2.read_text(encoding="utf-8")))
+        for p1 in MANIFESTS
+        for p2 in MANIFESTS
+    ]
+    pairs += [(load_structure(it.text1), load_structure(it.text2)) for it in _bench_gen().match_items(1, 1)]
+    calls = []
+    real = assembly._iso_matches
+    monkeypatch.setattr(assembly, "_iso_matches", lambda *args: calls.append(args) or real(*args))
+    for gs1, gs2 in pairs:
+        _outcome(isomorphic_reduced, gs1, gs2)
+    assert len(calls) >= 50
+    missed = [args for args in calls if reference_iso_matches(*args) and not real(*args)]
+    assert missed == []
+
+
+def test_edge_test_finds_a_translation_the_linearisation_misses():
+    base = swap_iso(1)  # M_R -> M_R^-1: x -> x, y -> t, t -> y
+    src, tgt = base.source, base.target
+    goal = BoundaryIso(src, tgt, Pi1Element(-1, 0, 0), Pi1Element(1, -1, -1), Pi1Element(0, 0, -1))
+    assert validate_glueing(base) == validate_glueing(goal) == []
+    assert not any(reference_iso_matches(goal, base, bound) for bound in (0, 2, 4, 6))
+    assert assembly._iso_matches(goal, base, 0)
+    # independently: at bound 0, g_t = (I, u, 1), and some u in a small box
+    # makes g_s = base^-1 o g_t^-1 o goal a fiber-preserving self-map
+    base_inv = iso_inverse(base)
+    for u in itertools.product(range(-3, 4), repeat=2):
+        g_t = BoundaryIso(tgt, tgt, PI1_X, PI1_Y, Pi1Element(u[0], u[1], 1))
+        g_s = compose_isos(base_inv, compose_isos(iso_inverse(g_t), goal))
+        if is_fiber_preserving(g_s):
+            break
+    else:
+        pytest.fail("no translation in the box gives a fiber-preserving g_s")
+    assert validate_glueing(g_s) == validate_glueing(g_t) == []
+    assert compose_isos(g_t, compose_isos(base, g_s)) == goal
+
+
+def test_edge_test_is_complete_within_the_bound():
+    # goals g_t o f o g_s with g_t's fiber part within the bound, and any
+    # translations and source fiber part, always match
+    rnd = random.Random(11)
+    bound, misses_of_reference = 1, 0
+    bases = [e.iso for build in REDUCED_CORPUS.values() for e in build().edges]
+    for f_base in bases * 4:
+        src, tgt = f_base.source, f_base.target
+        a_s, eps_s = rnd.choice(assembly._self_fiber_maps(src.phi, 3))
+        a_t, eps_t = rnd.choice(assembly._self_fiber_maps(tgt.phi, bound))
+        u_s, u_t = ([rnd.randint(-6, 6) for _ in range(2)] for _ in range(2))
+        g_s = assembly._fp_iso(src, src, a_s, Pi1Element(u_s[0], u_s[1], eps_s))
+        g_t = assembly._fp_iso(tgt, tgt, a_t, Pi1Element(u_t[0], u_t[1], eps_t))
+        goal = compose_isos(g_t, compose_isos(f_base, g_s))
+        assert assembly._iso_matches(goal, f_base, bound), (f_base, goal)
+        misses_of_reference += not reference_iso_matches(goal, f_base, bound)
+    assert misses_of_reference  # the goals reach past the reference's enumeration

@@ -1,6 +1,7 @@
 """Code hygiene of src/gm4, read with the standard library's ast: no
 module-level import that nothing uses, no _private function or class
-that nothing references, and every function the bench traces exists."""
+that nothing references, no assert statement, and every function the
+bench traces exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -65,6 +66,17 @@ def test_no_unreferenced_private_definitions():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so a check that guards a result must raise
+    asserts = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_bench_targets_resolve():

@@ -191,6 +191,16 @@ class TestCli:
             assert out == ""
             assert "line 4" in err and "Traceback" not in err
 
+    def test_empty_structure_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "empty.gm"
+        path.write_text("version 1\n")
+        for argv in (["validate", str(path)], ["invariants", str(path)],
+                     ["reduce", str(path)], ["compare", str(path), str(path)]):
+            assert main(argv) == 12
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "structure has no blocks" in err and "Traceback" not in err
+
     def test_reduce_nonorientable_exit_code(self, tmp_path, capsys):
         path = tmp_path / "nonorientable.gm"
         path.write_text(NONORIENTABLE_GM)

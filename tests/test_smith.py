@@ -146,7 +146,7 @@ class TestAgainstSympy:
 class TestGrowth:
     def test_dense_smith_form_stays_out_of_h1(self, monkeypatch):
         """H1 eliminates every pivot sparsely; the dense routine is for the
-        4-column systems of kernel_basis and solve_integer."""
+        small systems of kernel_basis and solve_integer."""
         shapes = []
         inner = smith.snf_with_transforms
 
