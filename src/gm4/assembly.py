@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import smith
-from .gl2z import I2, Mat2, classify
+from .gl2z import I2, Mat2, _ext_gcd, classify
 from .bundles import (
     Block,
     BoundaryIso,
@@ -642,86 +641,76 @@ def reduce_structure(gs: GraphStructure) -> GraphStructure:
 @dataclass(frozen=True)
 class Comparison:
     """Verdict of isomorphic_reduced.  The search fields say how much of the
-    bounded search ran; they take no part in equality."""
+    search ran; they take no part in equality."""
 
     verdict: str  # "yes" | "no" | "inconclusive"
     witness: Optional[str] = None
     separating: Optional[str] = None
-    bijections: int = field(default=0, compare=False)  # complete ones searched
-    conjugator_nodes: int = field(default=0, compare=False)  # conjugators assigned
+    assignments: int = field(default=0, compare=False)  # block assignments tried
     edge_checks: int = field(default=0, compare=False)  # edge glueings tested
-    # some block pair had more conjugators than CONJUGATOR_OPTIONS
-    truncated: bool = field(default=False, compare=False)
 
 
-CONJUGATOR_OPTIONS = 24  # conjugators tried per block pair
-
-
-def _det_pm1_conjugators(pairs, bound: int) -> List[Mat2]:
+def _det_pm1_conjugators(pairs, bound: int) -> Iterator[Mat2]:
     """GL(2,Z) solutions X of X m1 X^-1 = m2 for all pairs, found in the
     intertwiner lattice with bounded coefficients; deterministic order."""
-    out: List[Mat2] = []
     seen = set()
     if all(m1 == m2 for m1, m2 in pairs):
-        out.append(I2)
         seen.add(I2.entries())
+        yield I2
     basis = intertwiner_basis(pairs)
     if not basis:
-        return out
+        return
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
         x = _combo(basis, coeffs)
         if abs(x.det()) == 1 and x.entries() not in seen:
             seen.add(x.entries())
-            out.append(x)
-            if len(out) >= 400:
-                break
-    return out
+            yield x
 
 
-@lru_cache(maxsize=None)
-def _self_fiber_maps(phi: Mat2, bound: int) -> Tuple[Tuple[Mat2, int], ...]:
-    """Fiber parts (A, eps) of fiber-preserving self-isos of M_phi:
-    A phi A^-1 = phi^eps with A in GL(2,Z), A within the coefficient bound."""
-    return tuple(
-        (a, eps) for eps in (1, -1) for a in _det_pm1_conjugators([(phi, phi ** eps)], bound)
-    )
+def _winding_form(iso: BoundaryIso) -> Tuple[int, int, int]:
+    """(lambda_x, lambda_y, gamma) of v = winding o iso, the homomorphism
+    x^a y^b t^k -> lambda_x a + lambda_y b + gamma k of the source group."""
+    return iso.x_img.k, iso.y_img.k, iso.t_img.k
 
 
-def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso, bound: int) -> bool:
+def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso) -> bool:
     """Whether f_goal = g_t o f_base o g_s for fiber-preserving self-isos
-    g_s, g_t of the source and target bundles.
+    g_s, g_t of the source and target bundles, decided in closed form.
 
-    Only the fiber part (A, eps) of g_t is enumerated, within the coefficient
-    bound: g_s = f_base^-1 o g_t^-1 o f_goal is then an automorphism of the
-    source, and it preserves fibers exactly when the windings of g_s(x) and
-    g_s(y) are 0.  Winding is a homomorphism and g_t^-1 is affine in the
-    translation part u of g_t, so those windings are affine in u and one
-    2 x 2 integer system decides u exactly: False means no g_s exists for any
-    g_t whose fiber part is in the bound."""
-    src, tgt = f_base.source, f_base.target
-    if (f_goal.source.phi, f_goal.target.phi) != (src.phi, tgt.phi):
+    A fiber-preserving self-iso g = (A, u, eps) of the source M_phi acts on
+    winding forms by v o g = (lambda A, lambda(u) + eps gamma), and f_goal
+    matches exactly when v_base o g_s = +-v_goal: then g_t = f_goal o g_s^-1
+    o f_base^-1 keeps the winding up to sign, so it keeps the fiber.  lambda
+    is phi-invariant: any vector when phi = I, where GL(2,Z) carries each
+    primitive vector to any other, and otherwise on a line, so +-lambda;
+    lambda(u) runs over c Z for the content c = gcd(lambda).  So the orbit of
+    v is given by c and by gamma mod c up to sign (Hillman, Four-manifolds,
+    geometries and knots, on torus bundle groups).  On a match the witness
+    g_s = (A, u, 1) is built and v_base o g_s = +-v_goal checked by composing."""
+    src = f_base.source
+    if (f_goal.source.phi, f_goal.target.phi) != (src.phi, f_base.target.phi):
         return False
-    f_inv = iso_inverse(f_base)
-    for a, eps in _self_fiber_maps(tgt.phi, bound):
-        a_inv = a.inverse()
-
-        def source_map(u: Tuple[int, int]) -> BoundaryIso:
-            # g_t = (A, u, eps) sends t to (u, eps); g_t^-1 has fiber part A^-1
-            # and sends t to (-A^-1 u, 1) or, when eps = -1, (A^-1 phi u, -1)
-            v = a_inv.apply(u) if eps == 1 else (a_inv @ tgt.phi).apply(u)
-            g_t_inv = _fp_iso(tgt, tgt, a_inv, Pi1Element(-eps * v[0], -eps * v[1], eps))
-            return compose_isos(f_inv, compose_isos(g_t_inv, f_goal))
-
-        # windings of g_s(x), g_s(y) at u = 0, (1, 0) and (0, 1)
-        w0, wx, wy = ((g.x_img.k, g.y_img.k) for g in map(source_map, ((0, 0), (1, 0), (0, 1))))
-        u = smith.solve_integer([[wx[i] - w0[i], wy[i] - w0[i]] for i in range(2)], [-w0[0], -w0[1]])
-        if u is None:
-            continue
-        g_s = source_map((u[0], u[1]))
-        g_t = _fp_iso(tgt, tgt, a, Pi1Element(u[0], u[1], eps))
-        if is_fiber_preserving(g_s) and compose_isos(g_t, compose_isos(f_base, g_s)) == f_goal:
-            return True
-    return False
+    lx, ly, gamma = _winding_form(f_base)
+    gx, gy, goal_gamma = _winding_form(f_goal)
+    c, p, q = _ext_gcd(lx, ly)  # p lx + q ly = c
+    if _ext_gcd(gx, gy)[0] != c:
+        return False
+    for sign in (1, -1):  # v_base o g_s = sign * v_goal
+        steps, rest = divmod(sign * goal_gamma - gamma, c) if c else (0, sign * goal_gamma - gamma)
+        if rest == 0:
+            break
+    else:
+        return False
+    goal = (sign * gx, sign * gy, sign * goal_gamma)
+    if src.phi == I2 and c:  # a T^3 edge: lambda A = the goal's, rows completed
+        _, p2, q2 = _ext_gcd(goal[0], goal[1])
+        a = Mat2(lx // c, ly // c, -q, p).inverse() @ Mat2(goal[0] // c, goal[1] // c, -q2, p2)
+    else:  # the two lambdas lie on one line
+        a = I2 if (lx, ly) == goal[:2] else -I2
+    g_s = _fp_iso(src, src, a, Pi1Element(steps * p, steps * q, 1))
+    if _winding_form(compose_isos(f_base, g_s)) != goal:
+        raise RuntimeError(f"edge witness g_s = {g_s} does not carry the winding form to {goal}")
+    return True
 
 
 def _block_key(block: Block) -> Tuple:
@@ -730,14 +719,11 @@ def _block_key(block: Block) -> Tuple:
     return (s.orientable, s.genus, s.boundary_count, classes)
 
 
-def _depth_first(width: int, options: Callable, accept: Callable) -> Iterator[list]:
-    """Every path x_0 .. x_{width-1} with x_i from options(i, path[:i]) and
-    accept(i, path[:i+1]) true at every i, in lexicographic order of the
-    options: a depth-first search, without recursion, that abandons a prefix
-    as soon as accept fails.  The path yielded is reused; copy it to keep it."""
-    if width == 0:
-        yield []
-        return
+def _first_path(width: int, options: Callable, accept: Callable) -> Optional[list]:
+    """The first path x_0 .. x_{width-1}, in lexicographic order of the
+    options, with x_i from options(i, path[:i]) and accept(i, path[:i+1])
+    true at every i, or None: a depth-first search, without recursion, that
+    abandons a prefix as soon as accept fails."""
     path: list = []
     stack = [iter(options(0, path))]
     while stack:
@@ -752,10 +738,9 @@ def _depth_first(width: int, options: Callable, accept: Callable) -> Iterator[li
                 path.pop()
             continue
         if len(path) == width:
-            yield path
-            path.pop()
-        else:
-            stack.append(iter(options(len(path), path)))
+            return path
+        stack.append(iter(options(len(path), path)))
+    return None
 
 
 def isomorphic_reduced(
@@ -767,21 +752,22 @@ def isomorphic_reduced(
     matching is found: a block bijection matching surface types, monodromy
     representations related by simultaneous GL(2,Z) conjugation, and edge
     glueings corresponding up to composition with fiber-preserving bundle
-    self-maps.  The conjugators and the fiber parts of the target-side
-    self-maps are searched within search_bound; the translation parts and
-    the source-side self-map are then solved for exactly (_iso_matches).
-    Otherwise "inconclusive".  The implemented relation is a documented,
-    possibly coarser proxy for structure-preserving diffeomorphism, so "yes"
-    and "no" are final while "inconclusive" may improve with a larger bound.
+    self-maps.  Only the conjugators are searched, within search_bound;
+    the edge test is exact (_iso_matches).  Otherwise "inconclusive".  The
+    implemented relation is a documented, possibly coarser proxy for
+    structure-preserving diffeomorphism, so "yes" and "no" are final while
+    "inconclusive" may improve with a larger bound.
 
-    The search backtracks twice.  Block bijections are built in the sorted
-    label order of gs1, candidates in that of gs2, and a partial bijection
-    is dropped when a block key, a base surface or the existence of a
-    conjugator fails, or when an edge between assigned blocks maps to ends
-    that gs2 does not glue.  For each complete bijection the conjugators
-    are assigned in the same block order, and each edge is checked as soon
-    as both of its blocks have one.  The witness is the first bijection, in
-    the order of itertools.permutations, with a matching conjugator choice.
+    The conjugators of a block pair form one coset of the centralizer of
+    the block's images, and two of them differ at each boundary by a
+    fiber-preserving self-map, which the edge test absorbs: so one
+    conjugator per pair of representations decides.  Block bijections are
+    built depth first in the sorted label order of gs1, candidates in that
+    of gs2, and a partial bijection is dropped when a block key, a base
+    surface or the existence of a conjugator fails, or when an edge between
+    assigned blocks maps to ends that gs2 does not glue or fails the edge
+    test.  The witness is the first bijection, in the order of
+    itertools.permutations, whose edges all match.
     """
     reports = []
     for gs in (gs1, gs2):
@@ -800,81 +786,63 @@ def isomorphic_reduced(
     blocks1, blocks2 = gs1.block_map(), gs2.block_map()
     keys1 = {lbl: _block_key(b) for lbl, b in gs1.blocks}
     keys2 = {lbl: _block_key(b) for lbl, b in gs2.blocks}
-    edge_index2: Dict[Tuple[End, End], List[Edge]] = {}
+    edge_index2: Dict[Tuple[End, End], List[BoundaryIso]] = {}
     for e in gs2.edges:
-        edge_index2.setdefault((e.end1, e.end2), []).append(e)
+        edge_index2.setdefault((e.end1, e.end2), []).append(e.iso)
     # the edges of gs1 by the depth at which both of their blocks are assigned
     depth = {lbl: i for i, lbl in enumerate(labels1)}
     closing: List[List[Edge]] = [[] for _ in labels1]
     for e in gs1.edges:
         closing[max(depth[e.end1[0]], depth[e.end2[0]])].append(e)
-    counts = {"bijections": 0, "conjugator_nodes": 0, "edge_checks": 0, "truncated": False}
-    options: Dict[Tuple[str, str], List[Mat2]] = {}  # per block pair, computed once
+    counts = {"assignments": 0, "edge_checks": 0}
+    # one conjugator (or None) per pair of block representations
+    conjugators: Dict[Tuple[MonodromyRep, MonodromyRep], Optional[Mat2]] = {}
 
-    def conjugators(lbl1: str, lbl2: str) -> List[Mat2]:
-        if (lbl1, lbl2) not in options:
-            b1, b2 = blocks1[lbl1], blocks2[lbl2]
-            opts = []
-            if b1.rep.surface == b2.rep.surface:
-                opts = _det_pm1_conjugators(list(zip(b1.rep.images, b2.rep.images)), search_bound)
-            counts["truncated"] |= len(opts) > CONJUGATOR_OPTIONS
-            options[(lbl1, lbl2)] = opts[:CONJUGATOR_OPTIONS]
-        return options[(lbl1, lbl2)]
+    def conjugator(lbl1: str, lbl2: str) -> Optional[Mat2]:
+        rep1, rep2 = blocks1[lbl1].rep, blocks2[lbl2].rep  # equal keys: equal surfaces
+        if (rep1, rep2) not in conjugators:
+            pairs = list(zip(rep1.images, rep2.images))
+            conjugators[(rep1, rep2)] = next(iter(_det_pm1_conjugators(pairs, search_bound)), None)
+        return conjugators[(rep1, rep2)]
 
     def image(end: End, mapping: Dict[str, str]) -> End:
         lbl, bd = end
         pos = blocks1[lbl].boundary_labels().index(bd)
         return mapping[lbl], blocks2[mapping[lbl]].boundary_labels()[pos]
 
-    def admissible(i: int, path: List[str]) -> bool:
-        if keys1[labels1[i]] != keys2[path[i]] or not conjugators(labels1[i], path[i]):
-            return False
-        mapping = dict(zip(labels1, path))
-        for e in closing[i]:  # conjugators cannot glue ends that gs2 leaves apart
-            new1, new2 = image(e.end1, mapping), image(e.end2, mapping)
-            if (new1, new2) not in edge_index2 and (new2, new1) not in edge_index2:
-                return False
-        return True
-
-    def map_end(end: End, mapping: Dict[str, str], conj: Dict[str, Mat2]):
-        new_end = image(end, mapping)
+    def transport(end: End, new_end: End) -> Tuple[BoundaryIso, BoundaryIso]:
         m1 = blocks1[end[0]].boundary_monodromy(end[1])
         m2 = blocks2[new_end[0]].boundary_monodromy(new_end[1])
-        c = conj[end[0]]
+        c = conjugator(end[0], new_end[0])
         mu, mu_inv = _transport(m1, c, 1)
         if mu.target.phi != m2:
             raise RuntimeError(f"conjugator {c} does not carry {m1} to {m2}")
-        return new_end, mu, mu_inv
+        return mu, mu_inv
 
-    def edge_matches(e: Edge, mapping: Dict[str, str], conj: Dict[str, Mat2]) -> bool:
+    def edge_matches(e: Edge, mapping: Dict[str, str]) -> bool:
+        new1, new2 = image(e.end1, mapping), image(e.end2, mapping)
+        forward, backward = edge_index2.get((new1, new2), []), edge_index2.get((new2, new1), [])
+        if not forward and not backward:  # conjugators cannot glue ends that gs2 leaves apart
+            return False
         counts["edge_checks"] += 1
-        new_end1, _, mu1_inv = map_end(e.end1, mapping, conj)
-        new_end2, mu2, _ = map_end(e.end2, mapping, conj)
+        mu2, mu1_inv = transport(e.end2, new2)[0], transport(e.end1, new1)[1]
         transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
-        return any(
-            _iso_matches(cand.iso, transported, search_bound)
-            for cand in edge_index2.get((new_end1, new_end2), [])
-        ) or any(
-            _iso_matches(cand.iso, iso_inverse(transported), search_bound)
-            for cand in edge_index2.get((new_end2, new_end1), [])
+        return any(_iso_matches(iso, transported) for iso in forward) or any(
+            _iso_matches(iso, iso_inverse(transported)) for iso in backward
         )
+
+    def admissible(i: int, path: List[str]) -> bool:
+        counts["assignments"] += 1
+        if keys1[labels1[i]] != keys2[path[i]] or conjugator(labels1[i], path[i]) is None:
+            return False
+        mapping = dict(zip(labels1, path))
+        return all(edge_matches(e, mapping) for e in closing[i])
 
     def unassigned(i: int, path: List[str]) -> List[str]:
         return [lbl for lbl in labels2 if lbl not in path]
 
-    for path in _depth_first(len(labels1), unassigned, admissible):
-        counts["bijections"] += 1
-        mapping = dict(zip(labels1, path))
-
-        def consistent(i: int, chosen: List[Mat2]) -> bool:
-            counts["conjugator_nodes"] += 1
-            conj = dict(zip(labels1, chosen))
-            return all(edge_matches(e, mapping, conj) for e in closing[i])
-
-        def choices(i: int, chosen: List[Mat2]) -> List[Mat2]:
-            return options[(labels1[i], mapping[labels1[i]])]
-
-        if next(_depth_first(len(labels1), choices, consistent), None) is not None:
-            desc = ", ".join(f"{a}->{b}" for a, b in sorted(mapping.items()))
-            return Comparison("yes", witness=f"block matching {desc}", **counts)
-    return Comparison("inconclusive", **counts)
+    path = _first_path(len(labels1), unassigned, admissible)
+    if path is None:
+        return Comparison("inconclusive", **counts)
+    desc = ", ".join(f"{a}->{b}" for a, b in sorted(zip(labels1, path)))
+    return Comparison("yes", witness=f"block matching {desc}", **counts)

@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two reduced structures")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--search-bound", type=int, default=4)
+    p.add_argument("--search-bound", type=int, default=4,
+                   help="coefficient bound on the block conjugators searched (default 4)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("matclass", help="SL(2,Z) conjugacy class of a matrix")

@@ -2,8 +2,10 @@
 
 Matrices are lists of rows of Python ints.  ``snf_with_transforms`` is a dense
 gcd-pivot algorithm that keeps both transforms; ``kernel_basis`` uses it on
-its 4-column systems and ``solve_integer`` on the 2 x 2 translation systems
-of the comparison's edge test.
+its 4-column systems and ``solve_integer`` on small linear systems.  The
+comparison's edge test is decided in closed form and no longer calls
+``solve_integer``; it stays for the bounded reference edge test of the test
+suite and because the benchmark's tracer wraps it by name.
 
 ``abelian_invariants`` takes H1 presentations, which grow with the structure
 (416 x 289 for a ring of 64 pants blocks) and are sparse, with mostly unit

@@ -1,5 +1,6 @@
 """Shared corpus builders: hand-checkable graph structures used across the
 test suite and by the acceptance gate."""
+import random
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from gm4 import (
     Pi1Element,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
+    compose_isos,
     structure,
 )
 
@@ -174,6 +176,82 @@ def relabel(gs: GraphStructure, suffix: str = "_r") -> GraphStructure:
         Edge(bd_map[e.end1], bd_map[e.end2], e.iso) for e in gs.edges
     )
     return structure(new_blocks, new_edges)
+
+
+def planar_double(ns) -> GraphStructure:
+    """Reduced: two planar blocks with first images R^n (n in ns) and R^-n,
+    glued boundary by boundary along fiber-trading isomorphisms.  A zero in
+    ns gives both blocks an identity image, glued along a T^3 edge."""
+    a = holed_sphere([upper(n) for n in ns])
+    b = holed_sphere([upper(-n) for n in ns])
+    twists = list(ns) + [-sum(ns)]
+    edges = tuple(
+        Edge(("A", lbl), ("B", lbl), swap_iso(n)) for lbl, n in zip(a.boundary_labels(), twists)
+    )
+    return structure({"A": a, "B": b}, edges)
+
+
+def automorphism_partner(gs: GraphStructure, rnd, reach: int = 12) -> GraphStructure:
+    """Copy of gs re-glued by one block automorphism Z per block, so the
+    blocks stay and each edge f becomes mu_2 f mu_1^-1 for the transports
+    mu = (Z, 1) of its ends.  Z commutes with every image of its block: it
+    is +-R^j with |j| <= reach when the images are powers of R, and a word
+    of up to three such letters R^j, L^j and a flip when they are all I."""
+    from gm4.assembly import _transport
+
+    def automorphism(block: Block) -> Mat2:
+        if any(m != I2 for m in block.rep.images):
+            return rnd.choice((I2, -I2)) @ upper(rnd.randint(-reach, reach))
+        z = rnd.choice((I2, Mat2(1, 0, 0, -1)))
+        for _ in range(3):
+            j = rnd.randint(-reach, reach)
+            z = z @ rnd.choice((upper(j), Mat2(1, 0, j, 1)))
+        return z
+
+    autos = {lbl: automorphism(block) for lbl, block in gs.blocks}
+    for lbl, block in gs.blocks:
+        assert all(autos[lbl] @ m == m @ autos[lbl] for m in block.rep.images)
+    blocks = gs.block_map()
+
+    def transport(end):
+        return _transport(blocks[end[0]].boundary_monodromy(end[1]), autos[end[0]], 1)
+
+    edges = tuple(
+        Edge(e.end1, e.end2, compose_isos(transport(e.end2)[0], compose_isos(e.iso, transport(e.end1)[1])))
+        for e in gs.edges
+    )
+    return structure(blocks, edges)
+
+
+def rename_blocks(gs: GraphStructure, names) -> GraphStructure:
+    """Copy of gs with block labels renamed by the dict names."""
+    edges = tuple(
+        Edge((names[e.end1[0]], e.end1[1]), (names[e.end2[0]], e.end2[1]), e.iso) for e in gs.edges
+    )
+    return structure({names[lbl]: block for lbl, block in gs.blocks}, edges)
+
+
+def t3_partners(count: int = 15):
+    """(name, structure, partner) over T3_CORPUS: count automorphism
+    partners of each, every other one renamed so that gs2's sorted block
+    order is reversed."""
+    out = []
+    for name, build in T3_CORPUS.items():
+        gs = build()
+        rnd = random.Random(name)
+        for k in range(count):
+            partner = automorphism_partner(gs, rnd)
+            if k % 2:
+                partner = rename_blocks(partner, {"A": "Q1", "B": "Q0"})
+            out.append((f"{name}/{k}", gs, partner))
+    return out
+
+
+# reduced structures with a T^3 edge (an identity edge monodromy)
+T3_CORPUS = {
+    f"planar_double_{'_'.join(map(str, ns))}": (lambda ns=ns: planar_double(ns))
+    for ns in [(0, n) for n in (1, 2, 3, -1, -4)] + [(0, 0), (0, 1, 2), (1, 0, 3), (0, 0, 2), (0, 0, 0)]
+}
 
 
 REDUCED_CORPUS = {

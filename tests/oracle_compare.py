@@ -1,4 +1,4 @@
-"""Reference block matching and edge test for the test suite.
+"""Reference block matching and edge tests for the test suite.
 
 `reference_isomorphic_reduced` is the exhaustive search that
 `isomorphic_reduced` ran before it backtracked.
@@ -7,16 +7,18 @@ Every label permutation in `itertools.permutations` order, filtered by
 block key, surface and the existence of conjugators; for each survivor the
 full product of up to 24 conjugators per block, and only then the edges.
 It shares the invariant separation, the conjugator enumeration and the
-per-edge test with the library, so it checks the search order and the
-pruning, not the arithmetic.  It looks the enumeration and the edge test up
-on `gm4.assembly` at each call, so a test that replaces them there replaces
-them for both searches.  It is exponential: use it on structures of at most
-four blocks.
+per-edge test with the library, so it checks the search order, the
+pruning and the choice of one conjugator per block pair, not the
+arithmetic.  It looks the enumeration and the edge test up on
+`gm4.assembly` at each call, so a test that replaces them there replaces
+them for both searches.  It is exponential: use it on structures of at
+most four blocks.
 
-`reference_iso_matches` is the edge test `_iso_matches` ran before it read
-the source self-map off the target one: both self-maps enumerated within
-the bound, and the translation parts found by linearising at u = 0.  Its
-True answers are sound, so the library must answer True wherever it does.
+`reference_iso_matches` is the bounded edge test the library ran before its
+edge test was decided in closed form: the fiber parts of both self-maps
+enumerated within the bound (`self_fiber_maps`), and the translation parts
+found by linearising at u = 0.  Its True answers are sound, so the library
+must answer True wherever it does.
 """
 import itertools
 
@@ -26,11 +28,20 @@ from gm4.assembly import (
     NotReducedError,
     _block_key,
     _fp_iso,
-    _self_fiber_maps,
     _transport,
     invariant_report,
 )
 from gm4.bundles import Pi1Element, compose_isos, iso_inverse
+
+CONJUGATOR_OPTIONS = 24  # conjugators tried per block pair
+
+
+def self_fiber_maps(phi, bound):
+    """Fiber parts (A, eps) of fiber-preserving self-isos of M_phi:
+    A phi A^-1 = phi^eps with A in GL(2,Z), A within the coefficient bound."""
+    return tuple(
+        (a, eps) for eps in (1, -1) for a in assembly._det_pm1_conjugators([(phi, phi ** eps)], bound)
+    )
 
 
 def reference_iso_matches(f_goal, f_base, bound):
@@ -56,8 +67,8 @@ def reference_iso_matches(f_goal, f_base, bound):
         return vec
 
     units = ((1, 0), (0, 1))
-    for a_s, eps_s in _self_fiber_maps(src.phi, bound):
-        for a_t, eps_t in _self_fiber_maps(tgt.phi, bound):
+    for a_s, eps_s in self_fiber_maps(src.phi, bound):
+        for a_t, eps_t in self_fiber_maps(tgt.phi, bound):
             base = composite(a_s, eps_s, (0, 0), a_t, eps_t, (0, 0))
             if [base[i] for i in (2, 5, 8)] != [goal[i] for i in (2, 5, 8)]:
                 continue
@@ -113,11 +124,13 @@ def reference_isomorphic_reduced(gs1, gs2, search_bound=4):
             if b1.rep.surface != b2.rep.surface:
                 feasible = False
                 break
-            opts = assembly._det_pm1_conjugators(list(zip(b1.rep.images, b2.rep.images)), search_bound)
+            pairs = list(zip(b1.rep.images, b2.rep.images))
+            found = assembly._det_pm1_conjugators(pairs, search_bound)
+            opts = list(itertools.islice(found, CONJUGATOR_OPTIONS))
             if not opts:
                 feasible = False
                 break
-            conj_options[lbl] = opts[:24]
+            conj_options[lbl] = opts
         if not feasible:
             continue
 
@@ -133,21 +146,28 @@ def reference_isomorphic_reduced(gs1, gs2, search_bound=4):
             assert mu.target.phi == m2
             return (mapping[lbl], new_bd), mu, mu_inv
 
+        def edge_matches(e, conj):
+            new_end1, _, mu1_inv = map_end(e.end1, conj)
+            new_end2, mu2, _ = map_end(e.end2, conj)
+            transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
+            return any(
+                assembly._iso_matches(cand.iso, transported)
+                for cand in edge_index2.get((new_end1, new_end2), [])
+            ) or any(
+                assembly._iso_matches(cand.iso, iso_inverse(transported))
+                for cand in edge_index2.get((new_end2, new_end1), [])
+            )
+
+        # an edge's answer depends on the conjugators of its two blocks only
+        answers = {}
         for combo in itertools.product(*(conj_options[lbl] for lbl in labels1)):
             conj = dict(zip(labels1, combo))
             ok = True
-            for e in gs1.edges:
-                new_end1, _, mu1_inv = map_end(e.end1, conj)
-                new_end2, mu2, _ = map_end(e.end2, conj)
-                transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
-                matched = any(
-                    assembly._iso_matches(cand.iso, transported, search_bound)
-                    for cand in edge_index2.get((new_end1, new_end2), [])
-                ) or any(
-                    assembly._iso_matches(cand.iso, iso_inverse(transported), search_bound)
-                    for cand in edge_index2.get((new_end2, new_end1), [])
-                )
-                if not matched:
+            for i, e in enumerate(gs1.edges):
+                key = (i, conj[e.end1[0]], conj[e.end2[0]])
+                if key not in answers:
+                    answers[key] = edge_matches(e, conj)
+                if not answers[key]:
                     ok = False
                     break
             if ok:

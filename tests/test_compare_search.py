@@ -1,21 +1,25 @@
 """The backtracking block matching of `isomorphic_reduced` against the
 exhaustive reference search of oracle_compare.py: on the manifests, on
-small generated match pairs, and with a stand-in edge test that makes both
-searches backtrack; then the pants ring renamed by an odd shift, which the
-exhaustive search cannot finish in minutes, and the search report.  The
-edge test `_iso_matches` against the linearised reference edge test of
-oracle_compare.py and against goals built from known self-maps."""
+small generated match pairs, on structures with a T^3 edge, and with a
+stand-in edge test that makes both searches backtrack; then the pants ring
+renamed by an odd shift, which the exhaustive search cannot finish in
+minutes, and the search report.  The closed-form edge test `_iso_matches`
+against the bounded reference edge test of oracle_compare.py, against goals
+built from known self-maps and against a brute-force box search."""
 import hashlib
 import importlib.util
 import itertools
+import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import gm4.assembly as assembly
-from gm4 import Comparison, isomorphic_reduced, load_structure
+from gm4 import I2, Comparison, Mat2, TorusBundleOverCircle, isomorphic_reduced, load_structure
 from gm4.bundles import (
     PI1_X,
     PI1_Y,
@@ -27,8 +31,16 @@ from gm4.bundles import (
     validate_glueing,
 )
 
-from conftest import REDUCED_CORPUS, relabel, swap_chain3, swap_double, swap_iso
-from oracle_compare import reference_isomorphic_reduced, reference_iso_matches
+from conftest import (
+    REDUCED_CORPUS,
+    T3_CORPUS,
+    relabel,
+    swap_chain3,
+    swap_double,
+    swap_iso,
+    t3_partners,
+)
+from oracle_compare import reference_isomorphic_reduced, reference_iso_matches, self_fiber_maps
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = sorted((ROOT / "manifests").glob("*.gm"))
@@ -71,11 +83,28 @@ def test_generated_pairs_match_reference():
         assert got.verdict in (it.expect, "inconclusive"), it.id
 
 
+def _orbit(iso):
+    """What the edge test compares: the bundles, the content c of the
+    winding form and its gamma mod c up to sign.  Fiber-preserving self-maps
+    on either side leave it alone."""
+    lx, ly, gamma = assembly._winding_form(iso)
+    c = math.gcd(lx, ly)
+    return iso.source.phi, iso.target.phi, c, min(gamma % c, -gamma % c) if c else abs(gamma)
+
+
 def _coin(p):
     """A deterministic stand-in for the edge test that accepts a fraction p
-    of the (goal, candidate) pairs: it makes both searches backtrack."""
-    def edge_test(f_goal, f_base, bound):
-        return hashlib.sha256(repr((f_goal, f_base)).encode()).digest()[0] < 256 * p
+    of the pairs (goal, orbit of the candidate): it makes both searches
+    backtrack, and like the edge test it cannot tell two conjugators of one
+    block pair apart, since they move the candidate within its orbit while
+    the goal is a fixed glueing of gs2."""
+    answers = {}
+
+    def edge_test(f_goal, f_base):
+        if (f_goal, f_base) not in answers:
+            key = repr((f_goal, _orbit(f_base))).encode()
+            answers[(f_goal, f_base)] = hashlib.sha256(key).digest()[0] < 256 * p
+        return answers[(f_goal, f_base)]
 
     return edge_test
 
@@ -97,7 +126,7 @@ def test_backtracking_matches_reference_under_any_edge_test(monkeypatch, p):
         for bound in (1, 2):
             got = isomorphic_reduced(gs1, gs2, bound)
             assert got == reference_isomorphic_reduced(gs1, gs2, bound)
-            backtracked += got.conjugator_nodes > len(gs1.blocks)
+            backtracked += got.assignments > len(gs1.blocks)
     assert backtracked
 
 
@@ -120,28 +149,35 @@ def test_odd_shift_rename_of_a_pants_ring(monkeypatch):
     assert len(calls) <= 9 + 6
 
 
+def test_conjugators_are_computed_once_per_pair_of_representations(monkeypatch):
+    gen = _bench_gen()
+    ring = gen.pants_ring(2, [-3] * 3, [False] * 3)
+    renamed = gen.rename(ring, {f"P{i:02d}": f"Q{(i + 1) % 6:02d}" for i in range(6)})
+    gs1, gs2 = load_structure(ring.text()), load_structure(renamed.text())
+    runs = []
+    real = assembly._det_pm1_conjugators
+    monkeypatch.setattr(
+        assembly, "_det_pm1_conjugators", lambda pairs, bound: runs.append(pairs) or real(pairs, bound)
+    )
+    assert isomorphic_reduced(gs1, gs2).verdict == "yes"
+    reps = {(b1.rep, b2.rep) for _, b1 in gs1.blocks for _, b2 in gs2.blocks}
+    assert len(reps) == 4  # even and odd blocks, on either side
+    assert len(runs) == len({tuple(pairs) for pairs in runs}) <= len(reps)
+
+
 class TestSearchReport:
     def test_counters(self):
         gs = swap_double(1, 2)
         result = isomorphic_reduced(gs, relabel(gs))
-        assert (result.bijections, result.conjugator_nodes, result.edge_checks) == (1, 2, 3)
-        assert not result.truncated
+        assert (result.assignments, result.edge_checks) == (2, 3)
 
     def test_separated_pair_searches_nothing(self):
         result = isomorphic_reduced(swap_double(1, 2), swap_double(2, 3))
         assert result.verdict == "no"
-        assert (result.bijections, result.conjugator_nodes, result.edge_checks) == (0, 0, 0)
-
-    def test_truncated_conjugator_list(self):
-        # the blocks' images commute, so their conjugators are +-[[1,k],[0,1]]:
-        # 2 * (2 * bound + 1) of them, more than 24 from bound 6 on
-        gs = swap_double(1, 2)
-        assert not isomorphic_reduced(gs, gs, search_bound=5).truncated
-        result = isomorphic_reduced(gs, gs, search_bound=6)
-        assert result.truncated and result.verdict == "yes"
+        assert (result.assignments, result.edge_checks) == (0, 0)
 
     def test_equality_ignores_the_search(self):
-        assert Comparison("yes", "w", bijections=3, truncated=True) == Comparison("yes", "w")
+        assert Comparison("yes", "w", assignments=3, edge_checks=2) == Comparison("yes", "w")
 
 
 def test_edge_test_accepts_whatever_the_reference_accepts(monkeypatch):
@@ -159,7 +195,7 @@ def test_edge_test_accepts_whatever_the_reference_accepts(monkeypatch):
     for gs1, gs2 in pairs:
         _outcome(isomorphic_reduced, gs1, gs2)
     assert len(calls) >= 50
-    missed = [args for args in calls if reference_iso_matches(*args) and not real(*args)]
+    missed = [args for args in calls if reference_iso_matches(args[0], args[1], 4) and not real(*args)]
     assert missed == []
 
 
@@ -169,8 +205,8 @@ def test_edge_test_finds_a_translation_the_linearisation_misses():
     goal = BoundaryIso(src, tgt, Pi1Element(-1, 0, 0), Pi1Element(1, -1, -1), Pi1Element(0, 0, -1))
     assert validate_glueing(base) == validate_glueing(goal) == []
     assert not any(reference_iso_matches(goal, base, bound) for bound in (0, 2, 4, 6))
-    assert assembly._iso_matches(goal, base, 0)
-    # independently: at bound 0, g_t = (I, u, 1), and some u in a small box
+    assert assembly._iso_matches(goal, base)
+    # independently: with g_t = (I, u, 1), some u in a small box
     # makes g_s = base^-1 o g_t^-1 o goal a fiber-preserving self-map
     base_inv = iso_inverse(base)
     for u in itertools.product(range(-3, 4), repeat=2):
@@ -185,19 +221,152 @@ def test_edge_test_finds_a_translation_the_linearisation_misses():
 
 
 def test_edge_test_is_complete_within_the_bound():
-    # goals g_t o f o g_s with g_t's fiber part within the bound, and any
-    # translations and source fiber part, always match
+    # goals g_t o f o g_s with fiber parts within a bound, and any
+    # translations, always match
     rnd = random.Random(11)
     bound, misses_of_reference = 1, 0
     bases = [e.iso for build in REDUCED_CORPUS.values() for e in build().edges]
     for f_base in bases * 4:
         src, tgt = f_base.source, f_base.target
-        a_s, eps_s = rnd.choice(assembly._self_fiber_maps(src.phi, 3))
-        a_t, eps_t = rnd.choice(assembly._self_fiber_maps(tgt.phi, bound))
+        a_s, eps_s = rnd.choice(self_fiber_maps(src.phi, 3))
+        a_t, eps_t = rnd.choice(self_fiber_maps(tgt.phi, bound))
         u_s, u_t = ([rnd.randint(-6, 6) for _ in range(2)] for _ in range(2))
         g_s = assembly._fp_iso(src, src, a_s, Pi1Element(u_s[0], u_s[1], eps_s))
         g_t = assembly._fp_iso(tgt, tgt, a_t, Pi1Element(u_t[0], u_t[1], eps_t))
         goal = compose_isos(g_t, compose_isos(f_base, g_s))
-        assert assembly._iso_matches(goal, f_base, bound), (f_base, goal)
+        assert assembly._iso_matches(goal, f_base), (f_base, goal)
         misses_of_reference += not reference_iso_matches(goal, f_base, bound)
     assert misses_of_reference  # the goals reach past the reference's enumeration
+
+
+def test_t3_partners_answer_yes_at_every_bound():
+    # the block automorphisms reach past every conjugator and self-map box;
+    # the reference tries 24 conjugators per block pair where the library
+    # takes the first
+    partners = t3_partners()
+    assert len(partners) == 15 * len(T3_CORPUS)
+    for name, gs1, gs2 in partners:
+        for bound in (1, 2, 4):
+            got = isomorphic_reduced(gs1, gs2, bound)
+            assert got.verdict == "yes", (name, bound)
+            assert got == reference_isomorphic_reduced(gs1, gs2, bound), (name, bound)
+
+
+def _far_self_map(bundle, rnd):
+    """A fiber-preserving self-iso (A, u, eps) of M_phi, phi a power of R,
+    with A past any coefficient box: +-[[1, j], [0, eps]] with |j| <= 50,
+    or any word of four such letters R^j, L^j when phi = I; |u| <= 50."""
+    phi, eps = bundle.phi, rnd.choice((1, -1))
+    if phi == I2:
+        a = rnd.choice((I2, Mat2(1, 0, 0, -1)))
+        for _ in range(4):
+            j = rnd.randint(-50, 50)
+            a = a @ rnd.choice((Mat2(1, j, 0, 1), Mat2(1, 0, j, 1)))
+    else:
+        a = rnd.choice((I2, -I2)) @ Mat2(1, rnd.randint(-50, 50), 0, eps)
+    assert a @ phi @ a.inverse() == phi ** eps
+    u = [rnd.randint(-50, 50) for _ in range(2)]
+    return assembly._fp_iso(bundle, bundle, a, Pi1Element(u[0], u[1], eps))
+
+
+def _corpus_glueings():
+    builds = [*REDUCED_CORPUS.values(), *T3_CORPUS.values()]
+    return [e.iso for build in builds for e in build().edges]
+
+
+def test_edge_test_accepts_self_maps_past_any_box():
+    rnd = random.Random(12)
+    t3_goals = 0
+    for f_base in _corpus_glueings() * 3:
+        g_s, g_t = _far_self_map(f_base.source, rnd), _far_self_map(f_base.target, rnd)
+        assert validate_glueing(g_s) == validate_glueing(g_t) == []
+        goal = compose_isos(g_t, compose_isos(f_base, g_s))
+        assert assembly._iso_matches(goal, f_base), (f_base, goal)
+        t3_goals += f_base.target.phi == I2
+    assert t3_goals >= 30
+
+
+def _random_automorphism(bundle, rnd):
+    """A product of four small self-isos of M_phi, phi = R^n: each either
+    preserves the fiber or is one conjugated by the fiber-trading swap
+    M_R^n -> M_R^-n, which in general does not."""
+    n = bundle.phi.b
+    out = BoundaryIso.identity(bundle)
+    for _ in range(4):
+        swap = rnd.random() < 0.8
+        inner = TorusBundleOverCircle(Mat2(1, -n, 0, 1)) if swap else bundle
+        a, eps = rnd.choice(self_fiber_maps(inner.phi, 1))
+        u = [rnd.randint(-3, 3) for _ in range(2)]
+        g = assembly._fp_iso(inner, inner, a, Pi1Element(u[0], u[1], eps))
+        if swap:
+            g = compose_isos(swap_iso(-n), compose_isos(g, swap_iso(n)))
+        out = compose_isos(g, out)
+    return out
+
+
+def _box_search(f_goal, f_base, bound=1, reach=2):
+    """Brute force: a self-iso h = (A, u, eps) of the target, with A from
+    the bounded enumeration and u in a box, such that f_base^-1 o h o f_goal
+    preserves the fiber; then f_goal = h^-1 o f_base o g_s."""
+    tgt = f_base.target
+    base_inv = iso_inverse(f_base)
+    for a, eps in self_fiber_maps(tgt.phi, bound):
+        for u in itertools.product(range(-reach, reach + 1), repeat=2):
+            h = assembly._fp_iso(tgt, tgt, a, Pi1Element(u[0], u[1], eps))
+            if is_fiber_preserving(compose_isos(base_inv, compose_isos(h, f_goal))):
+                return True
+    return False
+
+
+def test_edge_test_false_answers_agree_with_a_box_search():
+    rnd = random.Random(13)
+    glueings = _corpus_glueings()
+    answers = []
+    for _ in range(100):
+        f_base = rnd.choice(glueings)
+        goal = compose_isos(f_base, _random_automorphism(f_base.source, rnd))
+        assert validate_glueing(goal) == []
+        answers.append(assembly._iso_matches(goal, f_base))
+        if not answers[-1]:
+            assert not _box_search(goal, f_base), (f_base, goal)
+    assert 20 <= answers.count(False) <= 80
+
+
+# every witness g_s gets its translation moved by (0, 1); the winding form
+# of the fiber-trading swap M_R -> M_R^-1 is (0, 1, 0), so the move changes
+# the form that g_s carries it to
+_BAD_WITNESS = """
+import gm4.assembly as assembly
+from gm4 import BoundaryIso, Mat2, Pi1Element, TorusBundleOverCircle
+
+real = assembly._fp_iso
+assembly._fp_iso = lambda src, dst, u, t: real(src, dst, u, Pi1Element(t.a, t.b + 1, t.k))
+swap = BoundaryIso(
+    TorusBundleOverCircle(Mat2(1, 1, 0, 1)),
+    TorusBundleOverCircle(Mat2(1, -1, 0, 1)),
+    Pi1Element(1, 0, 0),
+    Pi1Element(0, 0, 1),
+    Pi1Element(0, 1, 0),
+)
+try:
+    assembly._iso_matches(swap, swap)
+except RuntimeError as exc:
+    print("raised:", exc, "debug:", __debug__)
+else:
+    print("accepted")
+"""
+
+
+def test_bad_witness_raises(monkeypatch):
+    # a result check, not an assert: it must also raise under python -O
+    real = assembly._fp_iso
+    monkeypatch.setattr(
+        assembly, "_fp_iso", lambda src, dst, u, t: real(src, dst, u, Pi1Element(t.a, t.b + 1, t.k))
+    )
+    with pytest.raises(RuntimeError, match="does not carry the winding form"):
+        assembly._iso_matches(swap_iso(1), swap_iso(1))
+    monkeypatch.undo()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-O", "-c", _BAD_WITNESS], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised:") and run.stdout.rstrip().endswith("debug: False")
