@@ -10,13 +10,12 @@ blocks land back in that convention.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import smith
-from .gl2z import I2, Mat2, _ext_gcd, classify
+from .gl2z import GL2Z, I2, Mat2, _ext_gcd, classify, conjugate_in
 from .bundles import (
     Block,
     BoundaryIso,
@@ -26,7 +25,6 @@ from .bundles import (
     TorusBundleOverCircle,
     UnsupportedOperationError,
     Word,
-    _combo,
     compose_isos,
     fiber_matrix,
     intertwiner_basis,
@@ -310,11 +308,7 @@ class InvariantReport:
 def invariant_report(gs: GraphStructure) -> InvariantReport:
     rank, torsion = first_homology(gs)  # first: it validates gs
     blocks = gs.block_map()
-    summary = []
-    for lbl, block in gs.blocks:
-        classes = tuple(sorted(str(classify(m)) for _, m in block.boundary_monodromies()))
-        summary.append((block.rep.surface.describe(), classes))
-    summary.sort()
+    summary = sorted((block.rep.surface.describe(), block.boundary_classes) for _, block in gs.blocks)
     decomposing = []
     findings = []
     reduced, _ = is_reduced(gs)
@@ -640,8 +634,9 @@ def reduce_structure(gs: GraphStructure) -> GraphStructure:
 
 @dataclass(frozen=True)
 class Comparison:
-    """Verdict of isomorphic_reduced.  The search fields say how much of the
-    search ran; they take no part in equality."""
+    """Verdict of isomorphic_reduced; "inconclusive" means that no block
+    bijection matched with boundaries matched by position.  The search
+    fields say how much of the search ran; they take no part in equality."""
 
     verdict: str  # "yes" | "no" | "inconclusive"
     witness: Optional[str] = None
@@ -650,21 +645,27 @@ class Comparison:
     edge_checks: int = field(default=0, compare=False)  # edge glueings tested
 
 
-def _det_pm1_conjugators(pairs, bound: int) -> Iterator[Mat2]:
-    """GL(2,Z) solutions X of X m1 X^-1 = m2 for all pairs, found in the
-    intertwiner lattice with bounded coefficients; deterministic order."""
-    seen = set()
+def _conjugator(pairs) -> Optional[Mat2]:
+    """A GL(2,Z) solution X of X m1 X^-1 = m2 for all pairs, or None: exact.
+
+    Pivot on the first non-scalar m1 = m.  When every m1 commutes with m,
+    each is a rational polynomial a I + b m, so any X carrying m to its m2
+    carries them all alike: one conjugacy test decides.  Otherwise the m1
+    generate an algebra whose commutant is the scalars, so the rational
+    intertwiners form at most a line: a conjugator is +-its generator."""
     if all(m1 == m2 for m1, m2 in pairs):
-        seen.add(I2.entries())
-        yield I2
-    basis = intertwiner_basis(pairs)
-    if not basis:
-        return
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
-        x = _combo(basis, coeffs)
-        if abs(x.det()) == 1 and x.entries() not in seen:
-            seen.add(x.entries())
-            yield x
+        return I2
+    pivot = next(((m1, m2) for m1, m2 in pairs if m1.b or m1.c or m1.a != m1.d), None)
+    if pivot is None:  # scalar images are fixed by every conjugation
+        return None
+    if all(m1 @ pivot[0] == pivot[0] @ m1 for m1, _ in pairs):
+        x = conjugate_in(*pivot, GL2Z)[1]
+    else:
+        basis = intertwiner_basis(pairs)
+        x = basis[0] if len(basis) == 1 and abs(basis[0].det()) == 1 else None
+    if x is None or any(x @ m1 != m2 @ x for m1, m2 in pairs):
+        return None
+    return x
 
 
 def _winding_form(iso: BoundaryIso) -> Tuple[int, int, int]:
@@ -714,9 +715,8 @@ def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso) -> bool:
 
 
 def _block_key(block: Block) -> Tuple:
-    classes = tuple(sorted(str(classify(m)) for _, m in block.boundary_monodromies()))
     s = block.rep.surface
-    return (s.orientable, s.genus, s.boundary_count, classes)
+    return (s.orientable, s.genus, s.boundary_count, block.boundary_classes)
 
 
 def _first_path(width: int, options: Callable, accept: Callable) -> Optional[list]:
@@ -743,20 +743,17 @@ def _first_path(width: int, options: Callable, accept: Callable) -> Optional[lis
     return None
 
 
-def isomorphic_reduced(
-    gs1: GraphStructure, gs2: GraphStructure, search_bound: int = 4
-) -> Comparison:
+def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     """Three-valued comparison of reduced structures.
 
     "no" when the invariant reports differ; "yes" when a structure-preserving
     matching is found: a block bijection matching surface types, monodromy
     representations related by simultaneous GL(2,Z) conjugation, and edge
     glueings corresponding up to composition with fiber-preserving bundle
-    self-maps.  Only the conjugators are searched, within search_bound;
-    the edge test is exact (_iso_matches).  Otherwise "inconclusive".  The
-    implemented relation is a documented, possibly coarser proxy for
-    structure-preserving diffeomorphism, so "yes" and "no" are final while
-    "inconclusive" may improve with a larger bound.
+    self-maps.  The conjugators (_conjugator) and the edge test
+    (_iso_matches) are exact, and "yes" and "no" are final.  Boundaries are
+    matched by position, so "inconclusive" means only that no bijection
+    matched with that boundary correspondence.
 
     The conjugators of a block pair form one coset of the centralizer of
     the block's images, and two of them differ at each boundary by a
@@ -801,8 +798,7 @@ def isomorphic_reduced(
     def conjugator(lbl1: str, lbl2: str) -> Optional[Mat2]:
         rep1, rep2 = blocks1[lbl1].rep, blocks2[lbl2].rep  # equal keys: equal surfaces
         if (rep1, rep2) not in conjugators:
-            pairs = list(zip(rep1.images, rep2.images))
-            conjugators[(rep1, rep2)] = next(iter(_det_pm1_conjugators(pairs, search_bound)), None)
+            conjugators[(rep1, rep2)] = _conjugator(list(zip(rep1.images, rep2.images)))
         return conjugators[(rep1, rep2)]
 
     def image(end: End, mapping: Dict[str, str]) -> End:

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gl2z import I2, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd
+from .gl2z import I2, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify
 from . import smith
 
 Word = Tuple[Tuple[str, int], ...]
@@ -171,6 +171,11 @@ class Block:
         boundary word is evaluated once per (immutable) block."""
         words = self.rep.surface.boundary_words()
         return {lbl: self.rep.evaluate(w) for lbl, w in zip(self.boundary_labels(), words)}
+
+    @cached_property
+    def boundary_classes(self) -> Tuple[str, ...]:
+        """The sorted SL(2,Z) classes of the boundary monodromies."""
+        return tuple(sorted(str(classify(m)) for m in self.monodromies.values()))
 
     def boundary_monodromies(self) -> Tuple[Tuple[str, Mat2], ...]:
         return tuple(self.monodromies.items())

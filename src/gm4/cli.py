@@ -75,7 +75,7 @@ def cmd_reduce(args) -> int:
 def cmd_compare(args) -> int:
     try:
         gs1, gs2 = _load(args.file1), _load(args.file2)
-        result = assembly.isomorphic_reduced(gs1, gs2, search_bound=args.search_bound)
+        result = assembly.isomorphic_reduced(gs1, gs2)
     except (
         manifest.ManifestError,
         assembly.StructureError,
@@ -139,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two reduced structures")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--search-bound", type=int, default=4,
-                   help="coefficient bound on the block conjugators searched (default 4)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("matclass", help="SL(2,Z) conjugacy class of a matrix")

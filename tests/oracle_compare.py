@@ -6,13 +6,15 @@
 Every label permutation in `itertools.permutations` order, filtered by
 block key, surface and the existence of conjugators; for each survivor the
 full product of up to 24 conjugators per block, and only then the edges.
-It shares the invariant separation, the conjugator enumeration and the
-per-edge test with the library, so it checks the search order, the
-pruning and the choice of one conjugator per block pair, not the
-arithmetic.  It looks the enumeration and the edge test up on
-`gm4.assembly` at each call, so a test that replaces them there replaces
-them for both searches.  It is exponential: use it on structures of at
-most four blocks.
+Its conjugators come from `bounded_conjugators`, the coefficient-box
+enumeration that the library ran before its conjugators were decided
+exactly: a pair whose conjugators all lie outside the box leaves the
+reference `inconclusive` where the library may answer "yes".  It shares
+the invariant separation and the per-edge test with the library, so it
+checks the search order, the pruning and the choice of one conjugator per
+block pair.  It looks the edge test up on `gm4.assembly` at each call, so
+a test that replaces it there replaces it for both searches.  It is
+exponential: use it on structures of at most four blocks.
 
 `reference_iso_matches` is the bounded edge test the library ran before its
 edge test was decided in closed form: the fiber parts of both self-maps
@@ -31,17 +33,34 @@ from gm4.assembly import (
     _transport,
     invariant_report,
 )
-from gm4.bundles import Pi1Element, compose_isos, iso_inverse
+from gm4.bundles import Pi1Element, _combo, compose_isos, intertwiner_basis, iso_inverse
+from gm4.gl2z import I2
 
 CONJUGATOR_OPTIONS = 24  # conjugators tried per block pair
+
+
+def bounded_conjugators(pairs, bound):
+    """GL(2,Z) solutions X of X m1 X^-1 = m2 for all pairs, found in the
+    intertwiner lattice with coefficients in [-bound, bound]; I first when
+    the pairs are equal, then in the order of itertools.product."""
+    seen = set()
+    if all(m1 == m2 for m1, m2 in pairs):
+        seen.add(I2.entries())
+        yield I2
+    basis = intertwiner_basis(pairs)
+    if not basis:
+        return
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        x = _combo(basis, coeffs)
+        if abs(x.det()) == 1 and x.entries() not in seen:
+            seen.add(x.entries())
+            yield x
 
 
 def self_fiber_maps(phi, bound):
     """Fiber parts (A, eps) of fiber-preserving self-isos of M_phi:
     A phi A^-1 = phi^eps with A in GL(2,Z), A within the coefficient bound."""
-    return tuple(
-        (a, eps) for eps in (1, -1) for a in assembly._det_pm1_conjugators([(phi, phi ** eps)], bound)
-    )
+    return tuple((a, eps) for eps in (1, -1) for a in bounded_conjugators([(phi, phi ** eps)], bound))
 
 
 def reference_iso_matches(f_goal, f_base, bound):
@@ -90,7 +109,7 @@ def reference_iso_matches(f_goal, f_base, bound):
     return False
 
 
-def reference_isomorphic_reduced(gs1, gs2, search_bound=4):
+def reference_isomorphic_reduced(gs1, gs2, bound=4):
     reports = []
     for gs in (gs1, gs2):
         report = invariant_report(gs)
@@ -125,7 +144,7 @@ def reference_isomorphic_reduced(gs1, gs2, search_bound=4):
                 feasible = False
                 break
             pairs = list(zip(b1.rep.images, b2.rep.images))
-            found = assembly._det_pm1_conjugators(pairs, search_bound)
+            found = bounded_conjugators(pairs, bound)
             opts = list(itertools.islice(found, CONJUGATOR_OPTIONS))
             if not opts:
                 feasible = False

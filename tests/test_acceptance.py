@@ -30,6 +30,7 @@ from gm4 import (
 )
 
 from conftest import NONREDUCED_CORPUS, REDUCED_CORPUS, partial_reducible, relabel
+from oracle_compare import reference_isomorphic_reduced
 from oracle_sl2z import conjugacy_orbit, sl2z_entries_up_to
 
 
@@ -206,15 +207,16 @@ def test_criterion_10_comparison_soundness():
         result = isomorphic_reduced(gs1, gs2)
         assert result.verdict == "no", (n1, n2, result)
         no += 1
-    # Yes/No verdicts stable under increasing search bound
+    # "yes" wherever the coefficient-box reference says so, at any bound,
+    # and no decided reference answer contradicted
     stable = 0
     for gs1, gs2 in [
         (REDUCED_CORPUS["swap_double_1_2"](), relabel(REDUCED_CORPUS["swap_double_1_2"]())),
         (REDUCED_CORPUS["swap_double_1_2"](), REDUCED_CORPUS["swap_double_2_3"]()),
     ]:
-        verdicts = [isomorphic_reduced(gs1, gs2, search_bound=b).verdict for b in (2, 4, 6)]
-        definite = {v for v in verdicts if v != "inconclusive"}
-        assert len(definite) == 1
+        got = isomorphic_reduced(gs1, gs2).verdict
+        for bound in (2, 4, 6):
+            assert reference_isomorphic_reduced(gs1, gs2, bound).verdict in (got, "inconclusive")
         stable += 1
     print(f"\nPASS criterion 10: {yes} relabeled copies Yes, {no} invariant-separated "
-          f"pairs No, verdicts stable under increasing search bound on {stable} pairs")
+          f"pairs No, agreement with the bounded reference at bounds 2, 4, 6 on {stable} pairs")

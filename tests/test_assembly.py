@@ -48,6 +48,7 @@ from conftest import (
     twisted_double,
     upper,
 )
+from oracle_compare import reference_isomorphic_reduced
 
 
 def identity_iso(phi):
@@ -358,7 +359,7 @@ class TestIsomorphicReduced:
         import gm4.assembly as assembly
 
         rotation = Mat2(0, -1, 1, 0)  # does not conjugate R^n to R^n
-        monkeypatch.setattr(assembly, "_det_pm1_conjugators", lambda pairs, bound: [rotation])
+        monkeypatch.setattr(assembly, "_conjugator", lambda pairs: rotation)
         gs = swap_double(1, 2)
         with pytest.raises(RuntimeError, match="does not carry"):
             isomorphic_reduced(gs, gs)
@@ -368,18 +369,20 @@ class TestIsomorphicReduced:
         with pytest.raises(NotReducedError):
             isomorphic_reduced(gs, gs)
 
-    def test_monotone_in_search_bound(self):
+    def test_agrees_with_the_bounded_reference(self):
+        # the library answers "yes" wherever the coefficient-box reference
+        # does, at any bound, and never contradicts a decided answer
+        gs = swap_double(1, 2)
         pairs = [
-            (swap_double(1, 2), relabel(swap_double(1, 2))),
-            (swap_double(1, 2), swap_double(2, 3)),
+            (gs, relabel(gs)),
+            (gs, swap_double(2, 3)),
+            (gs, _conjugate_structure(gs, Mat2(2, 1, 1, 1) @ Mat2(1, 3, 0, 1))),
         ]
         for gs1, gs2 in pairs:
-            verdicts = [
-                isomorphic_reduced(gs1, gs2, search_bound=b).verdict for b in (2, 4, 6)
-            ]
-            definite = [v for v in verdicts if v != "inconclusive"]
-            assert len(set(definite)) <= 1
-            assert definite
+            got = isomorphic_reduced(gs1, gs2).verdict
+            assert got != "inconclusive"
+            for bound in (2, 4, 6):
+                assert reference_isomorphic_reduced(gs1, gs2, bound).verdict in (got, "inconclusive")
 
 
 class TestValidateOnce:
@@ -614,13 +617,16 @@ def _conjugate_structure(gs, c):
 
 
 class TestComparisonThreeValued:
-    def test_inconclusive_improves_to_yes_with_bound(self):
-        gs = swap_double(1, 2)
-        gs2 = _conjugate_structure(gs, Mat2(2, 1, 1, 1) @ Mat2(1, 3, 0, 1))
-        assert validate_structure(gs2) == []
-        assert invariant_report(gs2).key() == invariant_report(gs).key()
-        assert isomorphic_reduced(gs, gs2, search_bound=0).verdict == "inconclusive"
-        assert isomorphic_reduced(gs, gs2, search_bound=2).verdict == "yes"
+    def test_conjugator_outside_any_box_answers_yes(self, reduced_corpus):
+        # a fiber basis change by (RL)^4 R^3 = [[34, 123], [21, 76]] leaves
+        # every block conjugator outside the reference's bound-4 box
+        c = (R @ L) ** 4 @ R ** 3
+        for name, gs in reduced_corpus.items():
+            gs2 = relabel(_conjugate_structure(gs, c))
+            assert validate_structure(gs2) == [], name
+            assert invariant_report(gs2).key() == invariant_report(gs).key(), name
+            assert isomorphic_reduced(gs, gs2).verdict == "yes", name
+            assert reference_isomorphic_reduced(gs, gs2, 4).verdict == "inconclusive", name
 
     def test_mirror_pair_distinguished_in_oriented_category(self):
         gs = swap_double(1, 2)

@@ -3,9 +3,11 @@ exhaustive reference search of oracle_compare.py: on the manifests, on
 small generated match pairs, on structures with a T^3 edge, and with a
 stand-in edge test that makes both searches backtrack; then the pants ring
 renamed by an odd shift, which the exhaustive search cannot finish in
-minutes, and the search report.  The closed-form edge test `_iso_matches`
-against the bounded reference edge test of oracle_compare.py, against goals
-built from known self-maps and against a brute-force box search."""
+minutes, and the search report.  The exact block conjugator `_conjugator`
+against the coefficient-box enumeration of oracle_compare.py.  The
+closed-form edge test `_iso_matches` against the bounded reference edge
+test of oracle_compare.py, against goals built from known self-maps and
+against a brute-force box search."""
 import hashlib
 import importlib.util
 import itertools
@@ -19,13 +21,14 @@ from pathlib import Path
 import pytest
 
 import gm4.assembly as assembly
-from gm4 import I2, Comparison, Mat2, TorusBundleOverCircle, isomorphic_reduced, load_structure
+from gm4 import I2, L, R, Comparison, Mat2, TorusBundleOverCircle, isomorphic_reduced, load_structure
 from gm4.bundles import (
     PI1_X,
     PI1_Y,
     BoundaryIso,
     Pi1Element,
     compose_isos,
+    intertwiner_basis,
     is_fiber_preserving,
     iso_inverse,
     validate_glueing,
@@ -40,7 +43,12 @@ from conftest import (
     swap_iso,
     t3_partners,
 )
-from oracle_compare import reference_isomorphic_reduced, reference_iso_matches, self_fiber_maps
+from oracle_compare import (
+    bounded_conjugators,
+    reference_isomorphic_reduced,
+    reference_iso_matches,
+    self_fiber_maps,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = sorted((ROOT / "manifests").glob("*.gm"))
@@ -123,10 +131,10 @@ def test_backtracking_matches_reference_under_any_edge_test(monkeypatch, p):
     monkeypatch.setattr(assembly, "_iso_matches", _coin(p))
     backtracked = 0
     for gs1, gs2 in pairs:
+        got = isomorphic_reduced(gs1, gs2)
         for bound in (1, 2):
-            got = isomorphic_reduced(gs1, gs2, bound)
             assert got == reference_isomorphic_reduced(gs1, gs2, bound)
-            backtracked += got.assignments > len(gs1.blocks)
+        backtracked += got.assignments > len(gs1.blocks)
     assert backtracked
 
 
@@ -155,14 +163,84 @@ def test_conjugators_are_computed_once_per_pair_of_representations(monkeypatch):
     renamed = gen.rename(ring, {f"P{i:02d}": f"Q{(i + 1) % 6:02d}" for i in range(6)})
     gs1, gs2 = load_structure(ring.text()), load_structure(renamed.text())
     runs = []
-    real = assembly._det_pm1_conjugators
-    monkeypatch.setattr(
-        assembly, "_det_pm1_conjugators", lambda pairs, bound: runs.append(pairs) or real(pairs, bound)
-    )
+    real = assembly._conjugator
+    monkeypatch.setattr(assembly, "_conjugator", lambda pairs: runs.append(pairs) or real(pairs))
     assert isomorphic_reduced(gs1, gs2).verdict == "yes"
     reps = {(b1.rep, b2.rep) for _, b1 in gs1.blocks for _, b2 in gs2.blocks}
     assert len(reps) == 4  # even and odd blocks, on either side
     assert len(runs) == len({tuple(pairs) for pairs in runs}) <= len(reps)
+
+
+_FLIP = Mat2(1, 0, 0, -1)
+_FAR = (R @ L) ** 4 @ R ** 3  # [[34, 123], [21, 76]]
+
+
+def _random_word(rnd, letters=3, reach=3):
+    m = rnd.choice((I2, -I2, _FLIP))
+    for _ in range(rnd.randint(1, letters)):
+        m = m @ rnd.choice((R, L)) ** rnd.randint(-reach, reach)
+    return m
+
+
+def _random_pairs(rnd):
+    """Block images and their images under one conjugation, or, with
+    probability 0.3, with one target conjugated once more, which in general
+    leaves no simultaneous conjugator: (pairs, whether they are conjugate)."""
+    if rnd.random() < 0.5:  # powers of one matrix, as on the corpus blocks
+        g = _random_word(rnd)
+        images = [rnd.choice((I2, -I2)) @ g ** rnd.randint(-2, 2) for _ in range(rnd.randint(1, 3))]
+    else:
+        images = [_random_word(rnd) for _ in range(rnd.randint(1, 3))]
+    x = _random_word(rnd, 4, 2)
+    targets = [x @ m @ x.inverse() for m in images]
+    conjugate = rnd.random() < 0.7
+    if not conjugate:
+        i = rnd.randrange(len(targets))
+        y = _random_word(rnd, 2, 1)
+        targets[i] = y @ targets[i] @ y.inverse()
+    return list(zip(images, targets)), conjugate
+
+
+def _conjugates(x, pairs):
+    return abs(x.det()) == 1 and all(x @ m1 == m2 @ x for m1, m2 in pairs)
+
+
+class TestConjugator:
+    def test_finds_whatever_the_box_finds(self):
+        rnd = random.Random(14)
+        beyond_box = 0
+        for _ in range(2000):
+            pairs, conjugate = _random_pairs(rnd)
+            got = assembly._conjugator(pairs)
+            box = next(bounded_conjugators(pairs, 4), None)
+            if got is None:
+                assert box is None and not conjugate, pairs
+            else:
+                assert _conjugates(got, pairs), (pairs, got)
+                beyond_box += box is None
+        assert beyond_box >= 20
+
+    def test_equal_pairs_give_the_identity(self):
+        assert assembly._conjugator([(R, R), (-I2, -I2)]) == I2
+
+    def test_commuting_pair_beyond_the_box(self):
+        pairs = [(m, _FAR @ m @ _FAR.inverse()) for m in (R, R ** 3, -R)]
+        assert next(bounded_conjugators(pairs, 4), None) is None
+        assert _conjugates(assembly._conjugator(pairs), pairs)
+
+    def test_non_commuting_pair_gives_plus_or_minus_the_conjugator(self):
+        x = _FAR @ L ** -5 @ _FLIP
+        pairs = [(m, x @ m @ x.inverse()) for m in (R, L)]
+        assert assembly._conjugator(pairs) in (x, -x)
+
+    def test_intertwiner_of_determinant_two_is_no_conjugator(self):
+        pairs = [(Mat2(1, 2, 0, 1), Mat2(1, 4, 0, 1)), (Mat2(1, 0, 2, 1), Mat2(1, 0, 1, 1))]
+        assert intertwiner_basis(pairs) in ([Mat2(2, 0, 0, 1)], [Mat2(-2, 0, 0, -1)])
+        assert assembly._conjugator(pairs) is None
+
+    def test_unequal_scalar_pairs_give_none(self):
+        assert assembly._conjugator([(I2, -I2)]) is None
+        assert assembly._conjugator([(-I2, -I2), (I2, -I2)]) is None
 
 
 class TestSearchReport:
@@ -246,9 +324,9 @@ def test_t3_partners_answer_yes_at_every_bound():
     partners = t3_partners()
     assert len(partners) == 15 * len(T3_CORPUS)
     for name, gs1, gs2 in partners:
+        got = isomorphic_reduced(gs1, gs2)
+        assert got.verdict == "yes", name
         for bound in (1, 2, 4):
-            got = isomorphic_reduced(gs1, gs2, bound)
-            assert got.verdict == "yes", (name, bound)
             assert got == reference_isomorphic_reduced(gs1, gs2, bound), (name, bound)
 
 
