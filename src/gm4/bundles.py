@@ -18,15 +18,21 @@ and its elements are kept in the normal form x^a y^b t^k, written (a,b,k).
 A glueing (BoundaryIso) is given by the images of x, y and t.  It is valid
 when the images satisfy the source relations and the map is bijective:
 the winding numbers k of the three images have gcd 1, so some w0 maps to
-winding 1, and the fiber image L0 + phi L0 is all of Z^2, where L0 is
-spanned by the fiber parts of the generator images once their w0 powers
-are removed (one Euclid echelon pass, no fixpoint).
+winding 1, and the fiber image L0 + psi L0 is all of Z^2, where psi is the
+target monodromy and L0 is spanned by the fiber parts of the generator
+images once their w0 powers are removed.  Both checks are closed forms on
+2x2 integer matrices: powers are (v, 0)^n = (n v, 0) and
+(v, k)^n = (G(psi^k, n) v, n k) with G(A, n) = sum of A^i over i < n, and
+the fiber image is Z^2 iff the gcd of the 2x2 minors of its six spanning
+vectors is 1.  The Euclid echelon that tracks source elements serves only
+iso_inverse, which needs the preimages of x, y and t.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gl2z import I2, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify
@@ -228,9 +234,32 @@ PI1_Y = Pi1Element(0, 1, 0)
 PI1_T = Pi1Element(0, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def _mat_pow(m: Mat2, k: int) -> Mat2:
-    return m ** k
+def _geometric(a: Mat2, n: int) -> Mat2:
+    """G(a, n) = a^0 + ... + a^(n-1), and -(a^n + ... + a^-1) for n < 0, so
+    that (v, k)^n = (G(phi^k, n) v, n k) in pi1(M_phi).  Built by doubling:
+    G(a, 2m) = G(a, m) + a^m G(a, m) and G(a, m + 1) = G(a, m) + a^m."""
+    if n < 0:
+        inv = a.inverse()
+        return -(inv @ _geometric(inv, -n))
+    if n == 0:
+        return Mat2(0, 0, 0, 0)
+    g, p = I2, a  # G(a, m) and a^m for m the leading bits of n
+    for bit in bin(n)[3:]:
+        g, p = g + p @ g, p @ p
+        if bit == "1":
+            g, p = g + p, p @ a
+    return g
+
+
+def _power(phi: Mat2, e: Pi1Element, n: int) -> Pi1Element:
+    """e^n in pi1(M_phi), in closed form: (v, 0)^n = (n v, 0) and
+    (v, k)^n = (G(phi^k, n) v, n k)."""
+    if e.k == 0 or n == 0:
+        return Pi1Element(n * e.a, n * e.b, 0)
+    if n == 1:
+        return e
+    a, b = _geometric(phi ** e.k, n).apply((e.a, e.b))
+    return Pi1Element(a, b, n * e.k)
 
 
 @dataclass(frozen=True)
@@ -241,28 +270,20 @@ class TorusBundleOverCircle:
         if self.phi.det() not in (1, -1):
             raise NotUnimodularError(f"monodromy must be unimodular: {self.phi}")
 
-    def phi_pow(self, k: int) -> Mat2:
-        return _mat_pow(self.phi, k)
-
     def mul(self, e1: Pi1Element, e2: Pi1Element) -> Pi1Element:
-        v = self.phi_pow(e1.k).apply((e2.a, e2.b))
+        if e1.k == 0:
+            return Pi1Element(e1.a + e2.a, e1.b + e2.b, e2.k)
+        v = (self.phi ** e1.k).apply((e2.a, e2.b))
         return Pi1Element(e1.a + v[0], e1.b + v[1], e1.k + e2.k)
 
     def inv(self, e: Pi1Element) -> Pi1Element:
-        v = self.phi_pow(-e.k).apply((e.a, e.b))
+        if e.k == 0:
+            return Pi1Element(-e.a, -e.b, 0)
+        v = (self.phi ** -e.k).apply((e.a, e.b))
         return Pi1Element(-v[0], -v[1], -e.k)
 
     def power(self, e: Pi1Element, n: int) -> Pi1Element:
-        if n < 0:
-            return self.power(self.inv(e), -n)
-        out = Pi1Element(0, 0, 0)
-        base = e
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return _power(self.phi, e, n)
 
     def conjugate(self, g: Pi1Element, e: Pi1Element) -> Pi1Element:
         return self.mul(self.mul(g, e), self.inv(g))
@@ -293,9 +314,8 @@ class BoundaryIso:
 
     def apply(self, e: Pi1Element) -> Pi1Element:
         tgt = self.target
-        out = tgt.power(self.x_img, e.a)
-        out = tgt.mul(out, tgt.power(self.y_img, e.b))
-        return tgt.mul(out, tgt.power(self.t_img, e.k))
+        out = tgt.mul(_power(tgt.phi, self.x_img, e.a), _power(tgt.phi, self.y_img, e.b))
+        return tgt.mul(out, _power(tgt.phi, self.t_img, e.k))
 
     @staticmethod
     def identity(bundle: TorusBundleOverCircle) -> "BoundaryIso":
@@ -335,30 +355,55 @@ def _echelon_pivot(group: TorusBundleOverCircle, rows, i: int):
     return pivot, rest
 
 
-def _image_data(iso: BoundaryIso) -> Tuple[int, Optional[Tuple[Pi1Element, ...]]]:
-    """(winding gcd g, source preimages of x, y, t or None if not bijective).
-
-    With g = 1, w0 is a source element of target winding 1, and each source
-    generator times a power of w0 maps to a target fiber vector v_i.  Their
-    span L0 plus phi L0 (conjugation by w0 acts on the fiber by the target
-    monodromy phi) is the image of the fiber: by Cayley-Hamilton it is closed
-    under phi and phi^-1.  The glueing is bijective iff that lattice is Z^2,
-    i.e. its echelon basis is ((+-1, r), (0, +-1)).
-    """
-    src, tgt = iso.source, iso.target
+def _winding_element(iso: BoundaryIso) -> Tuple[int, Optional[Pi1Element], Optional[Pi1Element]]:
+    """(g, w0, f(w0)), g the gcd of the winding numbers of the images.  When
+    g is 1, w0 = x^(pu) y^(qu) t^v is a source element of image winding 1;
+    otherwise both elements are None."""
     g1, p, q = _ext_gcd(iso.x_img.k, iso.y_img.k)
     g, u, v = _ext_gcd(g1, iso.t_img.k)
     if g != 1:
-        return g, None
+        return g, None, None
     w0_src = Pi1Element(p * u, q * u, v)
     w0_tgt = iso.apply(w0_src)
     if w0_tgt.k != 1:
         raise RuntimeError(f"winding element {w0_src} maps to {w0_tgt}, not to winding 1")
-    rows = []
-    for gen, img in ((PI1_X, iso.x_img), (PI1_Y, iso.y_img), (PI1_T, iso.t_img)):
-        e = tgt.mul(img, tgt.power(w0_tgt, -img.k))
-        rows.append(((e.a, e.b), src.mul(gen, src.power(w0_src, -img.k))))
-    rows += [(tgt.phi.apply(vec), src.conjugate(w0_src, e)) for vec, e in rows]
+    return 1, w0_src, w0_tgt
+
+
+def _fiber_vectors(iso: BoundaryIso, w0_tgt: Pi1Element) -> List[Tuple[int, int]]:
+    """The fiber parts of g_i f(w0)^-k_i for the generator images
+    g_i = (v_i, k_i), which are v_i - G(psi, k_i) f(w0), then their
+    psi-images: together they span the image of the fiber."""
+    psi = iso.target.phi
+    omega = (w0_tgt.a, w0_tgt.b)
+    vecs = []
+    for img in (iso.x_img, iso.y_img, iso.t_img):
+        c = _geometric(psi, img.k).apply(omega)
+        vecs.append((img.a - c[0], img.b - c[1]))
+    return vecs + [psi.apply(vec) for vec in vecs]
+
+
+def _image_data(iso: BoundaryIso) -> Tuple[int, Optional[Tuple[Pi1Element, ...]]]:
+    """(winding gcd g, source preimages of x, y, t or None if not bijective).
+
+    With g = 1, each source generator times a power of w0 maps to a fiber
+    vector of `_fiber_vectors`, and conjugation by w0 maps it to its
+    psi-image.  Their span L0 + psi L0 is the image of the fiber: by
+    Cayley-Hamilton it is closed under psi and psi^-1.  One Euclid echelon
+    pass over the vectors, tracking their source elements, finds the
+    preimages when that lattice is Z^2, i.e. its echelon basis is
+    ((+-1, r), (0, +-1)).
+    """
+    src, tgt = iso.source, iso.target
+    g, w0_src, w0_tgt = _winding_element(iso)
+    if g != 1:
+        return g, None
+    elems = [
+        src.mul(gen, src.power(w0_src, -img.k))
+        for gen, img in ((PI1_X, iso.x_img), (PI1_Y, iso.y_img), (PI1_T, iso.t_img))
+    ]
+    elems += [src.conjugate(w0_src, e) for e in elems]
+    rows = list(zip(_fiber_vectors(iso, w0_tgt), elems))
     pivot_x, rest = _echelon_pivot(src, rows, 0)
     pivot_y, _ = _echelon_pivot(src, rest, 1)
     if pivot_x is None or pivot_y is None:
@@ -375,34 +420,49 @@ def _image_data(iso: BoundaryIso) -> Tuple[int, Optional[Tuple[Pi1Element, ...]]
 
 
 def _relation_violations(iso: BoundaryIso) -> List[str]:
-    """The source relations that fail on the images."""
+    """The source relations that fail on the images X = (x, kx), Y = (y, ky)
+    and T = (tau, kt), decided on fiber vectors of the target M_psi:
+    [X, Y] = 1 iff x + psi^kx y = y + psi^ky x, and T G T^-1 has winding kg
+    and fiber part tau + psi^kt g - psi^kg tau."""
     out: List[str] = []
-    tgt = iso.target
+    psi = iso.target.phi
     x, y, t = iso.x_img, iso.y_img, iso.t_img
-    if tgt.mul(x, y) != tgt.mul(y, x):
+    px, py, pt = psi ** x.k, psi ** y.k, psi ** t.k
+    xy, yx = px.apply((y.a, y.b)), py.apply((x.a, x.b))
+    if (x.a + xy[0], x.b + xy[1]) != (y.a + yx[0], y.b + yx[1]):
         out.append("relation [x,y] = 1 fails on images")
     phi = iso.source.phi
-    for name, j, gen, p, q in (("x", 1, x, phi.a, phi.c), ("y", 2, y, phi.b, phi.d)):
+    for name, j, gen, pg, p, q in (("x", 1, x, px, phi.a, phi.c), ("y", 2, y, py, phi.b, phi.d)):
         # windings add, so a winding mismatch fails the relation before any
         # power (whose cost grows with the exponents) is taken
-        rhs_k = p * x.k + q * y.k
-        if gen.k != rhs_k or tgt.conjugate(t, gen) != tgt.mul(tgt.power(x, p), tgt.power(y, q)):
-            out.append(f"relation t {name} t^-1 = x^phi1{j} y^phi2{j} fails on images")
+        if gen.k == p * x.k + q * y.k:
+            # x^p y^q = (G(psi^kx, p) x + psi^(p kx) G(psi^ky, q) y, p kx + q ky)
+            xp, yq = _power(psi, x, p), _power(psi, y, q)
+            xpy = (px ** p).apply((yq.a, yq.b))
+            tg, gt = pt.apply((gen.a, gen.b)), pg.apply((t.a, t.b))
+            if (t.a + tg[0] - gt[0], t.b + tg[1] - gt[1]) == (xp.a + xpy[0], xp.b + xpy[1]):
+                continue
+        out.append(f"relation t {name} t^-1 = x^phi1{j} y^phi2{j} fails on images")
     return out
 
 
 def validate_glueing(iso: BoundaryIso) -> List[str]:
-    """Check the glueing invariants: source relations hold on the images and
-    the induced map is bijective (by solving for generator preimages)."""
+    """Check the glueing invariants in closed form: the source relations hold
+    on the images, and the induced map is bijective (the winding numbers
+    have gcd 1 and the gcd of the 2x2 minors of the fiber vectors, the
+    index of their span in Z^2, is 1)."""
     out = _relation_violations(iso)
     if out:
         return out
-    g, pre = _image_data(iso)
+    g, _, w0_tgt = _winding_element(iso)
     if g != 1:
-        out.append(f"not surjective: base winding numbers have gcd {g}")
-    elif pre is None:
-        out.append("not bijective: fiber image lattice is a proper sublattice")
-    return out
+        return [f"not surjective: base winding numbers have gcd {g}"]
+    minors = 0
+    for (a, b), (c, d) in combinations(_fiber_vectors(iso, w0_tgt), 2):
+        minors = gcd(minors, a * d - b * c)
+        if minors == 1:
+            return []
+    return ["not bijective: fiber image lattice is a proper sublattice"]
 
 
 def is_fiber_preserving(iso: BoundaryIso) -> bool:

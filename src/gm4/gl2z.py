@@ -80,6 +80,9 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
+    def __add__(self, other: "Mat2") -> "Mat2":
+        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
@@ -92,15 +95,18 @@ class Mat2:
         raise NotUnimodularError(f"determinant {det}, not unimodular: {self}")
 
     def __pow__(self, k: int) -> "Mat2":
-        base = self if k >= 0 else self.inverse()
+        if k == 0:
+            return I2
+        base = self if k > 0 else self.inverse()
         k = abs(k)
-        out = I2
-        while k:
+        out = None
+        while True:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base @ base
 
     def apply(self, v: Tuple[int, int]) -> Tuple[int, int]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])

@@ -1,5 +1,6 @@
 """Shared corpus builders: hand-checkable graph structures used across the
 test suite and by the acceptance gate."""
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -22,6 +23,18 @@ from gm4 import (
     compose_isos,
     structure,
 )
+
+
+def bench_gen():
+    """bench/gen.py (standard library only), loaded once under its own name."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def upper(n: int) -> Mat2:

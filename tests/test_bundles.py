@@ -1,4 +1,6 @@
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,10 +31,14 @@ from gm4 import (
     validate_block,
     validate_glueing,
 )
-from gm4 import bundles
+from gm4 import assembly, bundles, load_structure, validate_structure
+from gm4.assembly import _fp_iso
 from gm4.bundles import PI1_T, PI1_X, PI1_Y
 
-from conftest import mirror_edge_iso, pants, swap_iso, upper
+from conftest import bench_gen, mirror_edge_iso, pants, swap_iso, upper
+from oracle_glueing import reference_image_data, reference_validate_glueing
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 AMBIENTS = [
     TorusBundleOverCircle(I2),
@@ -367,9 +373,13 @@ def _chain(*isos: BoundaryIso) -> BoundaryIso:
 
 
 def _random_monodromy(pick) -> Mat2:
+    """Parabolic, hyperbolic, elliptic, +-I or determinant -1, conjugated."""
     a = _unimodular(pick)
-    kinds = [I2, upper(pick(-4, 4)), Mat2(2, 1, 1, 1), S, -I2, Mat2(1, 0, 0, -1)]
-    return a @ kinds[pick(0, 5)] @ a.inverse()
+    kinds = [
+        I2, upper(pick(-4, 4)), Mat2(2, 1, 1, 1), S, -I2, Mat2(1, 0, 0, -1),
+        R @ S, Mat2(1, 1, 1, 0), Mat2(0, 1, 1, 0),
+    ]
+    return a @ kinds[pick(0, len(kinds) - 1)] @ a.inverse()
 
 
 def random_bijective_glueing(pick) -> BoundaryIso:
@@ -460,15 +470,20 @@ class TestRandomGlueings:
     def test_winding_mismatch_fails_before_any_power(self, monkeypatch):
         # y -> x and t^phi12 with phi12 = 10^6 in a hyperbolic target: the
         # winding parts of t y t^-1 (0) and x^phi12 y^phi22 (10^6) differ,
-        # so no power t^(10^6) is formed
+        # so no power t^(10^6), and no psi^(10^6), is formed
         exponents = []
-        real = TorusBundleOverCircle.power
+        real_power, real_pow = bundles._power, Mat2.__pow__
 
-        def recording(group, e, n):
+        def recording_power(phi, e, n):
             exponents.append(n)
-            return real(group, e, n)
+            return real_power(phi, e, n)
 
-        monkeypatch.setattr(TorusBundleOverCircle, "power", recording)
+        def recording_pow(m, k):
+            exponents.append(k)
+            return real_pow(m, k)
+
+        monkeypatch.setattr(bundles, "_power", recording_power)
+        monkeypatch.setattr(Mat2, "__pow__", recording_pow)
         src = TorusBundleOverCircle(upper(10 ** 6))
         tgt = TorusBundleOverCircle(Mat2(2, 1, 1, 1))
         iso = BoundaryIso(src, tgt, PI1_T, PI1_X, PI1_Y)
@@ -477,12 +492,110 @@ class TestRandomGlueings:
             "relation t x t^-1 = x^phi11 y^phi21 fails on images",
             "relation t y t^-1 = x^phi12 y^phi22 fails on images",
         ]
-        assert max(map(abs, exponents)) <= 1
+        assert max(map(abs, exponents), default=0) <= 1
 
     def test_identity_images_between_different_bundles(self):
         src, tgt = TorusBundleOverCircle(Mat2(2, 1, 1, 1)), TorusBundleOverCircle(I2)
         with pytest.raises(ValueError, match="not a homomorphism"):
             iso_inverse(BoundaryIso(src, tgt, PI1_X, PI1_Y, PI1_T))
+
+
+# The closed-form validation against the element arithmetic of
+# oracle_glueing.py: identical diagnostics, and identical preimages from
+# iso_inverse wherever the glueing is valid.
+
+def random_glueing(pick) -> BoundaryIso:
+    """Valid-biased: a fiber-preserving (A, u, eps) iso of `_fp_iso` over any
+    monodromy kind followed by an inner automorphism, or one of the random
+    bijective, index-d and winding-d glueings above; then, in half of the
+    draws, one image moved by a random element or the target replaced."""
+    kind = pick(0, 3)
+    if kind == 0:
+        phi, a, eps = _random_monodromy(pick), _unimodular(pick), 1 - 2 * pick(0, 1)
+        src, dst = TorusBundleOverCircle(phi), TorusBundleOverCircle(a @ phi ** eps @ a.inverse())
+        fp = _fp_iso(src, dst, a, Pi1Element(pick(-3, 3), pick(-3, 3), eps))
+        iso = _chain(fp, _inner(pick, dst))
+    elif kind == 1:
+        iso = random_bijective_glueing(pick)
+    elif kind == 2:
+        iso = random_index_glueing(pick, pick(2, 4))
+    else:
+        iso = random_winding_glueing(pick, pick(2, 3))
+    damage = pick(0, 7)
+    imgs = [iso.x_img, iso.y_img, iso.t_img]
+    if damage < 3:
+        shift = Pi1Element(pick(-2, 2), pick(-2, 2), pick(-1, 1))
+        imgs[damage] = iso.target.mul(imgs[damage], shift)
+    target = TorusBundleOverCircle(_random_monodromy(pick)) if damage == 3 else iso.target
+    return BoundaryIso(iso.source, target, *imgs)
+
+
+class TestClosedFormValidation:
+    def _agrees(self, iso, draw=None):
+        found = validate_glueing(iso)
+        assert found == reference_validate_glueing(iso)
+        if found:
+            return found
+        inv = iso_inverse(iso)
+        assert (inv.x_img, inv.y_img, inv.t_img) == reference_image_data(iso)[1]
+        for e in (PI1_X, PI1_Y, PI1_T) + ((draw(elements),) if draw else ()):
+            assert inv.apply(iso.apply(e)) == e
+            assert iso.apply(inv.apply(e)) == e
+        return found
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_glueings_match_element_arithmetic(self, data):
+        self._agrees(random_glueing(_drawer(data)), data.draw)
+
+    def test_recorded_glueings_match_element_arithmetic(self):
+        gen = bench_gen()
+        texts = [p.read_text() for p in sorted(MANIFESTS.glob("*.gm"))]
+        for seed in (1, 2, 3):
+            texts += [it.text for it in gen.ring_items(seed, 1)]
+            texts += [t for it in gen.match_items(seed, 1) for t in (it.text1, it.text2)]
+        isos = {}
+        for text in texts:
+            try:
+                gs = load_structure(text)
+            except ValueError:  # the ring workload's invalid files
+                continue
+            isos.update(dict.fromkeys(edge.iso for edge in gs.edges))
+        verdicts = [self._agrees(iso) for iso in isos]
+        assert [] in verdicts and any(verdicts)
+
+    def test_psi_images_complete_the_fiber_lattice(self):
+        # a glueing of parabolic bundles whose three fiber vectors g_i w^-k_i
+        # span a line; with their psi-images they span Z^2
+        src = TorusBundleOverCircle(Mat2(2, -1, 1, 0))
+        tgt = TorusBundleOverCircle(Mat2(3, 1, -4, -1))
+        iso = BoundaryIso(src, tgt, Pi1Element(-2, 2, 1), Pi1Element(-1, 4, -1), Pi1Element(1, 1, -1))
+        _, _, w0 = bundles._winding_element(iso)
+        (a, b), (c, d), (e, f) = bundles._fiber_vectors(iso, w0)[:3]
+        assert a * d - b * c == a * f - b * e == c * f - d * e == 0
+        assert self._agrees(iso) == []
+
+    def test_validating_a_ring_takes_no_element_powers(self, monkeypatch):
+        gen = bench_gen()
+        a, bs = gen._ring_params(384, random.Random(384))
+        rnd = random.Random(0)
+        st = gen.pants_ring(a, bs, [rnd.random() < 0.5 for _ in bs])
+        gs = load_structure(st.text())
+        calls = {"power": 0, "validate_glueing": 0}
+        real_power, real_validate = TorusBundleOverCircle.power, assembly.validate_glueing
+
+        def power(group, e, n):
+            calls["power"] += 1
+            return real_power(group, e, n)
+
+        def validate(iso):
+            calls["validate_glueing"] += 1
+            return real_validate(iso)
+
+        monkeypatch.setattr(TorusBundleOverCircle, "power", power)
+        monkeypatch.setattr(assembly, "validate_glueing", validate)
+        assert validate_structure(gs) == []
+        assert calls == {"power": 0, "validate_glueing": 576}
 
 
 class TestFiberCovering:

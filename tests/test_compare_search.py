@@ -9,7 +9,6 @@ closed-form edge test `_iso_matches` against the bounded reference edge
 test of oracle_compare.py, against goals built from known self-maps and
 against a brute-force box search."""
 import hashlib
-import importlib.util
 import itertools
 import math
 import os
@@ -37,6 +36,7 @@ from gm4.bundles import (
 from conftest import (
     REDUCED_CORPUS,
     T3_CORPUS,
+    bench_gen,
     relabel,
     swap_chain3,
     swap_double,
@@ -52,17 +52,6 @@ from oracle_compare import (
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = sorted((ROOT / "manifests").glob("*.gm"))
-
-
-def _bench_gen():
-    """bench/gen.py (standard library only), loaded under its own name."""
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = sys.modules.get(spec.name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    return module
 
 
 def _outcome(search, gs1, gs2):
@@ -82,7 +71,7 @@ def test_manifest_pairs_match_reference(path1, path2):
 
 
 def test_generated_pairs_match_reference():
-    items = [it for it in _bench_gen().match_items(1, 1) if it.blocks <= 4]
+    items = [it for it in bench_gen().match_items(1, 1) if it.blocks <= 4]
     assert len(items) >= 20
     for it in items:
         gs1, gs2 = load_structure(it.text1), load_structure(it.text2)
@@ -119,7 +108,7 @@ def _coin(p):
 
 @pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
 def test_backtracking_matches_reference_under_any_edge_test(monkeypatch, p):
-    gen = _bench_gen()
+    gen = bench_gen()
     ring = gen.pants_ring(1, [2, 2], [False, False])
     pairs = [
         (swap_double(1, 2), swap_double(1, 2)),
@@ -141,7 +130,7 @@ def test_backtracking_matches_reference_under_any_edge_test(monkeypatch, p):
 def test_odd_shift_rename_of_a_pants_ring(monkeypatch):
     # the exhaustive search tries up to 18^6 conjugator choices for each
     # labelling that matches block keys before it reaches this witness
-    gen = _bench_gen()
+    gen = bench_gen()
     ring = gen.pants_ring(2, [-3] * 3, [False] * 3)
     renamed = gen.rename(ring, {f"P{i:02d}": f"Q{(i + 1) % 6:02d}" for i in range(6)})
     calls = []
@@ -158,7 +147,7 @@ def test_odd_shift_rename_of_a_pants_ring(monkeypatch):
 
 
 def test_conjugators_are_computed_once_per_pair_of_representations(monkeypatch):
-    gen = _bench_gen()
+    gen = bench_gen()
     ring = gen.pants_ring(2, [-3] * 3, [False] * 3)
     renamed = gen.rename(ring, {f"P{i:02d}": f"Q{(i + 1) % 6:02d}" for i in range(6)})
     gs1, gs2 = load_structure(ring.text()), load_structure(renamed.text())
@@ -266,7 +255,7 @@ def test_edge_test_accepts_whatever_the_reference_accepts(monkeypatch):
         for p1 in MANIFESTS
         for p2 in MANIFESTS
     ]
-    pairs += [(load_structure(it.text1), load_structure(it.text2)) for it in _bench_gen().match_items(1, 1)]
+    pairs += [(load_structure(it.text1), load_structure(it.text2)) for it in bench_gen().match_items(1, 1)]
     calls = []
     real = assembly._iso_matches
     monkeypatch.setattr(assembly, "_iso_matches", lambda *args: calls.append(args) or real(*args))

@@ -10,7 +10,6 @@ The record was written, from the repository root, by
 
 Rewrite it only when a change of answer is intended, and say so.
 """
-import importlib.util
 import json
 import os
 import sys
@@ -20,23 +19,15 @@ import pytest
 
 from gm4 import isomorphic_reduced, load_structure
 
+from conftest import bench_gen
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "match_golden.json"
 SEEDS = (1, 2, 3)
 
 
-def _bench_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = sys.modules.get(spec.name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
 def _items():
-    gen = _bench_gen()
+    gen = bench_gen()
     return [(seed, it) for seed in SEEDS for it in gen.match_items(seed, 1)]
 
 
