@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import smith
 from .gl2z import GL2Z, I2, Mat2, _ext_gcd, classify, conjugate_in
@@ -641,8 +641,8 @@ class Comparison:
     verdict: str  # "yes" | "no" | "inconclusive"
     witness: Optional[str] = None
     separating: Optional[str] = None
-    assignments: int = field(default=0, compare=False)  # block assignments tried
-    edge_checks: int = field(default=0, compare=False)  # edge glueings tested
+    assignments: int = field(default=0, compare=False)  # blocks mapped, summed over the roots tried
+    edge_checks: int = field(default=0, compare=False)  # edge glueings tested on complete bijections
 
 
 def _conjugator(pairs) -> Optional[Mat2]:
@@ -719,30 +719,6 @@ def _block_key(block: Block) -> Tuple:
     return (s.orientable, s.genus, s.boundary_count, block.boundary_classes)
 
 
-def _first_path(width: int, options: Callable, accept: Callable) -> Optional[list]:
-    """The first path x_0 .. x_{width-1}, in lexicographic order of the
-    options, with x_i from options(i, path[:i]) and accept(i, path[:i+1])
-    true at every i, or None: a depth-first search, without recursion, that
-    abandons a prefix as soon as accept fails."""
-    path: list = []
-    stack = [iter(options(0, path))]
-    while stack:
-        for x in stack[-1]:
-            path.append(x)
-            if accept(len(path) - 1, path):
-                break
-            path.pop()
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        if len(path) == width:
-            return path
-        stack.append(iter(options(len(path), path)))
-    return None
-
-
 def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     """Three-valued comparison of reduced structures.
 
@@ -758,13 +734,22 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     The conjugators of a block pair form one coset of the centralizer of
     the block's images, and two of them differ at each boundary by a
     fiber-preserving self-map, which the edge test absorbs: so one
-    conjugator per pair of representations decides.  Block bijections are
-    built depth first in the sorted label order of gs1, candidates in that
-    of gs2, and a partial bijection is dropped when a block key, a base
-    surface or the existence of a conjugator fails, or when an edge between
-    assigned blocks maps to ends that gs2 does not glue or fails the edge
-    test.  The witness is the first bijection, in the order of
-    itertools.permutations, whose edges all match.
+    conjugator per pair of representations decides.
+
+    A matching glues image ends exactly where gs1 glues ends, boundary
+    position for boundary position, so the image of gs1's least label (the
+    root) forces the image of every block it reaches, and gs1 is validated
+    as connected: each root image fixes at most one bijection.  The roots
+    are tried in the sorted label order of gs2.  From each, gs1 is walked
+    breadth first, each neighbour's image read off the end that gs2 glues
+    to the image end, and the root is dropped as soon as a block key or the
+    existence of a conjugator fails or the far ends sit at different
+    boundary positions.  A walk that completes is a bijection: its image
+    holds every end of each image block and the ends glued to them, so it
+    is all of gs2, which is connected and has as many blocks.  The edges of
+    the bijection then go through the edge test.  The root is the first
+    entry of a label permutation, so the witness is the first bijection, in
+    the order of itertools.permutations, whose edges all match.
     """
     reports = []
     for gs in (gs1, gs2):
@@ -783,14 +768,12 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     blocks1, blocks2 = gs1.block_map(), gs2.block_map()
     keys1 = {lbl: _block_key(b) for lbl, b in gs1.blocks}
     keys2 = {lbl: _block_key(b) for lbl, b in gs2.blocks}
-    edge_index2: Dict[Tuple[End, End], List[BoundaryIso]] = {}
-    for e in gs2.edges:
-        edge_index2.setdefault((e.end1, e.end2), []).append(e.iso)
-    # the edges of gs1 by the depth at which both of their blocks are assigned
-    depth = {lbl: i for i, lbl in enumerate(labels1)}
-    closing: List[List[Edge]] = [[] for _ in labels1]
-    for e in gs1.edges:
-        closing[max(depth[e.end1[0]], depth[e.end2[0]])].append(e)
+    glued1: Dict[End, End] = {}  # each end's partner: a valid structure glues every end once
+    glued2: Dict[End, End] = {}
+    for glued, gs in ((glued1, gs1), (glued2, gs2)):
+        for e in gs.edges:
+            glued[e.end1], glued[e.end2] = e.end2, e.end1
+    edge_index2 = {(e.end1, e.end2): e.iso for e in gs2.edges}
     counts = {"assignments": 0, "edge_checks": 0}
     # one conjugator (or None) per pair of block representations
     conjugators: Dict[Tuple[MonodromyRep, MonodromyRep], Optional[Mat2]] = {}
@@ -815,30 +798,43 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
             raise RuntimeError(f"conjugator {c} does not carry {m1} to {m2}")
         return mu, mu_inv
 
+    def propagate(root: str) -> Optional[Dict[str, str]]:
+        """The block bijection forced by labels1[0] -> root, or None."""
+        mapping: Dict[str, str] = {}
+        order = [labels1[0]]  # breadth first: grows as blocks are mapped
+
+        def assign(lbl1: str, lbl2: str) -> bool:
+            counts["assignments"] += 1
+            if keys1[lbl1] != keys2[lbl2] or conjugator(lbl1, lbl2) is None:
+                return False
+            mapping[lbl1] = lbl2
+            return True
+
+        if not assign(labels1[0], root):
+            return None
+        for lbl in order:
+            for bd in blocks1[lbl].boundary_labels():
+                far1, far2 = glued1[(lbl, bd)], glued2[image((lbl, bd), mapping)]
+                if far1[0] not in mapping:
+                    if not assign(far1[0], far2[0]):
+                        return None
+                    order.append(far1[0])
+                if image(far1, mapping) != far2:
+                    return None
+        return mapping
+
     def edge_matches(e: Edge, mapping: Dict[str, str]) -> bool:
         new1, new2 = image(e.end1, mapping), image(e.end2, mapping)
-        forward, backward = edge_index2.get((new1, new2), []), edge_index2.get((new2, new1), [])
-        if not forward and not backward:  # conjugators cannot glue ends that gs2 leaves apart
-            return False
         counts["edge_checks"] += 1
         mu2, mu1_inv = transport(e.end2, new2)[0], transport(e.end1, new1)[1]
         transported = compose_isos(mu2, compose_isos(e.iso, mu1_inv))
-        return any(_iso_matches(iso, transported) for iso in forward) or any(
-            _iso_matches(iso, iso_inverse(transported)) for iso in backward
-        )
+        if (new1, new2) in edge_index2:
+            return _iso_matches(edge_index2[(new1, new2)], transported)
+        return _iso_matches(edge_index2[(new2, new1)], iso_inverse(transported))
 
-    def admissible(i: int, path: List[str]) -> bool:
-        counts["assignments"] += 1
-        if keys1[labels1[i]] != keys2[path[i]] or conjugator(labels1[i], path[i]) is None:
-            return False
-        mapping = dict(zip(labels1, path))
-        return all(edge_matches(e, mapping) for e in closing[i])
-
-    def unassigned(i: int, path: List[str]) -> List[str]:
-        return [lbl for lbl in labels2 if lbl not in path]
-
-    path = _first_path(len(labels1), unassigned, admissible)
-    if path is None:
-        return Comparison("inconclusive", **counts)
-    desc = ", ".join(f"{a}->{b}" for a, b in sorted(zip(labels1, path)))
-    return Comparison("yes", witness=f"block matching {desc}", **counts)
+    for root in labels2:
+        mapping = propagate(root)
+        if mapping is not None and all(edge_matches(e, mapping) for e in gs1.edges):
+            desc = ", ".join(f"{a}->{b}" for a, b in sorted(mapping.items()))
+            return Comparison("yes", witness=f"block matching {desc}", **counts)
+    return Comparison("inconclusive", **counts)
