@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import smith
-from .gl2z import GL2Z, I2, Mat2, _ext_gcd, classify, conjugate_in
+from .gl2z import GL2Z, I2, Mat2, _ext_gcd, conjugate_in
 from .bundles import (
     Block,
     BoundaryIso,
@@ -24,7 +24,6 @@ from .bundles import (
     SurfaceWithBoundary,
     TorusBundleOverCircle,
     UnsupportedOperationError,
-    Word,
     compose_isos,
     fiber_matrix,
     intertwiner_basis,
@@ -173,93 +172,47 @@ def manifold_signature(gs: GraphStructure) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _word_ab(word: Word) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for gen, exp in word:
-        out[gen] = out.get(gen, 0) + exp
-    return out
-
-
-def _spanning_tree(gs: GraphStructure) -> List[bool]:
-    """Tree flags per edge; deterministic (edges scanned in sorted order)."""
-    parent: Dict[str, str] = {lbl: lbl for lbl, _ in gs.blocks}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    flags = [False] * len(gs.edges)
-    order = sorted(range(len(gs.edges)), key=lambda i: (gs.edges[i].end1, gs.edges[i].end2))
-    for i in order:
-        a, b = find(gs.edges[i].end1[0]), find(gs.edges[i].end2[0])
-        if a != b:
-            parent[a] = b
-            flags[i] = True
-    return flags
-
-
 def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
-    """(rank, torsion coefficients) of H1 of the glued 4-manifold."""
+    """(rank, torsion coefficients) of H1 of the glued 4-manifold.
+
+    Each block owns a run of columns from its offset: the fiber x, then y,
+    then the block's surface generators.  Abelianized, a glueing relation
+    t i(g) t^-1 = j(g) reads i(g) = j(g), so the stable letters t appear in
+    no relation: a spanning tree kills V - 1 of them and the other E - V + 1
+    (the cycle rank of the connected graph) are free summands (Serre,
+    Trees, 1980, ch. I)."""
     require_valid(gs)
-    cols: Dict[Tuple, int] = {}
-
-    def col(key: Tuple) -> int:
-        if key not in cols:
-            cols[key] = len(cols)
-        return cols[key]
-
-    for lbl, block in gs.blocks:
-        col(("fx", lbl))
-        col(("fy", lbl))
-        for name in block.rep.surface.generator_names():
-            col(("g", lbl, name))
-    tree = _spanning_tree(gs)
-    for i, flag in enumerate(tree):
-        if not flag:
-            col(("s", i))
-
+    offsets: Dict[str, int] = {}
+    boundary_ab: Dict[End, Dict[int, int]] = {}  # column -> exponent sum of each boundary word
     rows: List[Dict[int, int]] = []
-
-    def add_row(coeffs: Dict[int, int]) -> None:
-        if any(v for v in coeffs.values()):
-            rows.append(coeffs)
-
-    blocks = gs.block_map()
+    n_columns = 0
     for lbl, block in gs.blocks:
-        for name, m in zip(block.rep.surface.generator_names(), block.rep.images):
+        x = offsets[lbl] = n_columns
+        surface = block.rep.surface
+        column = {name: x + 2 + i for i, name in enumerate(surface.generator_names())}
+        n_columns = x + 2 + len(column)
+        for bd, word in zip(block.boundary_labels(), surface.boundary_words()):
+            coeffs = boundary_ab[(lbl, bd)] = {}
+            for gen, exp in word:
+                coeffs[column[gen]] = coeffs.get(column[gen], 0) + exp
+        for m in block.rep.images:
             # gamma x gamma^-1 = x^a y^c ; gamma y gamma^-1 = x^b y^d
-            add_row({col(("fx", lbl)): 1 - m.a, col(("fy", lbl)): -m.c})
-            add_row({col(("fx", lbl)): -m.b, col(("fy", lbl)): 1 - m.d})
+            rows.append({x: 1 - m.a, x + 1: -m.c})
+            rows.append({x: -m.b, x + 1: 1 - m.d})
 
     for edge in gs.edges:
-        l1, bd1 = edge.end1
-        l2, bd2 = edge.end2
-        b1, b2 = blocks[l1], blocks[l2]
-        w1 = b1.rep.surface.boundary_words()[b1.boundary_labels().index(bd1)]
-        w2 = b2.rep.surface.boundary_words()[b2.boundary_labels().index(bd2)]
-        w1_ab, w2_ab = _word_ab(w1), _word_ab(w2)
-        sources = (
-            {col(("fx", l1)): 1},
-            {col(("fy", l1)): 1},
-            {col(("g", l1, gen)): exp for gen, exp in w1_ab.items()},
-        )
+        x1, x2 = offsets[edge.end1[0]], offsets[edge.end2[0]]
+        sources = ({x1: 1}, {x1 + 1: 1}, dict(boundary_ab[edge.end1]))
         images = (edge.iso.x_img, edge.iso.y_img, edge.iso.t_img)
-        for src_coeffs, img in zip(sources, images):
-            coeffs = dict(src_coeffs)
+        for coeffs, img in zip(sources, images):
+            coeffs[x2] = coeffs.get(x2, 0) - img.a
+            coeffs[x2 + 1] = coeffs.get(x2 + 1, 0) - img.b
+            for col, exp in boundary_ab[edge.end2].items():
+                coeffs[col] = coeffs.get(col, 0) - img.k * exp
+            rows.append(coeffs)
 
-            def bump(key: Tuple, val: int) -> None:
-                idx = col(key)
-                coeffs[idx] = coeffs.get(idx, 0) + val
-
-            bump(("fx", l2), -img.a)
-            bump(("fy", l2), -img.b)
-            for gen, exp in w2_ab.items():
-                bump(("g", l2, gen), -img.k * exp)
-            add_row(coeffs)
-
-    return smith.abelian_invariants(rows, len(cols))
+    rank, torsion = smith.abelian_invariants(rows, n_columns)
+    return rank + len(gs.edges) - len(gs.blocks) + 1, torsion
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +224,25 @@ def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
 class InvariantReport:
     block_count: int
     block_summary: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    decomposing_classes: Tuple[str, ...]
+    decomposing_classes: Tuple[str, ...]  # the class at the first end of each glue line
+    edge_classes: Tuple[Tuple[str, str], ...]  # the sorted classes at both ends of each edge
     sigma: Optional[Fraction]
     euler: int
     h1: Tuple[int, Tuple[int, ...]]
     reduced: bool
     findings: Tuple[str, ...]
 
-    def key(self):
+    def key(self) -> Tuple[Tuple[str, object], ...]:
+        """The comparison key as (field name, value) pairs.  An edge is keyed
+        by the classes at both of its ends, so the key does not depend on
+        which way round a glue line is written."""
         return (
-            self.block_count,
-            self.block_summary,
-            self.decomposing_classes,
-            self.sigma,
-            self.euler,
-            self.h1,
+            ("block_count", self.block_count),
+            ("block_summary", self.block_summary),
+            ("decomposing_classes", self.edge_classes),
+            ("sigma", self.sigma),
+            ("euler", self.euler),
+            ("h1", self.h1),
         )
 
     def render(self) -> str:
@@ -310,15 +267,16 @@ def invariant_report(gs: GraphStructure) -> InvariantReport:
     blocks = gs.block_map()
     summary = sorted((block.rep.surface.describe(), block.boundary_classes) for _, block in gs.blocks)
     decomposing = []
+    edge_classes = []
     findings = []
     reduced, _ = is_reduced(gs)
     for edge in gs.edges:
-        m = blocks[edge.end1[0]].boundary_monodromy(edge.end1[1])
-        cls = classify(m)
-        decomposing.append(str(cls))
-        if reduced and cls.kind != "parabolic":
+        cls1, cls2 = (blocks[lbl].classes[bd] for lbl, bd in (edge.end1, edge.end2))
+        decomposing.append(str(cls1))
+        edge_classes.append(tuple(sorted((str(cls1), str(cls2)))))
+        if reduced and cls1.kind != "parabolic":
             findings.append(
-                f"reduced structure has non-parabolic decomposing class {cls} "
+                f"reduced structure has non-parabolic decomposing class {cls1} "
                 f"on edge {edge.end1[0]}.{edge.end1[1]}"
             )
     try:
@@ -329,6 +287,7 @@ def invariant_report(gs: GraphStructure) -> InvariantReport:
         block_count=len(gs.blocks),
         block_summary=tuple(summary),
         decomposing_classes=tuple(sorted(decomposing)),
+        edge_classes=tuple(sorted(edge_classes)),
         sigma=sigma,
         euler=euler_characteristic(gs),
         h1=(rank, tuple(torsion)),
@@ -758,11 +717,9 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
             raise NotReducedError("comparison requires reduced structures; reduce first")
         reports.append(report)
     r1, r2 = reports
-    if r1.key() != r2.key():
-        fields = ("block_count", "block_summary", "decomposing_classes", "sigma", "euler", "h1")
-        for name, v1, v2 in zip(fields, r1.key(), r2.key()):
-            if v1 != v2:
-                return Comparison("no", separating=name)
+    for (name, v1), (_, v2) in zip(r1.key(), r2.key()):
+        if v1 != v2:
+            return Comparison("no", separating=name)
     labels1 = [lbl for lbl, _ in gs1.blocks]
     labels2 = [lbl for lbl, _ in gs2.blocks]
     blocks1, blocks2 = gs1.block_map(), gs2.block_map()

@@ -35,7 +35,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gl2z import I2, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify
+from .gl2z import I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify
 from . import smith
 
 Word = Tuple[Tuple[str, int], ...]
@@ -179,9 +179,15 @@ class Block:
         return {lbl: self.rep.evaluate(w) for lbl, w in zip(self.boundary_labels(), words)}
 
     @cached_property
+    def classes(self) -> Dict[str, ConjClass]:
+        """Boundary label -> SL(2,Z) class of its monodromy: each boundary
+        is classified once per (immutable) block."""
+        return {lbl: classify(m) for lbl, m in self.monodromies.items()}
+
+    @cached_property
     def boundary_classes(self) -> Tuple[str, ...]:
         """The sorted SL(2,Z) classes of the boundary monodromies."""
-        return tuple(sorted(str(classify(m)) for m in self.monodromies.values()))
+        return tuple(sorted(str(cls) for cls in self.classes.values()))
 
     def boundary_monodromies(self) -> Tuple[Tuple[str, Mat2], ...]:
         return tuple(self.monodromies.items())

@@ -117,11 +117,9 @@ def reference_isomorphic_reduced(gs1, gs2, bound=4):
             raise NotReducedError("comparison requires reduced structures; reduce first")
         reports.append(report)
     r1, r2 = reports
-    if r1.key() != r2.key():
-        fields = ("block_count", "block_summary", "decomposing_classes", "sigma", "euler", "h1")
-        for name, v1, v2 in zip(fields, r1.key(), r2.key()):
-            if v1 != v2:
-                return Comparison("no", separating=name)
+    for (name, v1), (_, v2) in zip(r1.key(), r2.key()):
+        if v1 != v2:
+            return Comparison("no", separating=name)
     labels1 = [lbl for lbl, _ in gs1.blocks]
     labels2 = [lbl for lbl, _ in gs2.blocks]
     blocks1, blocks2 = gs1.block_map(), gs2.block_map()

@@ -36,6 +36,7 @@ from gm4 import (
 )
 
 from conftest import (
+    REDUCED_CORPUS,
     holed_sphere,
     mirror_double,
     mirror_edge_iso,
@@ -219,6 +220,11 @@ class TestReduce:
         assert block.rep.surface.boundary_count == 2
         assert is_reduced(red)[0]
         assert (manifold_signature(red), first_homology(red)) == before
+        # the merge drops the graph's cycle rank E - V + 1 from 2 to 1 and
+        # adds a handle to the base: the free summand of the lost stable
+        # letter moves to the handle's generator, so H1 stays
+        assert [len(g.edges) - len(g.blocks) + 1 for g in (gs, red)] == [2, 1]
+        assert first_homology(red) == (3, [2])
 
     def test_merge_with_twisted_fiber(self):
         # fiber-preserving edge whose fiber matrix is a nontrivial shear
@@ -628,12 +634,23 @@ class TestComparisonThreeValued:
             assert isomorphic_reduced(gs, gs2).verdict == "yes", name
             assert reference_isomorphic_reduced(gs, gs2, 4).verdict == "inconclusive", name
 
-    def test_mirror_pair_distinguished_in_oriented_category(self):
+    def test_mirror_pair_of_a_symmetric_structure_answers_yes(self):
+        # the J-copy is -M, and M has an orientation-reversing self-map
+        # sigma: A <-> B, K = [[-1,0],[0,1]] on each fiber, the identity on
+        # each base.  The classes flip n -> -n at the first end of each
+        # edge, but each edge still joins R^n to R^-n
         gs = swap_double(1, 2)
         mirror = _conjugate_structure(gs, Mat2(1, 0, 0, -1))
         assert validate_structure(mirror) == []
         result = isomorphic_reduced(gs, mirror)
-        assert result.verdict == "no"  # parabolic classes flip n -> -n
+        assert (result.verdict, result.witness) == ("yes", "block matching A->B, B->A")
+
+    def test_mirror_pair_separated_by_block_summary(self):
+        gs = REDUCED_CORPUS["swap_chain3_1_2_4"]()
+        mirror = _conjugate_structure(gs, Mat2(1, 0, 0, -1))
+        assert validate_structure(mirror) == []
+        result = isomorphic_reduced(gs, mirror)
+        assert (result.verdict, result.separating) == ("no", "block_summary")
 
 
 # Name-keyed oracles for the positional surgeries: the generator names of

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gm4 import L, Mat2, R, S, classify, manifest, psi, validate_structure
+from gm4 import Edge, GraphStructure, L, Mat2, R, S, classify, iso_inverse, manifest, psi, validate_structure
 from gm4.cli import main
 from gm4.manifest import ManifestError
 
@@ -320,11 +320,37 @@ class TestMatrixCommandsFuzz:
 MANIFESTS = sorted((Path(__file__).resolve().parent.parent / "manifests").glob("*.gm"))
 
 
+def _reverse_glue(text, i):
+    """text with glue line i (mod their count) written the other way round.
+    A manifest that loads as a valid structure is rewritten with that edge's
+    ends swapped and its glueing inverted; any other text gets the two end
+    tokens of the glue line swapped, which keeps the manifold when the
+    glueing is its own inverse, as the trade glueing is."""
+    try:
+        gs = manifest.load_structure(text)
+    except ManifestError:
+        gs = None
+    if gs is not None and validate_structure(gs) == []:
+        edges = list(gs.edges)
+        e = edges[i % len(edges)]
+        edges[i % len(edges)] = Edge(e.end2, e.end1, iso_inverse(e.iso))
+        return manifest.dump_structure(GraphStructure(gs.blocks, tuple(edges)))
+    glues = list(re.finditer(r"^glue[ \t]+(\S+)[ \t]+(\S+)", text, re.M))
+    if not glues:
+        return text
+    m = glues[i % len(glues)]
+    return text[: m.start(1)] + m.group(2) + text[m.end(1) : m.start(2)] + m.group(1) + text[m.end(2) :]
+
+
 def _mutant(data, text):
     """text after one to three mutations: an integer perturbed, a line
-    deleted or duplicated, or two whitespace-separated tokens swapped."""
+    deleted or duplicated, two whitespace-separated tokens swapped, or a
+    glue line written the other way round."""
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        kind = data.draw(st.sampled_from(("integer", "delete", "duplicate", "swap")))
+        kind = data.draw(st.sampled_from(("integer", "delete", "duplicate", "swap", "reverse")))
+        if kind == "reverse":
+            text = _reverse_glue(text, data.draw(st.integers(0, 7), label="glue line"))
+            continue
         if kind in ("delete", "duplicate"):
             lines = text.splitlines(keepends=True)
             if not lines:
