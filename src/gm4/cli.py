@@ -3,6 +3,11 @@
 Exit codes: 0 success (or comparison "Yes"), 10 comparison "No",
 11 comparison "Inconclusive", 12 validation or parse failure.
 Results go to stdout, diagnostics to stderr.
+
+Each command only does its work and prints its result.  Rejected input has
+one handler: `main` catches every error in `INPUT_ERRORS`, prints its
+message to stderr, after `<file>: ` for the commands that read one file,
+and exits 12, so no input ends in a traceback.
 """
 from __future__ import annotations
 
@@ -19,23 +24,26 @@ EXIT_NO = 10
 EXIT_INCONCLUSIVE = 11
 EXIT_INVALID = 12
 
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+# every error a bad manifest, matrix or file raises; a caught one exits 12
+INPUT_ERRORS = (
+    manifest.ManifestError,
+    assembly.StructureError,
+    assembly.NotReducedError,
+    assembly.ClosedBaseError,
+    UnsupportedOperationError,
+    NotInSL2ZError,
+    OSError,
+    UnicodeDecodeError,
+)
 
 
 def _load(path: str) -> assembly.GraphStructure:
-    return manifest.load_structure(_read(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return manifest.load_structure(fh.read())
 
 
 def cmd_validate(args) -> int:
-    try:
-        gs = _load(args.file)
-    except (manifest.ManifestError, OSError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    diags = assembly.validate_structure(gs)
+    diags = assembly.validate_structure(_load(args.file))
     if diags:
         for d in diags:
             print(f"{args.file}: {d}", file=sys.stderr)
@@ -45,45 +53,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        gs = _load(args.file)
-        report = assembly.invariant_report(gs)
-    except (manifest.ManifestError, assembly.StructureError, OSError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    sys.stdout.write(report.render())
+    sys.stdout.write(assembly.invariant_report(_load(args.file)).render())
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    try:
-        gs = _load(args.file)
-        reduced = assembly.reduce_structure(gs)
-    except (
-        manifest.ManifestError,
-        assembly.StructureError,
-        assembly.ClosedBaseError,
-        UnsupportedOperationError,
-        OSError,
-    ) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    sys.stdout.write(manifest.dump_structure(reduced))
+    sys.stdout.write(manifest.dump_structure(assembly.reduce_structure(_load(args.file))))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    try:
-        gs1, gs2 = _load(args.file1), _load(args.file2)
-        result = assembly.isomorphic_reduced(gs1, gs2)
-    except (
-        manifest.ManifestError,
-        assembly.StructureError,
-        assembly.NotReducedError,
-        OSError,
-    ) as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_INVALID
+    result = assembly.isomorphic_reduced(_load(args.file1), _load(args.file2))
     if result.verdict == "yes":
         print(f"Yes ({result.witness})")
         return EXIT_OK
@@ -95,25 +75,24 @@ def cmd_compare(args) -> int:
 
 
 def cmd_matclass(args) -> int:
-    try:
-        m = manifest.parse_matrix(args.matrix, 1)
-        cls = classify(m)
-    except (manifest.ManifestError, NotInSL2ZError) as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(cls)
+    print(classify(manifest.parse_matrix(args.matrix, 1)))
     return EXIT_OK
 
 
 def cmd_psi(args) -> int:
-    try:
-        m = manifest.parse_matrix(args.matrix, 1)
-        value = meyer.psi(m)
-    except (manifest.ManifestError, NotInSL2ZError) as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(value)
+    print(meyer.psi(manifest.parse_matrix(args.matrix, 1)))
     return EXIT_OK
+
+
+# (name, help, positional arguments, function) of each subcommand
+COMMANDS = (
+    ("validate", "validate a .gm manifest", ("file",), cmd_validate),
+    ("invariants", "print the invariant report", ("file",), cmd_invariants),
+    ("reduce", "contract fiber-preserving glueings", ("file",), cmd_reduce),
+    ("compare", "compare two reduced structures", ("file1", "file2"), cmd_compare),
+    ("matclass", "SL(2,Z) conjugacy class of a matrix", ("matrix",), cmd_matclass),
+    ("psi", "characteristic function value of a matrix", ("matrix",), cmd_psi),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,38 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants, reduction and comparison",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a .gm manifest")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("invariants", help="print the invariant report")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("reduce", help="contract fiber-preserving glueings")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("compare", help="compare two reduced structures")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("matclass", help="SL(2,Z) conjugacy class of a matrix")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_matclass)
-
-    p = sub.add_parser("psi", help="characteristic function value of a matrix")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_psi)
-
+    for name, help_text, positionals, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        prefix = f"{args.file}: " if hasattr(args, "file") else ""
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

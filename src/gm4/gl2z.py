@@ -37,8 +37,8 @@ length of the word:
   shorter L run.  Booth's algorithm (Inf. Proc. Lett. 10(4), 1980) finds
   the least rotation of the key sequence in linear time, and of equal
   rotations of a periodic word it takes the first;
-* the conjugator and the final check U^-1 M U == word_matrix(word) are
-  products of one R^a and one L^b per run.
+* the conjugator and the final check U^-1 M U == R^a1 L^b1 ... R^ak L^bk
+  are products of one R^a and one L^b per run.
 
 Conjugacy witnesses follow the convention  C @ M1 @ C.inverse() == M2.
 """
@@ -156,17 +156,6 @@ class ConjClass:
     order: int = 0
     word: Tuple[str, ...] = ()
 
-    def representative(self) -> Mat2:
-        if self.kind == "central":
-            return I2 if self.sign == 1 else -I2
-        if self.kind == "parabolic":
-            m = Mat2(1, self.n, 0, 1)
-            return m if self.sign == 1 else -m
-        if self.kind == "elliptic":
-            return _ELLIPTIC_REPS[(self.order, self.sign)]
-        m = word_matrix(self.word)
-        return m if self.sign == 1 else -m
-
     def __str__(self) -> str:
         s = "+1" if self.sign == 1 else "-1"
         if self.kind == "central":
@@ -176,13 +165,6 @@ class ConjClass:
         if self.kind == "elliptic":
             return f"Elliptic(order={self.order}, chirality={s})"
         return f"Hyperbolic({s}, {''.join(self.word)})"
-
-
-def word_matrix(word: Tuple[str, ...]) -> Mat2:
-    out = I2
-    for letter in word:
-        out = out @ (R if letter == "R" else L)
-    return out
 
 
 def _ext_gcd(p: int, q: int) -> Tuple[int, int, int]:
@@ -344,7 +326,7 @@ def _pairs_matrix(pairs) -> Mat2:
 
 def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     """For trace(m) > 2 return (canonical cyclic word, U) with
-    U.inverse() @ m @ U == word_matrix(word).
+    U.inverse() @ m @ U equal to the product of the letters of word.
 
     Works on runs of letters: each run of the Farey walk and of the peel is
     one matrix product, and the least rotation is found over the runs."""
@@ -490,7 +472,9 @@ def _parabolic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
 
 
 def _normal_form(m: Mat2) -> Tuple[ConjClass, Mat2]:
-    """(class, U) with U.inverse() @ m @ U == class.representative()."""
+    """(class, U) with U.inverse() @ m @ U the class's canonical
+    representative: sign * I, sign * [[1,n],[0,1]], one of _ELLIPTIC_REPS,
+    or sign times the product of the letters of the hyperbolic word."""
     if m.det() != 1:
         raise NotInSL2ZError(f"determinant {m.det()}, classification needs SL(2,Z): {m}")
     if m == I2:

@@ -1,9 +1,13 @@
-"""Golden CLI outputs: replay every recorded `gm4` run on `manifests/` in
-process and require stdout, stderr and the exit code to be byte-identical.
+"""Golden CLI outputs: replay every recorded `gm4` run on `manifests/` and
+`tests/invalid_manifests/` in process and require stdout, stderr and the
+exit code to be byte-identical.
 
 The record covers `validate`, `invariants` and `reduce` on each
-`manifests/*.gm` file and `compare` on every ordered pair of them.  It was
-written, from the repository root, by
+`manifests/*.gm` file and `compare` on every ordered pair of them, then
+`validate`, `invariants` and `reduce` on each `tests/invalid_manifests/*.gm`
+file and `compare` of it with `manifests/double.gm`, either way round: the
+rejected inputs pin the diagnostics and exit 12.  It was written, from the
+repository root, by
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -24,10 +28,17 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 
+def _files(directory):
+    return sorted(f"{directory}/{p.name}" for p in (ROOT / directory).glob("*.gm"))
+
+
 def _argvs():
-    files = sorted(f"manifests/{p.name}" for p in (ROOT / "manifests").glob("*.gm"))
+    files = _files("manifests")
     out = [[cmd, f] for f in files for cmd in ("validate", "invariants", "reduce")]
     out += [["compare", f1, f2] for f1 in files for f2 in files]
+    for f in _files("tests/invalid_manifests"):
+        out += [[cmd, f] for cmd in ("validate", "invariants", "reduce")]
+        out += [["compare", f, "manifests/double.gm"], ["compare", "manifests/double.gm", f]]
     return out
 
 

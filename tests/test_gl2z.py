@@ -17,7 +17,7 @@ from gm4 import (
     eigenvector_eigenvalue_one,
 )
 from gm4 import gl2z, psi
-from gm4.gl2z import _least_rotation, _normal_form, generator_word, word_matrix
+from gm4.gl2z import _least_rotation, _normal_form, generator_word
 
 from oracle_sl2z import conjugacy_orbit, letterwise_normal_form, sl2z_entries_up_to
 
@@ -33,6 +33,10 @@ def to_matrix(word):
     for g in word:
         m = m @ g
     return m
+
+
+def letters_matrix(letters):
+    return to_matrix(R if letter == "R" else L for letter in letters)
 
 
 sl2z_matrices = words().map(to_matrix)
@@ -102,7 +106,7 @@ class TestClassify:
         if abs(m.trace()) <= 2:
             return
         cls = classify(m)
-        rebuilt = word_matrix(cls.word)
+        rebuilt = letters_matrix(cls.word)
         if cls.sign == -1:
             rebuilt = -rebuilt
         ok, witness = conjugate_in(m, rebuilt)
@@ -255,7 +259,7 @@ class TestRunLengthNormalForm:
     @given(rl_words(), disguises, st.sampled_from([1, -1]))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_letterwise_oracle(self, word, c, sign):
-        positive = c @ word_matrix(tuple(word)) @ c.inverse()
+        positive = c @ letters_matrix(word) @ c.inverse()
         m = positive if sign == 1 else -positive
         cls, u = _normal_form(m)
         oracle_word, oracle_u = letterwise_normal_form(positive.entries())
@@ -288,7 +292,7 @@ class TestRunLengthNormalForm:
         assert len({products(Mat2(n + 1, n, 1, 1)) for n in (10, 10**3, 10**5)}) == 1
         # (RL)^n: n runs, and about one product per run
         ns = (8, 64, 512)
-        rl = [products(word_matrix(("R", "L") * n)) for n in ns]
+        rl = [products(letters_matrix(("R", "L") * n)) for n in ns]
         assert all(n <= p <= n + 10 for n, p in zip(ns, rl)), rl
 
     def test_long_runs_past_the_old_step_guards(self):

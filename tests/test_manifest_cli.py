@@ -95,29 +95,10 @@ class TestParse:
         assert "(a,b,k)" in str(err.value)
 
 
-NONORIENTABLE_GM = """\
-version 1
-block A
-  base nonorientable genus 1 boundaries 2
-  gen d1 [[1,0],[0,-1]]
-  gen c1 [[1,1],[0,1]]
-end
-block B
-  base nonorientable genus 1 boundaries 2
-  gen d1 [[1,0],[0,-1]]
-  gen c1 [[1,1],[0,1]]
-end
-glue A.1 B.2
-  x (1,0,0)
-  y (0,1,0)
-  t (0,0,-1)
-end
-glue A.2 B.1
-  x (1,0,0)
-  y (0,1,0)
-  t (0,0,-1)
-end
-"""
+ROOT = Path(__file__).resolve().parent.parent
+DOUBLE = str(ROOT / "manifests" / "double.gm")
+# valid, but its one merge is between non-orientable bases
+NONORIENTABLE = ROOT / "tests" / "invalid_manifests" / "nonorientable_merge.gm"
 
 
 @pytest.fixture()
@@ -201,15 +182,26 @@ class TestCli:
             assert out == ""
             assert "structure has no blocks" in err and "Traceback" not in err
 
-    def test_reduce_nonorientable_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "nonorientable.gm"
-        path.write_text(NONORIENTABLE_GM)
-        assert main(["validate", str(path)]) == 0
+    def test_reduce_nonorientable_exit_code(self, capsys):
+        assert main(["validate", str(NONORIENTABLE)]) == 0
         capsys.readouterr()
-        assert main(["reduce", str(path)]) == 12
+        assert main(["reduce", str(NONORIENTABLE)]) == 12
         out, err = capsys.readouterr()
         assert out == ""
         assert "non-orientable bases is not supported" in err
+
+    def test_non_utf8_exit_code(self, tmp_path):
+        path = tmp_path / "latin.gm"
+        path.write_bytes(b"version 1\n\xff\n")
+        for command in ("validate", "invariants", "reduce"):
+            rc, out, err = run_cli([command, str(path)])
+            assert (rc, out) == (12, ""), err
+            assert err.startswith(f"{path}: 'utf-8' codec can't decode") and err.count("\n") == 1
+            assert "Traceback" not in err
+        for pair in ((str(path), DOUBLE), (DOUBLE, str(path))):
+            rc, out, err = run_cli(["compare", *pair])
+            assert (rc, out) == (12, ""), err
+            assert err.startswith("'utf-8' codec can't decode") and err.count("\n") == 1
 
     def test_compare_same(self, gm_files, capsys):
         assert main(["compare", gm_files["double"], gm_files["double"]]) == 0
@@ -317,7 +309,7 @@ class TestMatrixCommandsFuzz:
         assert out == f"{value(manifest.parse_matrix(text, 1))}\n"
 
 
-MANIFESTS = sorted((Path(__file__).resolve().parent.parent / "manifests").glob("*.gm"))
+MANIFESTS = sorted((ROOT / "manifests").glob("*.gm"))
 
 
 def _reverse_glue(text, i):
@@ -377,16 +369,20 @@ def _mutant(data, text):
 
 class TestManifestFuzz:
     """validate, invariants and reduce exit 0, or 12 with a diagnostic, on
-    mutated manifests, and compare of a mutant with its original, either
+    mutated manifests (some with a byte that is not UTF-8), and compare of a mutant with its original, either
     way round, exits 0, 10, 11 or 12; never with a traceback."""
 
     @given(data=st.data(), path=st.sampled_from(MANIFESTS))
     @settings(max_examples=150, deadline=None)
     def test_mutated_manifests(self, data, path):
-        text = _mutant(data, path.read_text(encoding="utf-8"))
+        raw = _mutant(data, path.read_text(encoding="utf-8")).encode("utf-8")
+        # one mutant in four also has one byte replaced by 0xff, never UTF-8
+        if raw and data.draw(st.integers(0, 3), label="0xff byte") == 0:
+            i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            raw = raw[:i] + b"\xff" + raw[i + 1 :]
         with tempfile.TemporaryDirectory() as tmp:
             mutant = Path(tmp) / path.name
-            mutant.write_text(text, encoding="utf-8")
+            mutant.write_bytes(raw)
             for command in ("validate", "invariants", "reduce"):
                 rc, out, err = run_cli([command, str(mutant)])
                 assert "Traceback" not in err, err
