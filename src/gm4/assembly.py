@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import smith
-from .gl2z import GL2Z, I2, Mat2, _ext_gcd, conjugate_in
+from .gl2z import GL2Z, I2, Mat2, _ext_gcd, conjugate_in, int_str
 from .bundles import (
     Block,
     BoundaryIso,
@@ -255,7 +255,7 @@ class InvariantReport:
         lines.append(f"sigma: {sig}")
         lines.append(f"euler: {self.euler}")
         rank, torsion = self.h1
-        tor = "".join(f" + Z/{t}" for t in torsion)
+        tor = "".join(f" + Z/{int_str(t)}" for t in torsion)
         lines.append(f"h1: Z^{rank}{tor}")
         for f in self.findings:
             lines.append(f"finding: {f}")

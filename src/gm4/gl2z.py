@@ -37,8 +37,16 @@ length of the word:
   shorter L run.  Booth's algorithm (Inf. Proc. Lett. 10(4), 1980) finds
   the least rotation of the key sequence in linear time, and of equal
   rotations of a periodic word it takes the first;
-* the conjugator and the final check U^-1 M U == R^a1 L^b1 ... R^ak L^bk
-  are products of one R^a and one L^b per run.
+* the conjugator U moves along the peeled runs to where that rotation
+  starts, and the final check U^-1 M U == R^a1 L^b1 ... R^ak L^bk
+  multiplies out the runs of the canonical word.
+
+The peel, the walk of U and the product of the runs (`_pairs_matrix`) run
+on four local ints, one column operation per run, and build a Mat2 once
+at the end; the Farey walk still takes Mat2 products, two per run of it.
+
+The character SL(2,Z) -> Z/3 (`abelianization_mod3`) is read from a table
+of SL(2,Z/3), `CHI3`, which a breadth-first search builds at import.
 
 Conjugacy witnesses follow the convention  C @ M1 @ C.inverse() == M2.
 """
@@ -161,10 +169,26 @@ class ConjClass:
         if self.kind == "central":
             return f"Central({s})"
         if self.kind == "parabolic":
-            return f"Parabolic({s}, n={self.n})"
+            return f"Parabolic({s}, n={int_str(self.n)})"
         if self.kind == "elliptic":
             return f"Elliptic(order={self.order}, chirality={s})"
         return f"Hyperbolic({s}, {''.join(self.word)})"
+
+
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_str(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-to-str digits: the
+    digits are rendered in chunks of _CHUNK_DIGITS."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
 
 
 def _ext_gcd(p: int, q: int) -> Tuple[int, int, int]:
@@ -317,19 +341,25 @@ def _least_rotation(seq: list) -> int:
 
 
 def _pairs_matrix(pairs) -> Mat2:
-    """Product of R**a @ L**b = [[1+ab,a],[b,1]] over the (a, b) pairs."""
-    out = I2
-    for a, b in pairs:
-        out = out @ Mat2(1 + a * b, a, b, 1)
-    return out
+    """Product of R**p @ L**q = [[1+pq,p],[q,1]] over the (p, q) pairs."""
+    a, b, c, d = 1, 0, 0, 1
+    for p, q in pairs:
+        # times R**p adds p times the first column to the second, then
+        # times L**q adds q times the second column to the first
+        b += p * a
+        d += p * c
+        a += q * b
+        c += q * d
+    return Mat2(a, b, c, d)
 
 
 def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     """For trace(m) > 2 return (canonical cyclic word, U) with
     U.inverse() @ m @ U equal to the product of the letters of word.
 
-    Works on runs of letters: each run of the Farey walk and of the peel is
-    one matrix product, and the least rotation is found over the runs."""
+    Works on runs of letters: each run of the Farey walk is one matrix
+    product, each run of the peel and of the walk of U one column operation
+    on plain ints, and the least rotation is found over the runs."""
     cur = m
     rot = I2
     p, e, q, disc = _slope_params(cur)
@@ -372,18 +402,18 @@ def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     # peel the nonnegative matrix into its unique R/L factorization, one
     # run at a time: R**k takes k copies of the second row off the first
     runs = []
-    v = cur
-    while v != I2:
-        if v.a >= v.c and v.b >= v.d:
-            k = v.b if v.c == 0 else min(v.a // v.c, v.b // v.d)
+    a, b, c, d = cur.a, cur.b, cur.c, cur.d
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= c and b >= d:
+            k = b if c == 0 else min(a // c, b // d)
             runs.append(("R", k))
-            v = Mat2(v.a - k * v.c, v.b - k * v.d, v.c, v.d)
-        elif v.c >= v.a and v.d >= v.b:
-            k = v.c if v.b == 0 else min(v.c // v.a, v.d // v.b)
+            a, b = a - k * c, b - k * d
+        elif c >= a and d >= b:
+            k = c if b == 0 else min(c // a, d // b)
             runs.append(("L", k))
-            v = Mat2(v.a, v.b, v.c - k * v.a, v.d - k * v.b)
+            c, d = c - k * a, d - k * b
         else:
-            raise RuntimeError(f"peeling {m} reached {v}, which is not a positive word")
+            raise RuntimeError(f"peeling {m} reached {Mat2(a, b, c, d)}, which is not a positive word")
     if len(runs) < 2:
         raise RuntimeError(f"peeling {m} gave the word {runs}, without both letters")
     # the cyclic word as (a, b) pairs R**a L**b: join the two ends of a run
@@ -407,8 +437,13 @@ def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     pairs = pairs[r0:] + pairs[:r0]
     # U moves on along the peeled word to where that rotation starts
     u = rot @ cone
+    a, b, c, d = u.a, u.b, u.c, u.d
     for letter, k in runs[: 2 * r0 + shift]:
-        u = u @ _run(letter, k)
+        if letter == "R":
+            b, d = b + k * a, d + k * c
+        else:
+            a, c = a + k * b, c + k * d
+    u = Mat2(a, b, c, d)
     _verify(u.inverse() @ m @ u == _pairs_matrix(pairs), "hyperbolic normal form", m)
     return tuple("".join("R" * a + "L" * b for a, b in pairs)), u
 
@@ -635,11 +670,46 @@ def generator_word(m: Mat2, pivot: str = "floor") -> Tuple[Tuple[str, int], ...]
     return tuple(out)
 
 
+def _chi3_table() -> dict:
+    """The character R -> 1, S -> 0 on SL(2,Z/3), keyed by entries mod 3,
+    by a breadth-first search that checks every edge (see
+    abelianization_mod3)."""
+    table = {(1, 0, 0, 1): 0}
+    queue = [(1, 0, 0, 1)]
+    for a, b, c, d in queue:
+        value = table[(a, b, c, d)]
+        # g @ R = [[a, a+b], [c, c+d]] and g @ S = [[b, -a], [d, -c]]
+        for nxt, step in (((a, (a + b) % 3, c, (c + d) % 3), 1), ((b, -a % 3, d, -c % 3), 0)):
+            want = (value + step) % 3
+            if nxt not in table:
+                table[nxt] = want
+                queue.append(nxt)
+            elif table[nxt] != want:
+                raise RuntimeError(f"the character mod 3 is not well defined at {nxt}")
+    if len(table) != 24:
+        raise RuntimeError(f"R and S reached {len(table)} elements of SL(2,Z/3), not 24")
+    return table
+
+
+CHI3 = _chi3_table()
+
+
 def abelianization_mod3(m: Mat2) -> int:
     """Image of m under SL(2,Z) -> Z/3 (abelianization Z/12 reduced mod 3).
 
     R maps to 1 and S maps to 0, so the value is the R-exponent sum of any
-    generator decomposition mod 3.
+    generator decomposition mod 3.  The character factors through reduction
+    mod 3, SL(2,Z) -> SL(2,Z/3) -> Z/3, since its kernel holds the normal
+    closure of R^3, the congruence subgroup Gamma(3).  So the value is read
+    from `CHI3`, built by a breadth-first search from I over right
+    multiplication by R and S that gives gR the value of g plus 1 and gS
+    the value of g.  Every edge is checked, also one into an element
+    already valued, and a conflict raises RuntimeError.  With no conflict,
+    f(gh) = f(g) + f(h) by induction on a word for h in R and S, so the
+    table is a homomorphism that agrees with the character on R and S, and
+    therefore everywhere.
     """
-    return sum(exp for gen, exp in generator_word(m) if gen == "R") % 3
+    if m.det() != 1:
+        raise NotInSL2ZError(f"determinant {m.det()}: {m}")
+    return CHI3[(m.a % 3, m.b % 3, m.c % 3, m.d % 3)]
 

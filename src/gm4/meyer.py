@@ -17,6 +17,15 @@ an integer 2-cocycle; empirically it takes values in {-2,...,2}.  The
 signature of a block is (1/3) * sum of psi over its boundary monodromies,
 and signatures add over blocks under glueings that reverse the induced
 boundary orientations.
+
+The character mod 3, R -> 1 and S -> 0, factors as SL(2,Z) -> SL(2,Z/3)
+-> Z/3, since its kernel holds the normal closure of R^3, the congruence
+subgroup Gamma(3).  `gl2z.abelianization_mod3` reads it from a table of
+SL(2,Z/3) that a breadth-first search over R- and S-edges builds, checking
+that every edge agrees (gR has the value of g plus 1, gS that of g); with
+no conflict the table is a homomorphism that agrees with the character on
+R and S.  So the mod-3 check in psi is a table lookup, not a Euclidean
+decomposition.
 """
 from __future__ import annotations
 

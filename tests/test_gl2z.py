@@ -17,8 +17,16 @@ from gm4 import (
     eigenvector_eigenvalue_one,
 )
 from gm4 import gl2z, psi
-from gm4.gl2z import _least_rotation, _normal_form, generator_word
+from gm4.gl2z import (
+    CHI3,
+    _least_rotation,
+    _normal_form,
+    abelianization_mod3,
+    generator_word,
+    int_str,
+)
 
+from conftest import bench_gen
 from oracle_sl2z import conjugacy_orbit, letterwise_normal_form, sl2z_entries_up_to
 
 
@@ -55,6 +63,11 @@ class TestArithmetic:
     def test_inverse_roundtrip(self):
         for m in (R, L, S, Mat2(1, 0, 0, -1), Mat2(3, 2, 4, 3)):
             assert m @ m.inverse() == I2
+
+    def test_int_str_past_the_digit_limit(self):
+        for n in (0, -7, 10**1000 - 1, 10**1000, -(10**2000) - 3, 10**4299 + 12345):
+            assert int_str(n) == str(n)
+        assert int_str(-(10**5000) - 7) == "-1" + "0" * 4998 + "07"
 
     def test_non_unimodular_inverse_rejected(self):
         from gm4 import NotUnimodularError
@@ -288,12 +301,13 @@ class TestRunLengthNormalForm:
             return counts[0]
 
         monkeypatch.setattr(Mat2, "__matmul__", counted)
-        # R^n L: two runs whatever n is
-        assert len({products(Mat2(n + 1, n, 1, 1)) for n in (10, 10**3, 10**5)}) == 1
-        # (RL)^n: n runs, and about one product per run
+        # the peel, the walk of U and the product of the runs take no Mat2
+        # product, so a nonnegative word costs a few products whatever its
+        # length: R^n L has two runs, (RL)^n has 2n
         ns = (8, 64, 512)
-        rl = [products(letters_matrix(("R", "L") * n)) for n in ns]
-        assert all(n <= p <= n + 10 for n, p in zip(ns, rl)), rl
+        counts = [products(Mat2(n + 1, n, 1, 1)) for n in ns + (10**5,)]
+        counts += [products(letters_matrix(("R", "L") * n)) for n in ns]
+        assert all(p <= 10 for p in counts), counts
 
     def test_long_runs_past_the_old_step_guards(self):
         assert classify(Mat2(150001, 150000, 1, 1)) == ConjClass(
@@ -301,6 +315,51 @@ class TestRunLengthNormalForm:
         )
         m = L ** 150000 @ R @ L @ L ** -150000
         assert str(classify(m)) == "Hyperbolic(+1, RL)"
+
+
+class TestAbelianizationMod3:
+    """The character R -> 1, S -> 0 read from the table of SL(2,Z/3)."""
+
+    @given(words(24), st.sampled_from(["floor", "round"]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_r_exponent_sum(self, word, pivot):
+        m = to_matrix(word)
+        r_sum = sum(exp for gen, exp in generator_word(m, pivot) if gen == "R")
+        assert abelianization_mod3(m) == r_sum % 3
+
+    def test_table_is_sl2_z3(self):
+        assert len(CHI3) == 24
+        assert all((a * d - b * c) % 3 == 1 for a, b, c, d in CHI3)
+        assert [abelianization_mod3(m) for m in (I2, R, L, S, -I2)] == [0, 1, 2, 0, 0]
+
+    def test_rejects_det_minus_one(self):
+        with pytest.raises(NotInSL2ZError):
+            abelianization_mod3(Mat2(1, 0, 0, -1))
+
+
+class TestWordsWorkloadReplay:
+    """The first block of the bench's `words` items, with the answers that
+    bench/gen.py derives from each item's construction."""
+
+    def test_first_block(self):
+        gen = bench_gen()
+        items = gen.word_items(1, 1)
+        assert len(items) == 100 and max(len(it.m1.word) for it in items) <= 2048
+        for it in items:
+            m1 = Mat2(*it.m1.mat)
+            want = gen.word_expected(it)
+            if it.op == "classify":
+                assert str(classify(m1)) == want, it.id
+                continue
+            if it.op == "psi":
+                assert psi(m1) == want, it.id
+                continue
+            m2 = Mat2(*it.m2.mat)
+            ok, c = conjugate_in(m1, m2, SL2Z if it.op == "conj_sl" else GL2Z)
+            assert ok == want, it.id
+            if ok:
+                assert c.det() in ((1,) if it.op == "conj_sl" else (1, -1)), it.id
+                assert c @ m1 @ c.inverse() == m2, it.id
 
 
 class TestResultChecks:

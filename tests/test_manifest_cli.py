@@ -203,6 +203,23 @@ class TestCli:
             assert (rc, out) == (12, ""), err
             assert err.startswith("'utf-8' codec can't decode") and err.count("\n") == 1
 
+    def test_class_past_the_int_str_digit_limit(self, tmp_path):
+        # parabolic entries of 4,300 digits, the interpreter's default limit
+        # for int-to-str; the third boundary class of each block,
+        # n = -2 (10^4300 - 1), has 4,301
+        big = 10**4300 - 1
+        text = Path(DOUBLE).read_text()
+        for old, new in (("[[1,1],", big), ("[[1,2],", big), ("[[1,-1],", -big), ("[[1,-2],", -big)):
+            text = text.replace(old, f"[[1,{new}],")
+        path = str(tmp_path / "huge.gm")
+        Path(path).write_text(text)
+        for argv in (["validate", path], ["reduce", path], ["invariants", path],
+                     ["compare", path, path]):
+            rc, out, err = run_cli(argv)
+            assert rc == 0 and "Traceback" not in err, (argv[0], err[-500:])
+        rc, out, err = run_cli(["invariants", path])
+        assert "Parabolic(+1, n=-1" + "9" * 4299 + "8)" in out
+
     def test_compare_same(self, gm_files, capsys):
         assert main(["compare", gm_files["double"], gm_files["double"]]) == 0
         assert capsys.readouterr().out.startswith("Yes")

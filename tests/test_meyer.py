@@ -22,7 +22,7 @@ from gm4 import (
     psi_by_folding,
 )
 
-from gm4 import meyer
+from gm4 import gl2z, meyer
 
 from conftest import mirror_double, pants, trivial_double, upper
 
@@ -199,6 +199,18 @@ class TestResultChecks:
         monkeypatch.setattr(meyer, "psi", lambda m: 1)
         with pytest.raises(RuntimeError, match="not divisible by 3"):
             meyer_cocycle(R, L)
+
+    def test_kappa_check_needs_no_generator_word(self, monkeypatch):
+        ms = [I2, -I2, Mat2(1, 3, 0, 1), Mat2(-1, 0, 5, -1), S, R @ S, Mat2(2, 1, 1, 1),
+              -(R @ L) ** 40]
+        folded = [psi_by_folding(m) for m in ms]
+
+        def refuse(*args):
+            raise AssertionError("psi called generator_word")
+
+        monkeypatch.setattr(gl2z, "generator_word", refuse)
+        monkeypatch.setattr(meyer, "generator_word", refuse)
+        assert [psi.__wrapped__(m) for m in ms] == folded  # uncached
 
     def test_decomposition_check(self, monkeypatch):
         monkeypatch.setattr(meyer, "generator_word", lambda m, pivot: (("S", 1),))
