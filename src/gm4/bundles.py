@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gl2z import I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify
+from .gl2z import GL2Z, I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify, conjugate_in
 from . import smith
 
 Word = Tuple[Tuple[str, int], ...]
@@ -561,51 +561,36 @@ def intertwiner_basis(pairs: Sequence[Tuple[Mat2, Mat2]]) -> List[Mat2]:
     return [Mat2(v[0], v[1], v[2], v[3]) for v in basis]
 
 
-def _combo(basis: Sequence[Mat2], coeffs: Sequence[int]) -> Mat2:
-    out = Mat2(0, 0, 0, 0)
-    for x, c in zip(basis, coeffs):
-        if c:
-            out = Mat2(out.a + c * x.a, out.b + c * x.b, out.c + c * x.c, out.d + c * x.d)
-    return out
-
-
-WITNESS_BOUND = 8
-
-
 def fiber_covering_exists(phi1: Mat2, phi2: Mat2) -> Tuple[bool, Optional[Mat2]]:
     """Decide whether a fiber covering map M_phi1 -> M_phi2 exists: an alpha
     with nonzero determinant and alpha @ phi1 == phi2 @ alpha.
 
-    The decision is exact (a quadratic form vanishes on a lattice iff it
-    vanishes on all {-1,0,1} coefficient vectors of a basis); the returned
-    witness has the smallest |det| among coefficient vectors with entries
-    bounded by WITNESS_BOUND, ties broken lexicographically.
+    Such an alpha is a rational similarity, so a covering exists iff phi1
+    and phi2 have the same trace and determinant and are both scalar or both
+    not: non-scalar 2x2 matrices with one characteristic polynomial are
+    similar over Q.  The witness is the GL(2,Z) conjugator when there is
+    one, so it is unimodular whenever a unimodular witness exists.
+    Otherwise the intertwiner lattice has rank 2 and det is a binary
+    quadratic form on it that is not identically 0, so it is nonzero at one
+    of b1, b2, b1 + b2 of its basis, and the first such is the witness; it
+    need not have the least |det|.  Either is negated so that its first
+    nonzero entry is positive.
     """
-    basis = intertwiner_basis([(phi1, phi2)])
-    if not basis:
+
+    def invariants(phi: Mat2) -> Tuple[int, int, bool]:
+        return phi.trace(), phi.det(), phi.b == phi.c == 0 and phi.a == phi.d
+
+    if invariants(phi1) != invariants(phi2):
         return False, None
-    r = len(basis)
-    if all(_combo(basis, c).det() == 0 for c in product(range(-1, 2), repeat=r)):
-        return False, None
-    best: Optional[Tuple[Tuple, Mat2]] = None
-    for coeffs in product(range(-WITNESS_BOUND, WITNESS_BOUND + 1), repeat=r):
-        x = _combo(basis, coeffs)
-        det = x.det()
-        if det == 0:
-            continue
-        if x.a < 0 or (x.a == 0 and (x.b < 0 or (x.b == 0 and (x.c < 0 or (x.c == 0 and x.d < 0))))):
-            x = -x
-        key = (
-            abs(det),
-            max(abs(e) for e in x.entries()),
-            tuple(abs(e) for e in x.entries()),
-            x.entries(),
-        )
-        if best is None or key < best[0]:
-            best = (key, x)
-    if best is None:
-        raise RuntimeError(f"no witness within the bound for {phi1} and {phi2}")
-    witness = best[1]
+    ok, witness = conjugate_in(phi1, phi2, GL2Z)
+    if not ok:
+        basis = intertwiner_basis([(phi1, phi2)])
+        if len(basis) != 2:
+            raise RuntimeError(f"intertwiner lattice of {phi1} and {phi2} has rank {len(basis)}, not 2")
+        b1, b2 = basis
+        witness = next((x for x in (b1, b2, b1 + b2) if x.det() != 0), b1)
+    if witness.entries() < (0, 0, 0, 0):
+        witness = -witness
     if witness @ phi1 != phi2 @ witness or witness.det() == 0:
         raise RuntimeError(f"witness {witness} does not intertwine {phi1} and {phi2}")
     return True, witness

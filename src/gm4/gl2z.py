@@ -23,27 +23,32 @@ SL(2,Z) conjugacy classes are canonicalized as follows:
   rotation.  The stored word is the lexicographically least rotation with
   R < L.
 
-The hyperbolic normal form works on the run-length form of the word, the
-exponents (a1, b1, ..., ak, bk) of R^a1 L^b1 ... R^ak L^bk, so its cost
-grows with the number of runs and the size of the entries, not with the
-length of the word:
+The hyperbolic normal form reads the word off the continued fraction of
+the attracting fixed point xi = (a - d + sqrt(t^2 - 4)) / 2c of M, one
+exact integer step per partial quotient, so its cost grows with the number
+of partial quotients and the size of the entries, not with the length of
+the word (see `_hyperbolic_normalize`):
 
-* a Farey walk conjugates the matrix by R^q or L^q until all its entries
-  are nonnegative; each quotient q comes from exact comparisons of the
-  eigendirection, a quadratic surd, with the mediants of the cone;
-* the nonnegative matrix is peeled into its runs, q rows at a time;
+* xi is a quadratic irrational, so its continued fraction is eventually
+  periodic (Lagrange); a tail x_j is purely periodic iff it is reduced,
+  x_j > 1 and -1 < x_j' < 0 (Galois), and the period, taken in pairs
+  (a1, b1, ..., ak, bk), is the positive word R^a1 L^b1 ... R^ak L^bk;
+* that word W generates the stabiliser of x_j in SL(2,Z) up to -I, and the
+  pre-period U maps x_j to xi, so U^-1 M U = W^n for some n >= 1 (Katok,
+  "Coding of closed geodesics after Gauss and Morse", Geom. Dedicata 63
+  (1996); Zagier, "Zetafunktionen und quadratische Koerper" (1981),
+  sections 13-14);
+* n is guessed from the logarithms of the eigenvalues in floating point,
+  and the final check U^-1 M U == W^n is exact, so the float can only
+  make the check fail, never give a wrong answer;
 * the least rotation starts at an R run, and comparing two rotations run
   by run orders the runs by the key (-a, b): a longer R run first, then a
   shorter L run.  Booth's algorithm (Inf. Proc. Lett. 10(4), 1980) finds
   the least rotation of the key sequence in linear time, and of equal
-  rotations of a periodic word it takes the first;
-* the conjugator U moves along the peeled runs to where that rotation
-  starts, and the final check U^-1 M U == R^a1 L^b1 ... R^ak L^bk
-  multiplies out the runs of the canonical word.
+  rotations of a periodic word it takes the first.
 
-The peel, the walk of U and the product of the runs (`_pairs_matrix`) run
-on four local ints, one column operation per run, and build a Mat2 once
-at the end; the Farey walk still takes Mat2 products, two per run of it.
+The continued fraction runs on plain ints, and U and W are multiplied out
+by `_pairs_matrix`, one column operation per run.
 
 The character SL(2,Z) -> Z/3 (`abelianization_mod3`) is read from a table
 of SL(2,Z/3), `CHI3`, which a breadth-first search builds at import.
@@ -53,7 +58,7 @@ Conjugacy witnesses follow the convention  C @ M1 @ C.inverse() == M2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, log, sqrt
 from typing import Optional, Tuple, Union
 
 
@@ -256,36 +261,6 @@ def eigenvector_eigenvalue_one(m: Mat2) -> EigenResult:
     return v
 
 
-# ---------------------------------------------------------------------------
-# quadratic surd comparisons (exact), used by the hyperbolic reduction walk
-# ---------------------------------------------------------------------------
-
-
-def _sign_surd(t: int, e: int, disc: int) -> int:
-    """Sign of t + e*sqrt(disc) for disc > 0 and nonsquare, e != 0."""
-    if e > 0:
-        if t >= 0:
-            return 1
-        return 1 if e * e * disc > t * t else -1
-    if t <= 0:
-        return -1
-    return 1 if t * t > e * e * disc else -1
-
-
-def _slope_params(m: Mat2) -> Tuple[int, int, int, int]:
-    """Expanding eigendirection slope of hyperbolic m as (P, e, Q, D).
-
-    slope = (P + e*sqrt(D)) / Q with Q > 0; irrational since D is never a
-    perfect square for |trace| > 2 and determinant 1.
-    """
-    t = m.trace()
-    disc = t * t - 4
-    p, e, q = m.d - m.a, 1, 2 * m.b
-    if q < 0:
-        p, e, q = -p, -e, -q
-    return p, e, q, disc
-
-
 def _verify(ok: bool, what: str, m: Mat2) -> None:
     """Raise RuntimeError unless a computed result passed its check.  Not an
     assert, so that it also runs under python -O."""
@@ -296,24 +271,6 @@ def _verify(ok: bool, what: str, m: Mat2) -> None:
 def _run(letter: str, k: int) -> Mat2:
     """R**k or L**k."""
     return Mat2(1, k, 0, 1) if letter == "R" else Mat2(1, 0, k, 1)
-
-
-def _nonnegative(m: Mat2) -> bool:
-    return min(m.a, m.b, m.c, m.d) >= 0
-
-
-def _last_true(pred) -> int:
-    """Largest j >= 1 with pred(j), for pred true at 1 and false from some
-    j on: a galloping search with O(log j) calls."""
-    lo, step = 1, 1
-    while pred(lo + step):
-        lo += step
-        step *= 2
-    while step > 1:
-        step //= 2
-        if pred(lo + step):
-            lo += step
-    return lo
 
 
 def _least_rotation(seq: list) -> int:
@@ -353,99 +310,63 @@ def _pairs_matrix(pairs) -> Mat2:
     return Mat2(a, b, c, d)
 
 
+def _log_eigenvalue(t: int) -> float:
+    """log of the larger eigenvalue (t + sqrt(t^2 - 4)) / 2 of a trace t > 2;
+    from 2**50 on that eigenvalue is t to double precision."""
+    return log((t + sqrt(t * t - 4)) / 2) if t < 2**50 else log(t)
+
+
 def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     """For trace(m) > 2 return (canonical cyclic word, U) with
     U.inverse() @ m @ U equal to the product of the letters of word.
 
-    Works on runs of letters: each run of the Farey walk is one matrix
-    product, each run of the peel and of the walk of U one column operation
-    on plain ints, and the least rotation is found over the runs."""
-    cur = m
-    rot = I2
-    p, e, q, disc = _slope_params(cur)
-    if _sign_surd(p, e, disc) < 0:
-        # rotate so the expanding eigendirection has positive slope
-        rot = S
-        cur = S.inverse() @ cur @ S
-        p, e, q, disc = _slope_params(cur)
-
-    def below(x: int, y: int) -> bool:
-        # the eigendirection slope is below y / x (x > 0)
-        return _sign_surd(x * p - y * q, x * e, disc) < 0
-
-    # Farey walk: shrink the cone spanned by the columns u, w of `cone` onto
-    # the eigendirection until the conjugated matrix maps the cone into
-    # itself (all entries >= 0).  A run of R steps replaces w by w + j*u
-    # while the slope stays below w + j*u; a run of L steps replaces u by
-    # u + j*w while it stays above.  Once nonnegative, every further step
-    # stays so; the walk ends at the first nonnegative step.
-    cone = I2
-    while not _nonnegative(cur):
-        (u0, w0), (u1, w1) = (cone.a, cone.b), (cone.c, cone.d)
-        if below(u0 + w0, u1 + w1):
-            letter = "R"
-            k = _last_true(lambda j: below(w0 + j * u0, w1 + j * u1))
-        else:
-            letter = "L"
-            k = _last_true(lambda j: not below(u0 + j * w0, u1 + j * w1))
-        nxt = _run(letter, -k) @ cur @ _run(letter, k)
-        if _nonnegative(nxt):
-            # the walk ends inside this run, at its first nonnegative step
-            whole = k
-            k = _last_true(
-                lambda j: j <= whole
-                and not _nonnegative(_run(letter, 1 - j) @ cur @ _run(letter, j - 1))
-            )
-            nxt = _run(letter, -k) @ cur @ _run(letter, k)
-        cur = nxt
-        cone = cone @ _run(letter, k)
-    # peel the nonnegative matrix into its unique R/L factorization, one
-    # run at a time: R**k takes k copies of the second row off the first
-    runs = []
-    a, b, c, d = cur.a, cur.b, cur.c, cur.d
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if a >= c and b >= d:
-            k = b if c == 0 else min(a // c, b // d)
-            runs.append(("R", k))
-            a, b = a - k * c, b - k * d
-        elif c >= a and d >= b:
-            k = c if b == 0 else min(c // a, d // b)
-            runs.append(("L", k))
-            c, d = c - k * a, d - k * b
-        else:
-            raise RuntimeError(f"peeling {m} reached {Mat2(a, b, c, d)}, which is not a positive word")
-    if len(runs) < 2:
-        raise RuntimeError(f"peeling {m} gave the word {runs}, without both letters")
-    # the cyclic word as (a, b) pairs R**a L**b: join the two ends of a run
-    # that the cut splits and start at an R run.  The R run at index 2i of
-    # the cycle starts where run 2i + shift of the peel does, so the R runs
-    # keep their order in the peel.
-    cyc = [k for _, k in runs]
-    shift = 0
-    if runs[0][0] == runs[-1][0]:
-        first = cyc.pop(0)
-        cyc[-1] += first
-        shift = 1
-    if runs[shift][0] == "L":
-        cyc.append(cyc.pop(0))
-        shift += 1
-    pairs = list(zip(cyc[::2], cyc[1::2]))
+    The attracting fixed point xi = (p + sqrt(disc)) / q of m, with
+    p = a - d, q = 2c and disc = t^2 - 4, is a quadratic irrational (c != 0
+    since t > 2, and q divides disc - p^2 = 4bc), so its continued fraction
+    is eventually periodic (Lagrange).  Each step takes one partial
+    quotient k = floor((p + sqrt(disc)) / q), read off isqrt(disc) exactly,
+    and moves to (p', q') with p' = kq - p and q' = q_prev + k(p - p'),
+    which is (disc - p'^2) / q without squaring.  The walk stops at the
+    first even index whose state recurs, at index j.  The tail x_j is then
+    purely periodic, so it is reduced (Galois), and its period, of even
+    length, is the positive word W = R^a1 L^b1 ... R^ak L^bk: W fixes x_j
+    and generates its stabiliser in SL(2,Z) up to -I.  Every exponent of
+    the period is checked to be >= 1.  The pre-period maps x_j to xi, so
+    with U the pre-period followed by the period up to the least rotation,
+    U^-1 m U fixes x_j with trace t > 2 and equals W^n for some n >= 1.
+    The float only guesses n from the eigenvalues; the answer is checked
+    exactly.  The cost is one step per partial quotient of xi, so (RL)^n
+    walks one period, not n of them."""
+    t = m.trace()
+    root = isqrt(t * t - 4)
+    p, q, q_prev = m.a - m.d, 2 * m.c, 2 * m.b
+    terms = []
+    seen = {}
+    while True:
+        if len(terms) % 2 == 0:
+            j = seen.setdefault((p, q), len(terms))
+            if j < len(terms):
+                break
+        k = (p + root) // q if q > 0 else (p + root + 1) // q
+        p_next = k * q - p
+        p, q, q_prev = p_next, q_prev + k * (p - p_next), q
+        terms.append(k)
+    period = terms[j:]
+    _verify(min(period) >= 1, "positive period word", m)
+    pairs = list(zip(period[::2], period[1::2]))
     # lexicographically least rotation with R < L: it starts at an R run,
     # and a longer R run, then a shorter L run, sorts first; of equal ones
-    # the first in the peel is taken
-    r0 = _least_rotation([(-a, b) for a, b in pairs])
+    # the first is taken
+    r0 = _least_rotation([(-x, y) for x, y in pairs])
     pairs = pairs[r0:] + pairs[:r0]
-    # U moves on along the peeled word to where that rotation starts
-    u = rot @ cone
-    a, b, c, d = u.a, u.b, u.c, u.d
-    for letter, k in runs[: 2 * r0 + shift]:
-        if letter == "R":
-            b, d = b + k * a, d + k * c
-        else:
-            a, c = a + k * b, c + k * d
-    u = Mat2(a, b, c, d)
-    _verify(u.inverse() @ m @ u == _pairs_matrix(pairs), "hyperbolic normal form", m)
-    return tuple("".join("R" * a + "L" * b for a, b in pairs)), u
+    walk = terms[: j + 2 * r0]
+    u = _pairs_matrix(zip(walk[::2], walk[1::2]))
+    w = _pairs_matrix(pairs)
+    # a trace of at most 2 comes only from a broken product; n = 0 then
+    # fails the check
+    n = round(_log_eigenvalue(t) / _log_eigenvalue(w.trace())) if w.trace() > 2 else 0
+    _verify(u.inverse() @ m @ u == w ** n, "hyperbolic normal form", m)
+    return tuple("".join("R" * x + "L" * y for x, y in pairs) * n), u
 
 
 def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:

@@ -33,10 +33,19 @@ from gm4.assembly import (
     _transport,
     invariant_report,
 )
-from gm4.bundles import Pi1Element, _combo, compose_isos, intertwiner_basis, iso_inverse
-from gm4.gl2z import I2
+from gm4.bundles import Pi1Element, compose_isos, intertwiner_basis, iso_inverse
+from gm4.gl2z import I2, Mat2
 
 CONJUGATOR_OPTIONS = 24  # conjugators tried per block pair
+
+
+def _combo(basis, coeffs):
+    """The lattice vector sum(c * x) of the basis matrices."""
+    out = Mat2(0, 0, 0, 0)
+    for x, c in zip(basis, coeffs):
+        if c:
+            out = Mat2(out.a + c * x.a, out.b + c * x.b, out.c + c * x.c, out.d + c * x.d)
+    return out
 
 
 def bounded_conjugators(pairs, bound):

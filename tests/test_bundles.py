@@ -315,7 +315,7 @@ class TestResultChecksRaise:
             validate_glueing(swap_iso(3))
 
     def test_fiber_covering_witness_check(self, monkeypatch):
-        monkeypatch.setattr(bundles, "intertwiner_basis", lambda pairs: [I2])
+        monkeypatch.setattr(bundles, "conjugate_in", lambda m1, m2, ambient: (True, I2))
         with pytest.raises(RuntimeError, match="does not intertwine"):
             fiber_covering_exists(R, L)
 

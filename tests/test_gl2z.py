@@ -1,3 +1,5 @@
+from math import log2
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -277,7 +279,8 @@ class TestRunLengthNormalForm:
         cls, u = _normal_form(m)
         oracle_word, oracle_u = letterwise_normal_form(positive.entries())
         assert cls == ConjClass("hyperbolic", sign, word=tuple(oracle_word))
-        assert u.entries() == oracle_u
+        assert u.det() == 1
+        assert u.inverse() @ positive @ u == letters_matrix(oracle_word)
         assert psi(m) == word.count("R") - word.count("L")
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 5), st.booleans())
@@ -288,26 +291,39 @@ class TestRunLengthNormalForm:
         assert _least_rotation(seq) == rotations.index(min(rotations))
 
     def test_matrix_products_grow_with_runs_not_letters(self, monkeypatch):
-        counts = [0]
+        count = [0]
         product = Mat2.__matmul__
 
         def counted(x, y):
-            counts[0] += 1
+            count[0] += 1
             return product(x, y)
 
         def products(m):
-            counts[0] = 0
+            count[0] = 0
             classify(m)
-            return counts[0]
+            return count[0]
 
         monkeypatch.setattr(Mat2, "__matmul__", counted)
-        # the peel, the walk of U and the product of the runs take no Mat2
-        # product, so a nonnegative word costs a few products whatever its
-        # length: R^n L has two runs, (RL)^n has 2n
-        ns = (8, 64, 512)
-        counts = [products(Mat2(n + 1, n, 1, 1)) for n in ns + (10**5,)]
-        counts += [products(letters_matrix(("R", "L") * n)) for n in ns]
-        assert all(p <= 10 for p in counts), counts
+        # the continued fraction, U and the period word take no Mat2
+        # product; the check takes two, plus the squarings of W ** n:
+        # R^n L is one period, (RL)^n is n periods of RL
+        ns = (8, 64, 512, 4096)
+        assert all(products(Mat2(n + 1, n, 1, 1)) <= 4 for n in ns + (10**5,))
+        for n in ns:
+            assert products(letters_matrix(("R", "L") * n)) <= 3 + 2 * log2(n), n
+
+    def test_walks_the_period_not_the_power(self, monkeypatch):
+        seqs = []
+        least = gl2z._least_rotation
+
+        def recorded(seq):
+            seqs.append(seq)
+            return least(seq)
+
+        monkeypatch.setattr(gl2z, "_least_rotation", recorded)
+        n = 2 * 10**4
+        assert classify(letters_matrix(("R", "L")) ** n) == ConjClass("hyperbolic", 1, word=("R", "L") * n)
+        assert [len(seq) for seq in seqs] == [1]
 
     def test_long_runs_past_the_old_step_guards(self):
         assert classify(Mat2(150001, 150000, 1, 1)) == ConjClass(
@@ -338,28 +354,29 @@ class TestAbelianizationMod3:
 
 
 class TestWordsWorkloadReplay:
-    """The first block of the bench's `words` items, with the answers that
-    bench/gen.py derives from each item's construction."""
+    """The first block of the bench's `words` items of seeds 1-3, with the
+    answers that bench/gen.py derives from each item's construction."""
 
     def test_first_block(self):
         gen = bench_gen()
-        items = gen.word_items(1, 1)
-        assert len(items) == 100 and max(len(it.m1.word) for it in items) <= 2048
-        for it in items:
-            m1 = Mat2(*it.m1.mat)
-            want = gen.word_expected(it)
-            if it.op == "classify":
-                assert str(classify(m1)) == want, it.id
-                continue
-            if it.op == "psi":
-                assert psi(m1) == want, it.id
-                continue
-            m2 = Mat2(*it.m2.mat)
-            ok, c = conjugate_in(m1, m2, SL2Z if it.op == "conj_sl" else GL2Z)
-            assert ok == want, it.id
-            if ok:
-                assert c.det() in ((1,) if it.op == "conj_sl" else (1, -1)), it.id
-                assert c @ m1 @ c.inverse() == m2, it.id
+        for seed in (1, 2, 3):
+            items = gen.word_items(seed, 1)
+            assert len(items) == 100 and max(len(it.m1.word) for it in items) <= 2048
+            for it in items:
+                m1 = Mat2(*it.m1.mat)
+                want = gen.word_expected(it)
+                if it.op == "classify":
+                    assert str(classify(m1)) == want, (seed, it.id)
+                    continue
+                if it.op == "psi":
+                    assert psi(m1) == want, (seed, it.id)
+                    continue
+                m2 = Mat2(*it.m2.mat)
+                ok, c = conjugate_in(m1, m2, SL2Z if it.op == "conj_sl" else GL2Z)
+                assert ok == want, (seed, it.id)
+                if ok:
+                    assert c.det() in ((1,) if it.op == "conj_sl" else (1, -1)), (seed, it.id)
+                    assert c @ m1 @ c.inverse() == m2, (seed, it.id)
 
 
 class TestResultChecks:
@@ -369,6 +386,13 @@ class TestResultChecks:
         monkeypatch.setattr(gl2z, "_pairs_matrix", lambda pairs: I2)
         with pytest.raises(RuntimeError, match="hyperbolic normal form"):
             classify(Mat2(2, 1, 1, 1))
+
+    def test_positive_period_check(self, monkeypatch):
+        # with sqrt(disc) read as 1, every partial quotient of the fixed
+        # point of [[2,3],[1,2]] is 0 and the period (0, 0) is not a word
+        monkeypatch.setattr(gl2z, "isqrt", lambda n: 1)
+        with pytest.raises(RuntimeError, match="positive period word"):
+            classify(Mat2(2, 3, 1, 2))
 
     def test_witness_check(self, monkeypatch):
         monkeypatch.setattr(gl2z, "_normal_form", lambda m: (ConjClass("central"), I2))

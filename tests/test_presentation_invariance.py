@@ -2,6 +2,7 @@
 is written.  Writing a glue line the other way round (ends swapped, glueing
 inverted), reordering the block and glue declarations and renaming blocks
 must leave the invariant key alone and never turn a verdict into "no"."""
+import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from gm4 import (
 from conftest import REDUCED_CORPUS, bench_gen
 from test_manifest_cli import run_cli
 
+GOLDEN = Path(__file__).resolve().parent / "match_golden.json"
 MANIFESTS = sorted((Path(__file__).resolve().parent.parent / "manifests").glob("*.gm"))
 CORPUS = {
     **{f"manifests/{path.name}": (lambda path=path: load_structure(path.read_text(encoding="utf-8")))
@@ -98,6 +100,18 @@ class TestReversedGlueLines:
         )
         assert "Parabolic(+1, n=1)" in report.decomposing_classes
         assert "Parabolic(+1, n=-1)" in flipped_report.decomposing_classes
+
+    def test_match_inputs_with_every_glue_line_reversed(self):
+        # every glue line of each seed 1-3 `match` partner written the other
+        # way round: each verdict is the recorded one
+        gen = bench_gen()
+        recorded = {(r["seed"], r["id"]): r["verdict"] for r in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+        for seed in (1, 2, 3):
+            for item in gen.match_items(seed, 1):
+                gs2 = load_structure(item.text2)
+                flipped = reverse_edges(gs2, set(range(len(gs2.edges))))
+                verdict = isomorphic_reduced(load_structure(item.text1), flipped).verdict
+                assert verdict == recorded[(seed, item.id)], (seed, item.id, item.family, item.partner)
 
 
 @given(data=st.data(), name=st.sampled_from(sorted(CORPUS)))
