@@ -20,12 +20,10 @@ from .gl2z import (
 from .bundles import (
     Block,
     BoundaryIso,
-    MonodromyRep,
     Pi1Element,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
     UnsupportedOperationError,
-    boundary_bundle,
     compose_isos,
     fiber_covering_exists,
     fiber_matrix,

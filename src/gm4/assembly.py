@@ -19,7 +19,6 @@ from .gl2z import GL2Z, I2, Mat2, _ext_gcd, conjugate_in, int_str
 from .bundles import (
     Block,
     BoundaryIso,
-    MonodromyRep,
     Pi1Element,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
@@ -109,8 +108,8 @@ def validate_structure(gs: GraphStructure) -> List[str]:
     if out:
         return out
     for idx, edge in enumerate(gs.edges):
-        m1 = blocks[edge.end1[0]].boundary_monodromy(edge.end1[1])
-        m2 = blocks[edge.end2[0]].boundary_monodromy(edge.end2[1])
+        m1 = blocks[edge.end1[0]].monodromies[edge.end1[1]]
+        m2 = blocks[edge.end2[0]].monodromies[edge.end2[1]]
         if edge.iso.source.phi != m1:
             out.append(
                 f"edge {idx}: glueing mismatch: iso source monodromy "
@@ -188,14 +187,14 @@ def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
     n_columns = 0
     for lbl, block in gs.blocks:
         x = offsets[lbl] = n_columns
-        surface = block.rep.surface
+        surface = block.surface
         column = {name: x + 2 + i for i, name in enumerate(surface.generator_names())}
         n_columns = x + 2 + len(column)
         for bd, word in zip(block.boundary_labels(), surface.boundary_words()):
             coeffs = boundary_ab[(lbl, bd)] = {}
             for gen, exp in word:
                 coeffs[column[gen]] = coeffs.get(column[gen], 0) + exp
-        for m in block.rep.images:
+        for m in block.images:
             # gamma x gamma^-1 = x^a y^c ; gamma y gamma^-1 = x^b y^d
             rows.append({x: 1 - m.a, x + 1: -m.c})
             rows.append({x: -m.b, x + 1: 1 - m.d})
@@ -265,7 +264,7 @@ class InvariantReport:
 def invariant_report(gs: GraphStructure) -> InvariantReport:
     rank, torsion = first_homology(gs)  # first: it validates gs
     blocks = gs.block_map()
-    summary = sorted((block.rep.surface.describe(), block.boundary_classes) for _, block in gs.blocks)
+    summary = sorted((block.surface.describe(), block.boundary_classes) for _, block in gs.blocks)
     decomposing = []
     edge_classes = []
     findings = []
@@ -347,7 +346,7 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     1..steps go last, in order, their monodromies conjugated by the handle
     product N (from N m_1 ... m_b = I), so their transports are (N, 1).
     Rotation by 0 is the identity re-presentation."""
-    surface = block.rep.surface
+    surface = block.surface
     if not surface.orientable:
         raise ValueError("rotations re-present orientable bases only")
     labels = block.boundary_labels()
@@ -356,9 +355,9 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     n_mat = n_inv.inverse()
     moved = {lbl: n_mat @ monos[lbl] @ n_inv for lbl in labels[:steps]}
     new_labels = labels[steps:] + labels[:steps]
-    handles = block.rep.images[: 2 * surface.genus]
+    handles = block.images[: 2 * surface.genus]
     new_cs = tuple(moved.get(lbl, monos[lbl]) for lbl in new_labels[:-1])
-    new_block = Block(MonodromyRep(surface, handles + new_cs), new_labels)
+    new_block = Block(surface, handles + new_cs, new_labels)
     return new_block, {lbl: (lbl, n_mat if lbl in moved else I2, 1) for lbl in labels}
 
 
@@ -369,18 +368,18 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
     (P, 1), and positions 2..p get m_1 .. m_{p-1}; the other positions keep
     their monodromies.  Moving position 1 is the identity re-presentation.
     """
-    surface = block.rep.surface
+    surface = block.surface
     b = surface.boundary_count
     if not 1 <= p <= b - 1:
         raise ValueError(f"boundary position {p} is not below the last of {b}")
     labels = block.boundary_labels()
-    first_c = len(block.rep.images) - (b - 1)
-    head, cs = block.rep.images[:first_c], block.rep.images[first_c:]
+    first_c = len(block.images) - (b - 1)
+    head, cs = block.images[:first_c], block.images[first_c:]
     p_mat = _product(cs[: p - 1])
     moved = p_mat @ cs[p - 1] @ p_mat.inverse()
     new_cs = (moved,) + cs[: p - 1] + cs[p:]
     new_labels = (labels[p - 1],) + labels[: p - 1] + labels[p:]
-    new_block = Block(MonodromyRep(surface, head + new_cs), new_labels)
+    new_block = Block(surface, head + new_cs, new_labels)
     return new_block, {lbl: (lbl, p_mat if lbl == labels[p - 1] else I2, 1) for lbl in labels}
 
 
@@ -391,18 +390,18 @@ def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
     conjugation by N) and the boundary order below the last position
     reverses; the transports send t to t^-1.
     """
-    surface = block.rep.surface
+    surface = block.surface
     if not surface.orientable:
         raise ValueError("mirrors re-present orientable bases only")
     split = 2 * surface.genus
     labels = block.boundary_labels()
     n_inv = _product(block.monodromies.values())
     n_mat = n_inv.inverse()
-    new_images = tuple(reversed(block.rep.images[:split])) + tuple(
-        n_inv @ m.inverse() @ n_mat for m in reversed(block.rep.images[split:])
+    new_images = tuple(reversed(block.images[:split])) + tuple(
+        n_inv @ m.inverse() @ n_mat for m in reversed(block.images[split:])
     )
     new_labels = tuple(reversed(labels[:-1])) + labels[-1:]
-    new_block = Block(MonodromyRep(surface, new_images), new_labels)
+    new_block = Block(surface, new_images, new_labels)
     transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
     transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
     return new_block, transports
@@ -468,7 +467,7 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     (l1, bd1), (l2, bd2) = edge.end1, edge.end2
     blocks = gs.block_map()
     b1, b2 = blocks[l1], blocks[l2]
-    if not (b1.rep.surface.orientable and b2.rep.surface.orientable):
+    if not (b1.surface.orientable and b2.surface.orientable):
         raise UnsupportedOperationError(
             "merging blocks with non-orientable bases is not supported"
         )
@@ -477,10 +476,10 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     b2, trans2 = _mirror(b2) if edge.iso.t_img.k == 1 else _rotate(b2, 0)
     # one rotation per block puts the glued boundary last on the end1 side
     # and first on the end2 side; re-presentations keep boundary labels
-    b1, trans1 = _rotate(b1, _position(b1, bd1) % b1.rep.surface.boundary_count)
+    b1, trans1 = _rotate(b1, _position(b1, bd1) % b1.surface.boundary_count)
     b2, rotation = _rotate(b2, _position(b2, bd2) - 1)
     trans2 = _then(trans2, rotation)
-    s1, s2 = b1.rep.surface, b2.rep.surface
+    s1, s2 = b1.surface, b2.surface
     g1, n1 = s1.genus, s1.boundary_count
     g2, n2 = s2.genus, s2.boundary_count
     if n1 + n2 - 2 == 0:
@@ -495,8 +494,8 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     # block 2's c's after its (glued) first one, conjugated into block 1's
     # fiber.  When block 2 has one boundary, block 1's last c becomes the
     # merged block's last boundary, which has no generator.
-    imgs1 = b1.rep.images if n2 > 1 else b1.rep.images[:-1]
-    imgs2 = b2.rep.images
+    imgs1 = b1.images if n2 > 1 else b1.images[:-1]
+    imgs2 = b2.images
     new_images = (
         tuple(c_inv @ m @ c_mat for m in imgs2[: 2 * g2])
         + imgs1
@@ -508,7 +507,7 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
         + [f"{l2}.{lbl}" for lbl in labels2[1:]]
     )
     merged_surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
-    merged = Block(MonodromyRep(merged_surface, new_images), new_labels)
+    merged = Block(merged_surface, new_images, new_labels)
     mapping: Dict[End, Transport] = {}
     for lbl in labels1[: n1 - 1]:
         _, a, eps = trans1[lbl]
@@ -524,7 +523,7 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     edge = gs.edges[edge_idx]
     lbl = edge.end1[0]
     block = gs.block(lbl)
-    if not block.rep.surface.orientable:
+    if not block.surface.orientable:
         raise UnsupportedOperationError(
             "merging blocks with non-orientable bases is not supported"
         )
@@ -533,8 +532,8 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "self-glueing preserving the base circle direction produces a "
             "non-orientable base; not supported"
         )
-    g = block.rep.surface.genus
-    b = block.rep.surface.boundary_count
+    g = block.surface.genus
+    b = block.surface.boundary_count
     if b == 2:
         raise ClosedBaseError(
             "contracting this self-glueing closes the base: the structure is "
@@ -545,7 +544,7 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     block, trans = _rotate(block, _position(block, bd1) % b)
     block, front = _move_to_front(block, _position(block, bd2))
     trans = _then(trans, front)
-    imgs = block.rep.images
+    imgs = block.images
     labels = block.boundary_labels()
     m_last = block.monodromies[labels[-1]]  # at the contracted source boundary
     m_last_inv = m_last.inverse()
@@ -559,7 +558,7 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     )
     new_labels = tuple(f"{lbl}.{old}" for old in labels[1 : b - 1])
     merged_surface = SurfaceWithBoundary(True, g + 1, b - 2)
-    merged = Block(MonodromyRep(merged_surface, new_images), new_labels)
+    merged = Block(merged_surface, new_images, new_labels)
     mapping: Dict[End, Transport] = {}
     for old in labels[1 : b - 1]:
         _, a, eps = trans[old]
@@ -674,7 +673,7 @@ def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso) -> bool:
 
 
 def _block_key(block: Block) -> Tuple:
-    s = block.rep.surface
+    s = block.surface
     return (s.orientable, s.genus, s.boundary_count, block.boundary_classes)
 
 
@@ -732,14 +731,14 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
             glued[e.end1], glued[e.end2] = e.end2, e.end1
     edge_index2 = {(e.end1, e.end2): e.iso for e in gs2.edges}
     counts = {"assignments": 0, "edge_checks": 0}
-    # one conjugator (or None) per pair of block representations
-    conjugators: Dict[Tuple[MonodromyRep, MonodromyRep], Optional[Mat2]] = {}
+    # one conjugator (or None) per pair of image tuples, which alone decide it
+    conjugators: Dict[Tuple[Tuple[Mat2, ...], Tuple[Mat2, ...]], Optional[Mat2]] = {}
 
     def conjugator(lbl1: str, lbl2: str) -> Optional[Mat2]:
-        rep1, rep2 = blocks1[lbl1].rep, blocks2[lbl2].rep  # equal keys: equal surfaces
-        if (rep1, rep2) not in conjugators:
-            conjugators[(rep1, rep2)] = _conjugator(list(zip(rep1.images, rep2.images)))
-        return conjugators[(rep1, rep2)]
+        pair = (blocks1[lbl1].images, blocks2[lbl2].images)
+        if pair not in conjugators:
+            conjugators[pair] = _conjugator(list(zip(*pair)))
+        return conjugators[pair]
 
     def image(end: End, mapping: Dict[str, str]) -> End:
         lbl, bd = end
@@ -747,8 +746,8 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
         return mapping[lbl], blocks2[mapping[lbl]].boundary_labels()[pos]
 
     def transport(end: End, new_end: End) -> Tuple[BoundaryIso, BoundaryIso]:
-        m1 = blocks1[end[0]].boundary_monodromy(end[1])
-        m2 = blocks2[new_end[0]].boundary_monodromy(new_end[1])
+        m1 = blocks1[end[0]].monodromies[end[1]]
+        m2 = blocks2[new_end[0]].monodromies[new_end[1]]
         c = conjugator(end[0], new_end[0])
         mu, mu_inv = _transport(m1, c, 1)
         if mu.target.phi != m2:

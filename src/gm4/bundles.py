@@ -1,5 +1,5 @@
-"""Surfaces with boundary, monodromy representations, blocks and the
-torus bundles over circles that bound them.
+"""Surfaces with boundary, blocks (torus bundles over them, given by their
+monodromy) and the torus bundles over circles that bound them.
 
 Generator and boundary-word convention (fixed once for the whole package):
 
@@ -35,7 +35,7 @@ from itertools import combinations
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gl2z import GL2Z, I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify, conjugate_in
+from .gl2z import GL2Z, I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify, conjugate_in, int_str
 from . import smith
 
 Word = Tuple[Tuple[str, int], ...]
@@ -113,70 +113,38 @@ class SurfaceWithBoundary:
 
 
 @dataclass(frozen=True)
-class MonodromyRep:
+class Block:
+    """A torus bundle over a surface with boundary: the monodromy images of
+    the generators, in generator_names order, and boundary labels (1..b)."""
+
     surface: SurfaceWithBoundary
     images: Tuple[Mat2, ...]
-
-    def image_map(self) -> Dict[str, Mat2]:
-        return dict(zip(self.surface.generator_names(), self.images))
-
-    @cached_property
-    def _image_lookup(self) -> Dict[str, Mat2]:
-        # built once per representation, so evaluating all b boundary words
-        # costs O(b) lookups rather than b rebuilt maps
-        return self.image_map()
-
-    def evaluate(self, word: Word) -> Mat2:
-        imgs = self._image_lookup
-        out = I2
-        for gen, exp in word:
-            out = out @ (imgs[gen] ** exp)
-        return out
-
-    def violations(self) -> List[str]:
-        out = []
-        names = self.surface.generator_names()
-        if len(self.images) != len(names):
-            out.append(
-                f"monodromy image count {len(self.images)} does not match "
-                f"pi1 rank {len(names)}"
-            )
-            return out
-        for name, m in zip(names, self.images):
-            det = m.det()
-            if det not in (1, -1):
-                out.append(f"image of {name} has determinant {det}, not unimodular")
-            elif self.surface.orientable and det != 1:
-                out.append(
-                    f"image of {name} has determinant -1 over an orientable base: "
-                    "total space would be non-orientable"
-                )
-            elif not self.surface.orientable:
-                want = -1 if name.startswith("d") else 1
-                if det != want:
-                    out.append(
-                        f"image of {name} has determinant {det}; orientation "
-                        f"pattern over a non-orientable base needs {want}"
-                    )
-        return out
-
-
-@dataclass(frozen=True)
-class Block:
-    rep: MonodromyRep
     labels: Tuple[str, ...] = ()
 
     def boundary_labels(self) -> Tuple[str, ...]:
         if self.labels:
             return self.labels
-        return tuple(str(i) for i in range(1, self.rep.surface.boundary_count + 1))
+        return tuple(str(i) for i in range(1, self.surface.boundary_count + 1))
+
+    @cached_property
+    def image_map(self) -> Dict[str, Mat2]:
+        """Generator name -> monodromy image, built once per block, so
+        evaluating all b boundary words costs O(b) lookups."""
+        return dict(zip(self.surface.generator_names(), self.images))
+
+    def evaluate(self, word: Word) -> Mat2:
+        imgs = self.image_map
+        out = I2
+        for gen, exp in word:
+            out = out @ (imgs[gen] ** exp)
+        return out
 
     @cached_property
     def monodromies(self) -> Dict[str, Mat2]:
         """Boundary label -> boundary monodromy, in boundary order: each
         boundary word is evaluated once per (immutable) block."""
-        words = self.rep.surface.boundary_words()
-        return {lbl: self.rep.evaluate(w) for lbl, w in zip(self.boundary_labels(), words)}
+        words = self.surface.boundary_words()
+        return {lbl: self.evaluate(w) for lbl, w in zip(self.boundary_labels(), words)}
 
     @cached_property
     def classes(self) -> Dict[str, ConjClass]:
@@ -189,18 +157,10 @@ class Block:
         """The sorted SL(2,Z) classes of the boundary monodromies."""
         return tuple(sorted(str(cls) for cls in self.classes.values()))
 
-    def boundary_monodromies(self) -> Tuple[Tuple[str, Mat2], ...]:
-        return tuple(self.monodromies.items())
-
-    def boundary_monodromy(self, label: str) -> Mat2:
-        if label not in self.monodromies:
-            raise KeyError(f"no boundary component labeled {label!r}")
-        return self.monodromies[label]
-
 
 def validate_block(block: Block) -> List[str]:
     out: List[str] = []
-    surface = block.rep.surface
+    surface = block.surface
     chi = surface.euler_characteristic()
     if surface.is_mobius():
         out.append("excluded surface: Mobius band (chi = 0)")
@@ -217,7 +177,29 @@ def validate_block(block: Block) -> List[str]:
         )
     elif len(set(labels)) != len(labels):
         out.append("boundary labels are not distinct")
-    out.extend(block.rep.violations())
+    names = surface.generator_names()
+    if len(block.images) != len(names):
+        out.append(
+            f"monodromy image count {len(block.images)} does not match "
+            f"pi1 rank {len(names)}"
+        )
+        return out
+    for name, m in zip(names, block.images):
+        det = m.det()
+        if det not in (1, -1):
+            out.append(f"image of {name} has determinant {det}, not unimodular")
+        elif surface.orientable and det != 1:
+            out.append(
+                f"image of {name} has determinant -1 over an orientable base: "
+                "total space would be non-orientable"
+            )
+        elif not surface.orientable:
+            want = -1 if name.startswith("d") else 1
+            if det != want:
+                out.append(
+                    f"image of {name} has determinant {det}; orientation "
+                    f"pattern over a non-orientable base needs {want}"
+                )
     return out
 
 
@@ -232,7 +214,7 @@ class Pi1Element(NamedTuple):
     k: int
 
     def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.k})"
+        return f"({int_str(self.a)},{int_str(self.b)},{int_str(self.k)})"
 
 
 PI1_X = Pi1Element(1, 0, 0)
@@ -293,10 +275,6 @@ class TorusBundleOverCircle:
 
     def conjugate(self, g: Pi1Element, e: Pi1Element) -> Pi1Element:
         return self.mul(self.mul(g, e), self.inv(g))
-
-
-def boundary_bundle(block: Block, label: str) -> TorusBundleOverCircle:
-    return TorusBundleOverCircle(block.boundary_monodromy(label))
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        return "[[{},{}],[{},{}]]".format(*map(int_str, self.entries()))
 
 
 I2 = Mat2(1, 0, 0, 1)

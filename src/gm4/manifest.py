@@ -34,7 +34,6 @@ from .gl2z import Mat2
 from .bundles import (
     Block,
     BoundaryIso,
-    MonodromyRep,
     Pi1Element,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
@@ -130,7 +129,6 @@ class Manifest:
                     f"block {decl.label}: unknown generators {extra}",
                     decl.gen_lines[extra[0]],
                 )
-            rep = MonodromyRep(surface, tuple(decl.gens[n] for n in names))
             labels = decl.labels or tuple(
                 str(i) for i in range(1, decl.boundaries + 1)
             )
@@ -140,7 +138,7 @@ class Manifest:
                     f"{decl.boundaries} boundary components",
                     decl.line,
                 )
-            blocks[decl.label] = Block(rep, labels)
+            blocks[decl.label] = Block(surface, tuple(decl.gens[n] for n in names), labels)
         edges = []
         for glue in self.glues:
             for end in (glue.end1, glue.end2):
@@ -158,10 +156,10 @@ class Manifest:
                         glue.line,
                     )
             src = TorusBundleOverCircle(
-                blocks[glue.end1[0]].boundary_monodromy(glue.end1[1])
+                blocks[glue.end1[0]].monodromies[glue.end1[1]]
             )
             tgt = TorusBundleOverCircle(
-                blocks[glue.end2[0]].boundary_monodromy(glue.end2[1])
+                blocks[glue.end2[0]].monodromies[glue.end2[1]]
             )
             iso = BoundaryIso(
                 src, tgt, glue.images["x"], glue.images["y"], glue.images["t"]
@@ -294,14 +292,14 @@ def dump_structure(gs: GraphStructure) -> str:
     only where they differ from 1..b."""
     lines = ["version 1"]
     for lbl, block in sorted(gs.blocks, key=lambda item: item[0]):
-        surface = block.rep.surface
+        surface = block.surface
         kind = "orientable" if surface.orientable else "nonorientable"
         lines.append(f"block {lbl}")
         lines.append(f"  base {kind} genus {surface.genus} boundaries {surface.boundary_count}")
         labels = tuple(block.boundary_labels())
         if labels != tuple(str(i) for i in range(1, surface.boundary_count + 1)):
             lines.append("  labels " + " ".join(labels))
-        for name, m in zip(surface.generator_names(), block.rep.images):
+        for name, m in zip(surface.generator_names(), block.images):
             lines.append(f"  gen {name} {m}")
         lines.append("end")
     for edge in sorted(gs.edges, key=lambda e: (e.end1, e.end2)):

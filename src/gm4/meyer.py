@@ -30,21 +30,24 @@ decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
-from .gl2z import Mat2, NotInSL2ZError, R, S, _verify, abelianization_mod3, classify, generator_word
+from .gl2z import ConjClass, Mat2, NotInSL2ZError, R, S, _verify, abelianization_mod3, classify, generator_word
 from .bundles import Block, UnsupportedOperationError
 
 _LIFT3 = {0: 0, 1: 1, 2: -1}
 
 
-@lru_cache(maxsize=None)
 def psi(m: Mat2) -> int:
     """Conjugation-invariant characteristic value of m in SL(2,Z)."""
     if m.det() != 1:
         raise NotInSL2ZError(f"psi needs determinant +1: {m}")
-    cls = classify(m)
+    return _psi_of_class(m, classify(m))
+
+
+def _psi_of_class(m: Mat2, cls: ConjClass) -> int:
+    """psi(m) from the SL(2,Z) class of m: the base value of the class, plus
+    the kappa in {-1,0,1} that the abelianization mod 3 pins."""
     if cls.kind == "parabolic":
         base = cls.n
     elif cls.kind == "hyperbolic":
@@ -87,20 +90,19 @@ def psi_by_folding(m: Mat2, pivot: str = "floor") -> int:
 
 def block_signature(block: Block) -> Fraction:
     """Signature of a block: one third of the psi-sum over its boundary
-    torus-bundle monodromies.  Requires an orientable base and SL(2,Z)
-    boundary monodromies."""
-    if not block.rep.surface.orientable:
+    torus-bundle monodromies, each read from its class in Block.classes.
+    Requires an orientable base and SL(2,Z) boundary monodromies."""
+    if not block.surface.orientable:
         raise UnsupportedOperationError(
             "signature is computed for blocks with orientable base only"
         )
-    total = 0
-    for _, mono in block.boundary_monodromies():
+    for mono in block.monodromies.values():
         if mono.det() != 1:
             raise UnsupportedOperationError(
                 f"boundary monodromy {mono} has determinant -1; "
                 "signature needs SL(2,Z) monodromies"
             )
-        total += psi(mono)
+    total = sum(_psi_of_class(m, block.classes[lbl]) for lbl, m in block.monodromies.items())
     return Fraction(total, 3)
 
 

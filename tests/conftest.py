@@ -16,7 +16,6 @@ from gm4 import (
     GraphStructure,
     I2,
     Mat2,
-    MonodromyRep,
     Pi1Element,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
@@ -43,7 +42,7 @@ def upper(n: int) -> Mat2:
 
 def pants(m1: Mat2, m2: Mat2, labels=("1", "2", "3")) -> Block:
     surface = SurfaceWithBoundary(True, 0, 3)
-    return Block(MonodromyRep(surface, (m1, m2)), tuple(labels))
+    return Block(surface, (m1, m2), tuple(labels))
 
 
 def holed_sphere(monos, labels=None) -> Block:
@@ -51,7 +50,7 @@ def holed_sphere(monos, labels=None) -> Block:
     b = len(monos) + 1
     surface = SurfaceWithBoundary(True, 0, b)
     labels = tuple(labels) if labels else tuple(str(i) for i in range(1, b + 1))
-    return Block(MonodromyRep(surface, tuple(monos)), labels)
+    return Block(surface, tuple(monos), labels)
 
 
 def swap_iso(n: int) -> BoundaryIso:
@@ -107,8 +106,7 @@ def genus1_self_swap(n: int) -> GraphStructure:
     opposite parabolic data, self-glued by the fiber-trading iso."""
     assert n
     surface = SurfaceWithBoundary(True, 1, 2)
-    rep = MonodromyRep(surface, (upper(1), upper(2), upper(n)))
-    block = Block(rep, ("p", "q"))
+    block = Block(surface, (upper(1), upper(2), upper(n)), ("p", "q"))
     edges = (Edge(("D", "p"), ("D", "q"), swap_iso(n)),)
     return structure({"D": block}, edges)
 
@@ -184,7 +182,7 @@ def relabel(gs: GraphStructure, suffix: str = "_r") -> GraphStructure:
         new_labels = tuple(f"{b}{suffix}" for b in block.boundary_labels())
         for old, new in zip(block.boundary_labels(), new_labels):
             bd_map[(lbl, old)] = (f"{lbl}{suffix}", new)
-        new_blocks[f"{lbl}{suffix}"] = Block(block.rep, new_labels)
+        new_blocks[f"{lbl}{suffix}"] = Block(block.surface, block.images, new_labels)
     new_edges = tuple(
         Edge(bd_map[e.end1], bd_map[e.end2], e.iso) for e in gs.edges
     )
@@ -213,7 +211,7 @@ def automorphism_partner(gs: GraphStructure, rnd, reach: int = 12) -> GraphStruc
     from gm4.assembly import _transport
 
     def automorphism(block: Block) -> Mat2:
-        if any(m != I2 for m in block.rep.images):
+        if any(m != I2 for m in block.images):
             return rnd.choice((I2, -I2)) @ upper(rnd.randint(-reach, reach))
         z = rnd.choice((I2, Mat2(1, 0, 0, -1)))
         for _ in range(3):
@@ -223,11 +221,11 @@ def automorphism_partner(gs: GraphStructure, rnd, reach: int = 12) -> GraphStruc
 
     autos = {lbl: automorphism(block) for lbl, block in gs.blocks}
     for lbl, block in gs.blocks:
-        assert all(autos[lbl] @ m == m @ autos[lbl] for m in block.rep.images)
+        assert all(autos[lbl] @ m == m @ autos[lbl] for m in block.images)
     blocks = gs.block_map()
 
     def transport(end):
-        return _transport(blocks[end[0]].boundary_monodromy(end[1]), autos[end[0]], 1)
+        return _transport(blocks[end[0]].monodromies[end[1]], autos[end[0]], 1)
 
     edges = tuple(
         Edge(e.end1, e.end2, compose_isos(transport(e.end2)[0], compose_isos(e.iso, transport(e.end1)[1])))

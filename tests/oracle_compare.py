@@ -147,10 +147,10 @@ def reference_isomorphic_reduced(gs1, gs2, bound=4):
         feasible = True
         for lbl in labels1:
             b1, b2 = blocks1[lbl], blocks2[mapping[lbl]]
-            if b1.rep.surface != b2.rep.surface:
+            if b1.surface != b2.surface:
                 feasible = False
                 break
-            pairs = list(zip(b1.rep.images, b2.rep.images))
+            pairs = list(zip(b1.images, b2.images))
             found = bounded_conjugators(pairs, bound)
             opts = list(itertools.islice(found, CONJUGATOR_OPTIONS))
             if not opts:
@@ -166,8 +166,8 @@ def reference_isomorphic_reduced(gs1, gs2, bound=4):
             pos = b1.boundary_labels().index(bd)
             b2 = blocks2[mapping[lbl]]
             new_bd = b2.boundary_labels()[pos]
-            m1 = b1.boundary_monodromy(bd)
-            m2 = b2.boundary_monodromy(new_bd)
+            m1 = b1.monodromies[bd]
+            m2 = b2.monodromies[new_bd]
             mu, mu_inv = _transport(m1, conj[lbl], 1)
             assert mu.target.phi == m2
             return (mapping[lbl], new_bd), mu, mu_inv

@@ -62,7 +62,7 @@ def test_criterion_02_signature_vanishing():
         gs = build()
         assert validate_structure(gs) == []
         assert is_reduced(gs)[0]
-        assert all(b.rep.surface.orientable for _, b in gs.blocks)
+        assert all(b.surface.orientable for _, b in gs.blocks)
         assert manifold_signature(gs) == 0, name
         names.append(name)
     assert len(names) >= 5
@@ -136,7 +136,7 @@ def test_criterion_07_reduced_parabolicity():
             total += 1
         for edge in gs.edges:
             for end in (edge.end1, edge.end2):
-                mono = gs.block(end[0]).boundary_monodromy(end[1])
+                mono = gs.block(end[0]).monodromies[end[1]]
                 assert classify(mono).kind == "parabolic", (name, end)
     print(f"\nPASS criterion 7: all {total} decomposing monodromy classes of "
           f"reduced corpus structures are Parabolic (both edge sides checked)")
@@ -182,7 +182,7 @@ def test_criterion_09_reduction():
     gs = partial_reducible(1, 2)
     red = reduce_structure(gs)
     (_, block), = red.blocks
-    surface = block.rep.surface
+    surface = block.surface
     assert (surface.orientable, surface.genus, surface.boundary_count) == (True, 0, 4)
     assert surface.euler_characteristic() == -2
     print(f"\nPASS criterion 9: reduce idempotent and sigma/euler/H1-preserving on "

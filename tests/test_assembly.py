@@ -13,7 +13,6 @@ from gm4 import (
     I2,
     L,
     Mat2,
-    MonodromyRep,
     NotReducedError,
     Pi1Element,
     R,
@@ -70,7 +69,7 @@ def mirror_pair(a):
 
     b_block, transports = _mirror(a)
     edges = []
-    for lbl, m in a.boundary_monodromies():
+    for lbl, m in a.monodromies.items():
         new_lbl, u, eps = transports[lbl]
         edges.append(Edge(("A", lbl), ("B", new_lbl), _transport(m, u, eps)[0]))
     return structure({"A": a, "B": b_block}, edges)
@@ -171,7 +170,7 @@ class TestReduce:
         red = reduce_structure(gs)
         assert len(red.blocks) == 1
         (_, block), = red.blocks
-        surface = block.rep.surface
+        surface = block.surface
         assert surface.orientable and surface.genus == 0 and surface.boundary_count == 4
         assert surface.euler_characteristic() == -2
         assert validate_structure(red) == []
@@ -216,8 +215,8 @@ class TestReduce:
         before = (manifold_signature(gs), first_homology(gs))
         red = reduce_structure(gs)
         (_, block), = red.blocks
-        assert block.rep.surface.genus == 1
-        assert block.rep.surface.boundary_count == 2
+        assert block.surface.genus == 1
+        assert block.surface.boundary_count == 2
         assert is_reduced(red)[0]
         assert (manifold_signature(red), first_homology(red)) == before
         # the merge drops the graph's cycle rank E - V + 1 from 2 to 1 and
@@ -266,7 +265,7 @@ class TestReduce:
         # fiber-preserving edge to a genus-1 block B with one boundary:
         # both orders of the glued ends must reduce, to equal reports
         a = pants(upper(1), upper(-1))
-        b = Block(MonodromyRep(SurfaceWithBoundary(True, 1, 1), (upper(1), upper(1))))
+        b = Block(SurfaceWithBoundary(True, 1, 1), (upper(1), upper(1)))
         trade = swap_iso(1)
         reports = []
         for ends in ((("A", "3"), ("B", "1")), (("B", "1"), ("A", "3"))):
@@ -276,7 +275,7 @@ class TestReduce:
             red = reduce_structure(gs)
             assert validate_structure(red) == [] and is_reduced(red)[0]
             (_, block), = red.blocks
-            assert (block.rep.surface.genus, block.rep.surface.boundary_count) == (1, 2)
+            assert (block.surface.genus, block.surface.boundary_count) == (1, 2)
             assert first_homology(red) == first_homology(gs)
             reports.append(invariant_report(red))
         assert reports[0] == reports[1]
@@ -433,7 +432,7 @@ class TestValidateOnce:
 class TestGenusCarryingSurgeries:
     def _genus1_block(self, c_mono, a_img, b_img):
         surface = SurfaceWithBoundary(True, 1, 2)
-        return Block(MonodromyRep(surface, (a_img, b_img, c_mono)))
+        return Block(surface, (a_img, b_img, c_mono))
 
     def test_distinct_merge_with_handles(self):
         from conftest import mirror_edge_iso, swap_iso, upper
@@ -450,8 +449,8 @@ class TestGenusCarryingSurgeries:
         before = (manifold_signature(gs), first_homology(gs))
         red = reduce_structure(gs)
         (_, block), = red.blocks
-        assert block.rep.surface.genus == 2
-        assert block.rep.surface.boundary_count == 2
+        assert block.surface.genus == 2
+        assert block.surface.boundary_count == 2
         assert validate_structure(red) == []
         assert (manifold_signature(red), first_homology(red)) == before
 
@@ -497,7 +496,7 @@ class TestGenusCarryingSurgeries:
         # presentation conjugates the moved boundary by [R, L] != I
         n_mat = R @ L @ R.inverse() @ L.inverse()
         surface = SurfaceWithBoundary(True, 1, 2)
-        a = Block(MonodromyRep(surface, (R, L, n_mat.inverse())))
+        a = Block(surface, (R, L, n_mat.inverse()))
         gs = mirror_pair(a)
         assert validate_structure(gs) == []
         before = (manifold_signature(gs), first_homology(gs))
@@ -512,14 +511,14 @@ class TestClosedFormSurgeries:
         # genus 1 with non-commuting handles, so the handle product N != I
         surface = SurfaceWithBoundary(True, 1, 5)
         images = (R, L, upper(1), Mat2(2, 1, 1, 1), upper(-2), Mat2(1, 0, 3, 1))
-        return Block(MonodromyRep(surface, images), ("p", "q", "r", "s", "u"))
+        return Block(surface, images, ("p", "q", "r", "s", "u"))
 
     def test_rotation_equals_single_steps(self):
         from gm4.assembly import _rotate, _then, _transport
 
         block = self._block()
-        b = block.rep.surface.boundary_count
-        monos = dict(block.boundary_monodromies())
+        b = block.surface.boundary_count
+        monos = block.monodromies
         for k in range(b):
             stepped = block
             composed = {lbl: (lbl, I2, 1) for lbl in monos}
@@ -527,7 +526,7 @@ class TestClosedFormSurgeries:
                 lbl: BoundaryIso.identity(TorusBundleOverCircle(m)) for lbl, m in monos.items()
             }
             for _ in range(k):
-                current = dict(stepped.boundary_monodromies())
+                current = stepped.monodromies
                 stepped, step = _rotate(stepped, 1)
                 for lbl, (new_lbl, a, eps) in step.items():
                     assert new_lbl == lbl
@@ -547,7 +546,7 @@ class TestClosedFormSurgeries:
         gs = mirror_pair(a)
         assert validate_structure(gs) == []
         before = (manifold_signature(gs), first_homology(gs))
-        for p in range(1, a.rep.surface.boundary_count):
+        for p in range(1, a.surface.boundary_count):
             moved = reglue_block(gs, "A", *_move_to_front(a, p))
             assert moved.block("A").boundary_labels()[0] == a.boundary_labels()[p - 1]
             assert validate_structure(moved) == [], p
@@ -611,9 +610,9 @@ def _conjugate_structure(gs, c):
     new_blocks = {}
     mus = {}
     for lbl, block in gs.blocks:
-        imgs = tuple(c @ m @ c.inverse() for m in block.rep.images)
-        new_blocks[lbl] = Block(MonodromyRep(block.rep.surface, imgs), block.boundary_labels())
-        for bd, m in block.boundary_monodromies():
+        imgs = tuple(c @ m @ c.inverse() for m in block.images)
+        new_blocks[lbl] = Block(block.surface, imgs, block.boundary_labels())
+        for bd, m in block.monodromies.items():
             mus[(lbl, bd)] = _transport(m, c, 1)
     new_edges = tuple(
         Edge(e.end1, e.end2, compose_isos(mus[e.end2][0], compose_isos(e.iso, mus[e.end1][1])))
@@ -654,29 +653,29 @@ class TestComparisonThreeValued:
 
 
 # Name-keyed oracles for the positional surgeries: the generator names of
-# the bundles convention (a_i, b_i, c_i) looked up through image_map(), and
+# the bundles convention (a_i, b_i, c_i) looked up through Block.image_map, and
 # the handle product N evaluated from the commutator word.
 
 
-def _oracle_handle_product(rep, genus):
+def _oracle_handle_product(block, genus):
     word = []
     for i in range(1, genus + 1):
         word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
-    return rep.evaluate(tuple(word))
+    return block.evaluate(tuple(word))
 
 
 def _oracle_monodromies(block):
-    words = block.rep.surface.boundary_words()
-    return {lbl: block.rep.evaluate(w) for lbl, w in zip(block.boundary_labels(), words)}
+    words = block.surface.boundary_words()
+    return {lbl: block.evaluate(w) for lbl, w in zip(block.boundary_labels(), words)}
 
 
 def _oracle_mirror(block):
-    surface = block.rep.surface
+    surface = block.surface
     g, b = surface.genus, surface.boundary_count
-    imgs = block.rep.image_map()
+    imgs = block.image_map
     labels = block.boundary_labels()
     monos = _oracle_monodromies(block)
-    n_mat = _oracle_handle_product(block.rep, g)
+    n_mat = _oracle_handle_product(block, g)
     n_inv = n_mat.inverse()
     new_images = []
     for name in surface.generator_names():
@@ -690,7 +689,7 @@ def _oracle_mirror(block):
     new_labels = tuple(reversed(labels[: b - 1])) + (labels[-1],)
     transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
     transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
-    return Block(MonodromyRep(surface, tuple(new_images)), new_labels), transports
+    return Block(surface, tuple(new_images), new_labels), transports
 
 
 def _oracle_merge_distinct(gs, edge_idx):
@@ -702,13 +701,13 @@ def _oracle_merge_distinct(gs, edge_idx):
     (l1, bd1), (l2, bd2) = edge.end1, edge.end2
     b1, b2 = gs.block(l1), gs.block(l2)
     b2, trans2 = _oracle_mirror(b2) if edge.iso.t_img.k == 1 else _rotate(b2, 0)
-    b1, trans1 = _rotate(b1, _position(b1, bd1) % b1.rep.surface.boundary_count)
+    b1, trans1 = _rotate(b1, _position(b1, bd1) % b1.surface.boundary_count)
     b2, rotation = _rotate(b2, _position(b2, bd2) - 1)
     trans2 = _then(trans2, rotation)
-    (g1, n1), (g2, n2) = ((b.rep.surface.genus, b.rep.surface.boundary_count) for b in (b1, b2))
+    (g1, n1), (g2, n2) = ((b.surface.genus, b.surface.boundary_count) for b in (b1, b2))
     c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
     c_inv = c_mat.inverse()
-    imgs1, imgs2 = b1.rep.image_map(), b2.rep.image_map()
+    imgs1, imgs2 = b1.image_map, b2.image_map
     images = []
     for j in range(1, g2 + 1):
         images += [c_inv @ imgs2[f"a{j}"] @ c_mat, c_inv @ imgs2[f"b{j}"] @ c_mat]
@@ -720,7 +719,7 @@ def _oracle_merge_distinct(gs, edge_idx):
     labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
     new_labels = tuple([f"{l1}.{x}" for x in labels1[: n1 - 1]] + [f"{l2}.{x}" for x in labels2[1:]])
     surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
-    merged = Block(MonodromyRep(surface, tuple(images)), new_labels)
+    merged = Block(surface, tuple(images), new_labels)
     mapping = {(l1, x): (f"{l1}.{x}",) + trans1[x][1:] for x in labels1[: n1 - 1]}
     for x in labels2[1:]:
         _, a, eps = trans2[x]
@@ -734,12 +733,12 @@ def _oracle_merge_self(gs, edge_idx):
     edge = gs.edges[edge_idx]
     lbl = edge.end1[0]
     block = gs.block(lbl)
-    g, b = block.rep.surface.genus, block.rep.surface.boundary_count
+    g, b = block.surface.genus, block.surface.boundary_count
     bd1, bd2 = edge.end1[1], edge.end2[1]
     block, trans = _rotate(block, _position(block, bd1) % b)
     block, front = _move_to_front(block, _position(block, bd2))
     trans = _then(trans, front)
-    imgs = block.rep.image_map()
+    imgs = block.image_map
     labels = block.boundary_labels()
     m_last = _oracle_monodromies(block)[labels[-1]]
     m_last_inv = m_last.inverse()
@@ -750,7 +749,7 @@ def _oracle_merge_self(gs, edge_idx):
     images += [c_mat, m_last_inv]
     images += [m_last_inv @ imgs[f"c{i}"] @ m_last for i in range(2, b - 1)]
     surface = SurfaceWithBoundary(True, g + 1, b - 2)
-    merged = Block(MonodromyRep(surface, tuple(images)), tuple(f"{lbl}.{x}" for x in labels[1 : b - 1]))
+    merged = Block(surface, tuple(images), tuple(f"{lbl}.{x}" for x in labels[1 : b - 1]))
     mapping = {}
     for x in labels[1 : b - 1]:
         _, a, eps = trans[x]
@@ -765,7 +764,7 @@ def _random_block(rnd, genus, boundaries, prefix=""):
         for _ in range(2 * genus + boundaries - 1)
     )
     labels = tuple(f"{prefix}{i}" for i in range(boundaries))
-    return Block(MonodromyRep(SurfaceWithBoundary(True, genus, boundaries), images), labels)
+    return Block(SurfaceWithBoundary(True, genus, boundaries), images, labels)
 
 
 def _fiber_preserving(m1, m2, fiber, eps):
@@ -816,7 +815,7 @@ class TestPositionalSurgeries:
                     a = _random_block(rnd, g1, n1, "p")
                     b = _random_block(rnd, g2, n2, "q")
                     bd1, bd2 = rnd.choice(a.boundary_labels()), rnd.choice(b.boundary_labels())
-                    iso = _fiber_preserving(a.boundary_monodromy(bd1), b.boundary_monodromy(bd2), fiber, eps)
+                    iso = _fiber_preserving(a.monodromies[bd1], b.monodromies[bd2], fiber, eps)
                     gs = structure({"A": a, "B": b}, [Edge(("A", bd1), ("B", bd2), iso)])
                     got = self._captured(monkeypatch, _merge_distinct, gs, 0)
                     assert got == _oracle_merge_distinct(gs, 0), (g1, g2, n1, n2, eps)
@@ -831,7 +830,7 @@ class TestPositionalSurgeries:
                 block = _random_block(rnd, genus, boundaries)
                 labels = block.boundary_labels()
                 for bd1, bd2 in ((labels[0], labels[-1]), (labels[-1], labels[1]), (labels[2], labels[1])):
-                    iso = _fiber_preserving(block.boundary_monodromy(bd1), block.boundary_monodromy(bd2), fiber, -1)
+                    iso = _fiber_preserving(block.monodromies[bd1], block.monodromies[bd2], fiber, -1)
                     gs = structure({"A": block}, [Edge(("A", bd1), ("A", bd2), iso)])
                     got = self._captured(monkeypatch, _merge_self, gs, 0)
                     assert got == _oracle_merge_self(gs, 0), (genus, boundaries, bd1, bd2)

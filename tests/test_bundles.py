@@ -11,14 +11,12 @@ from gm4 import (
     I2,
     L,
     Mat2,
-    MonodromyRep,
     Pi1Element,
     R,
     S,
     SurfaceWithBoundary,
     TorusBundleOverCircle,
     UnsupportedOperationError,
-    boundary_bundle,
     compose_isos,
     fiber_covering_exists,
     fiber_matrix,
@@ -81,17 +79,17 @@ class TestValidateBlock:
 
     def test_annulus_rejected(self):
         surface = SurfaceWithBoundary(True, 0, 2)
-        block = Block(MonodromyRep(surface, (R,)))
+        block = Block(surface, (R,))
         assert any("chi = 0" in v for v in validate_block(block))
 
     def test_mobius_rejected(self):
         surface = SurfaceWithBoundary(False, 1, 1)
-        block = Block(MonodromyRep(surface, (Mat2(1, 0, 0, -1),)))
+        block = Block(surface, (Mat2(1, 0, 0, -1),))
         assert any("excluded surface" in v for v in validate_block(block))
 
     def test_disc_rejected(self):
         surface = SurfaceWithBoundary(True, 0, 1)
-        block = Block(MonodromyRep(surface, ()))
+        block = Block(surface, ())
         assert any("excluded surface" in v for v in validate_block(block))
 
     def test_orientable_base_needs_det_plus_one(self):
@@ -100,14 +98,14 @@ class TestValidateBlock:
 
     def test_non_orientable_determinant_pattern(self):
         surface = SurfaceWithBoundary(False, 1, 2)
-        good = Block(MonodromyRep(surface, (Mat2(1, 0, 0, -1), R)))
+        good = Block(surface, (Mat2(1, 0, 0, -1), R))
         assert validate_block(good) == []
-        bad = Block(MonodromyRep(surface, (R, R)))
+        bad = Block(surface, (R, R))
         assert any("orientation" in v for v in validate_block(bad))
 
     def test_image_count_mismatch(self):
         surface = SurfaceWithBoundary(True, 0, 3)
-        block = Block(MonodromyRep(surface, (R,)))
+        block = Block(surface, (R,))
         assert any("count" in v for v in validate_block(block))
 
 
@@ -115,20 +113,20 @@ class TestBoundaryMonodromies:
     def test_pants(self):
         m1, m2 = Mat2(2, 1, 1, 1), Mat2(1, -3, 0, 1)
         block = pants(m1, m2)
-        monos = [m for _, m in block.boundary_monodromies()]
+        monos = list(block.monodromies.values())
         assert monos == [m1, m2, (m1 @ m2).inverse()]
 
     def test_genus_one_boundary_word(self):
         surface = SurfaceWithBoundary(True, 1, 1)
-        block = Block(MonodromyRep(surface, (R, L)))
-        ((_, mono),) = block.boundary_monodromies()
+        block = Block(surface, (R, L))
+        (mono,) = block.monodromies.values()
         # last boundary word is ([a,b] c1...)^-1; here ([R,L])^-1
         com = R @ L @ R.inverse() @ L.inverse()
         assert mono == com.inverse() == Mat2(0, 1, -1, 3)
 
     def test_trivial_images(self):
         block = pants(I2, I2)
-        assert all(m == I2 for _, m in block.boundary_monodromies())
+        assert all(m == I2 for m in block.monodromies.values())
 
     def test_relator_product_is_identity(self):
         # [a1,b1]...[ag,bg] c1...c_{b-1} last^-1... evaluated: the boundary
@@ -136,25 +134,22 @@ class TestBoundaryMonodromies:
         # so the monodromies multiply to I in the same order.
         surface = SurfaceWithBoundary(True, 2, 3)
         images = (R, L, S, Mat2(2, 1, 1, 1), Mat2(1, 4, 0, 1), Mat2(1, 0, -2, 1))
-        block = Block(MonodromyRep(surface, images))
-        rep = block.rep
+        block = Block(surface, images)
         handles = I2
         for i in (1, 2):
-            a, b = rep.image_map()[f"a{i}"], rep.image_map()[f"b{i}"]
+            a, b = block.image_map[f"a{i}"], block.image_map[f"b{i}"]
             handles = handles @ a @ b @ a.inverse() @ b.inverse()
-        monos = [m for _, m in block.boundary_monodromies()]
+        monos = list(block.monodromies.values())
         assert handles @ monos[0] @ monos[1] @ monos[2] == I2
 
     def test_single_lookup_agrees(self):
         surface = SurfaceWithBoundary(True, 1, 4)
-        block = Block(
-            MonodromyRep(surface, (R, L, Mat2(2, 1, 1, 1), upper(3), S)),
-            ("p", "q", "r", "s"),
-        )
-        monos = dict(block.boundary_monodromies())
-        assert {lbl: block.boundary_monodromy(lbl) for lbl in monos} == monos
+        block = Block(surface, (R, L, Mat2(2, 1, 1, 1), upper(3), S), ("p", "q", "r", "s"))
+        words = surface.boundary_words()
+        assert block.monodromies == {lbl: block.evaluate(w) for lbl, w in zip("pqrs", words)}
+        assert tuple(block.monodromies) == ("p", "q", "r", "s")
         with pytest.raises(KeyError):
-            block.boundary_monodromy("t")
+            block.monodromies["t"]
 
     def test_each_boundary_word_evaluated_once(self, monkeypatch):
         # a ring of 48 pants blocks (P_i.2 - P_{i+1}.1 and rungs
@@ -173,13 +168,13 @@ class TestBoundaryMonodromies:
             edges.append(Edge((f"P{2 * j:02d}", "3"), (f"P{2 * j + 1:02d}", "3"), swap_iso(-a - b)))
         text = dump_structure(structure(blocks, edges))
         calls = []
-        real = MonodromyRep.evaluate
+        real = Block.evaluate
 
-        def counting(rep, word):
+        def counting(block, word):
             calls.append(word)
-            return real(rep, word)
+            return real(block, word)
 
-        monkeypatch.setattr(MonodromyRep, "evaluate", counting)
+        monkeypatch.setattr(Block, "evaluate", counting)
         report = invariant_report(load_structure(text))
         assert report.block_count == 48 and not report.findings
         assert len(calls) == 48 * 3
@@ -666,12 +661,6 @@ class TestOrientationReversing:
     def test_non_triangular_out_of_scope(self):
         with pytest.raises(UnsupportedOperationError):
             orientation_reversing_self_diffeo_exists(Mat2(2, 1, 1, 1))
-
-
-class TestBoundaryBundle:
-    def test_matches_monodromy(self):
-        block = pants(upper(1), upper(2))
-        assert boundary_bundle(block, "3").phi == Mat2(1, -3, 0, 1)
 
 
 class TestFibrationEigenvectorEquivalence:

@@ -181,7 +181,7 @@ def test_conjugators_are_computed_once_per_pair_of_representations(monkeypatch):
     real = assembly._conjugator
     monkeypatch.setattr(assembly, "_conjugator", lambda pairs: runs.append(pairs) or real(pairs))
     assert isomorphic_reduced(gs1, gs2).verdict == "yes"
-    reps = {(b1.rep, b2.rep) for _, b1 in gs1.blocks for _, b2 in gs2.blocks}
+    reps = {(b1.images, b2.images) for _, b1 in gs1.blocks for _, b2 in gs2.blocks}
     assert len(reps) == 4  # even and odd blocks, on either side
     assert len(runs) == len({tuple(pairs) for pairs in runs}) <= len(reps)
 

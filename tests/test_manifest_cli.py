@@ -220,6 +220,28 @@ class TestCli:
         rc, out, err = run_cli(["invariants", path])
         assert "Parabolic(+1, n=-1" + "9" * 4299 + "8)" in out
 
+    def test_merge_past_the_int_str_digit_limit(self, tmp_path):
+        # every entry read has at most 2,201 digits, but contracting the
+        # fiber-preserving glue line A.3-B.3, whose fiber matrix carries
+        # 10^2200, gives merged images of more than 4,300
+        big = 10**2200
+        text = DOUBLE_GM.replace("gen c2 [[1,2],[0,1]]", "gen c2 [[1,-1],[0,1]]")
+        text = text.replace("gen c2 [[1,-2],[0,1]]", "gen c2 [[1,1],[0,1]]")
+        head, _, _ = text.rpartition("glue A.3 B.3")
+        text = head + f"glue A.3 B.3\n  x (1,{big},0)\n  y (0,1,0)\n  t (0,0,-1)\nend\n"
+        path = tmp_path / "merge.gm"
+        path.write_text(text)
+        for argv in (["validate", str(path)], ["invariants", str(path)], ["reduce", str(path)]):
+            rc, out, err = run_cli(argv)
+            assert (rc, err) == (0, ""), (argv[0], err[-500:])
+        assert max(len(n) for n in re.findall(r"\d+", out)) > 4300
+        # the reduced text holds integers past the parser's digit limit
+        reduced = tmp_path / "reduced.gm"
+        reduced.write_text(out)
+        rc, out, err = run_cli(["validate", str(reduced)])
+        assert (rc, out) == (12, "") and "Traceback" not in err
+        assert err.startswith(f"{reduced}: line ") and "4300 digits" in err
+
     def test_compare_same(self, gm_files, capsys):
         assert main(["compare", gm_files["double"], gm_files["double"]]) == 0
         assert capsys.readouterr().out.startswith("Yes")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,20 +10,21 @@ from gm4 import (
     I2,
     L,
     Mat2,
-    MonodromyRep,
     NotInSL2ZError,
     R,
     S,
     SurfaceWithBoundary,
     UnsupportedOperationError,
     block_signature,
+    invariant_report,
     manifold_signature,
     meyer_cocycle,
     psi,
     psi_by_folding,
 )
 
-from gm4 import gl2z, meyer
+from gm4 import bundles, gl2z, meyer
+from gm4.manifest import load_structure
 
 from conftest import mirror_double, pants, trivial_double, upper
 
@@ -122,7 +124,7 @@ class TestCocycle:
 class TestBlockSignature:
     def test_pants_parabolic(self):
         block = pants(Mat2(1, 1, 0, 1), Mat2(1, 2, 0, 1))
-        monos = [m for _, m in block.boundary_monodromies()]
+        monos = list(block.monodromies.values())
         assert monos[2] == Mat2(1, -3, 0, 1)
         assert block_signature(block) == 0
 
@@ -133,7 +135,7 @@ class TestBlockSignature:
         block = pants(R, L)
         # cross-check each psi against the folding evaluation
         total = 0
-        for _, m in block.boundary_monodromies():
+        for m in block.monodromies.values():
             assert psi(m) == psi_by_folding(m)
             total += psi(m)
         assert block_signature(block) == Fraction(total, 3)
@@ -141,19 +143,40 @@ class TestBlockSignature:
     def test_nonzero_block_signature_exists(self):
         block = pants(Mat2(1, 1, 0, 1), Mat2(1, 1, 0, 1))
         assert block_signature(block) == Fraction(1 + 1 - 2, 3)
-        block = Block(
-            MonodromyRep(SurfaceWithBoundary(True, 0, 4), (upper(1), upper(1), upper(1))),
-        )
+        block = Block(SurfaceWithBoundary(True, 0, 4), (upper(1), upper(1), upper(1)))
         assert block_signature(block) == 0  # 1+1+1-3
         block = pants(Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 2))
-        total = sum(psi(m) for _, m in block.boundary_monodromies())
+        total = sum(psi(m) for m in block.monodromies.values())
         assert block_signature(block) == Fraction(total, 3)
+
+    def test_each_boundary_classified_once(self, monkeypatch):
+        # the signature reads each boundary's class from Block.classes; a
+        # cache in psi would make the count depend on what ran before
+        getattr(psi, "cache_clear", lambda: None)()
+        calls = []
+        real = gl2z.classify
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        for module in (gl2z, bundles, meyer):
+            monkeypatch.setattr(module, "classify", counting)
+        paths = sorted((Path(__file__).resolve().parent.parent / "manifests").glob("*.gm"))
+        assert paths
+        for path in paths:
+            gs = load_structure(path.read_text())
+            del calls[:]
+            report = invariant_report(gs)
+            assert report.sigma is not None, path.name
+            boundaries = sum(len(block.boundary_labels()) for _, block in gs.blocks)
+            assert len(calls) == boundaries, path.name
 
     def test_non_orientable_base_rejected(self):
         surface = SurfaceWithBoundary(False, 2, 2)
-        rep = MonodromyRep(surface, (Mat2(1, 0, 0, -1), Mat2(1, 0, 0, -1), R))
+        block = Block(surface, (Mat2(1, 0, 0, -1), Mat2(1, 0, 0, -1), R))
         with pytest.raises(UnsupportedOperationError):
-            block_signature(Block(rep))
+            block_signature(block)
 
 
 class TestManifoldSignature:
@@ -193,7 +216,7 @@ class TestResultChecks:
     def test_kappa_check(self, monkeypatch):
         monkeypatch.setattr(meyer, "abelianization_mod3", lambda m: 1)
         with pytest.raises(RuntimeError, match="abelianization"):
-            psi.__wrapped__(Mat2(1, 3, 0, 1))  # uncached
+            psi(Mat2(1, 3, 0, 1))
 
     def test_cocycle_divisibility_check(self, monkeypatch):
         monkeypatch.setattr(meyer, "psi", lambda m: 1)
@@ -210,7 +233,7 @@ class TestResultChecks:
 
         monkeypatch.setattr(gl2z, "generator_word", refuse)
         monkeypatch.setattr(meyer, "generator_word", refuse)
-        assert [psi.__wrapped__(m) for m in ms] == folded  # uncached
+        assert [psi(m) for m in ms] == folded
 
     def test_decomposition_check(self, monkeypatch):
         monkeypatch.setattr(meyer, "generator_word", lambda m, pivot: (("S", 1),))
