@@ -24,6 +24,15 @@ EXIT_NO = 10
 EXIT_INCONCLUSIVE = 11
 EXIT_INVALID = 12
 
+# the longest hyperbolic word `matclass` prints; R^n L is a 4-entry matrix
+# whose word has n + 1 letters, so the input does not bound the output
+MATCLASS_MAX_LETTERS = 10**6
+
+
+class WordTooLongError(ValueError):
+    """A hyperbolic class whose word is longer than `matclass` prints."""
+
+
 # every error a bad manifest, matrix or file raises; a caught one exits 12
 INPUT_ERRORS = (
     manifest.ManifestError,
@@ -32,6 +41,7 @@ INPUT_ERRORS = (
     assembly.ClosedBaseError,
     UnsupportedOperationError,
     NotInSL2ZError,
+    WordTooLongError,
     OSError,
     UnicodeDecodeError,
 )
@@ -75,7 +85,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_matclass(args) -> int:
-    print(classify(manifest.parse_matrix(args.matrix, 1)))
+    cls = classify(manifest.parse_matrix(args.matrix, 1))
+    if cls.length > MATCLASS_MAX_LETTERS:
+        raise WordTooLongError(
+            f"hyperbolic word of {cls.length} letters; matclass prints at most {MATCLASS_MAX_LETTERS}"
+        )
+    print(cls)
     return EXIT_OK
 
 

@@ -20,8 +20,11 @@ SL(2,Z) conjugacy classes are canonicalized as follows:
   for orders 6 and 3.
 * hyperbolic:  |trace| > 2; sign * M with positive trace is conjugate to a
   positive word in R and L containing both letters, unique up to cyclic
-  rotation.  The stored word is the lexicographically least rotation with
-  R < L.
+  rotation.  The canonical word is the lexicographically least rotation
+  with R < L.  It is stored as its runs and power, (R^a1 L^b1 ... R^ak
+  L^bk)^n with the runs ((a1, b1), ..., (ak, bk)) of a primitive period,
+  so a class takes space per run, not per letter: R^(10^9) L is one pair.
+  Classes compare by (runs, n); `str` renders the letters.
 
 The hyperbolic normal form reads the word off the continued fraction of
 the attracting fixed point xi = (a - d + sqrt(t^2 - 4)) / 2c of M, one
@@ -33,6 +36,14 @@ the word (see `_hyperbolic_normalize`):
   periodic (Lagrange); a tail x_j is purely periodic iff it is reduced,
   x_j > 1 and -1 < x_j' < 0 (Galois), and the period, taken in pairs
   (a1, b1, ..., ak, bk), is the positive word R^a1 L^b1 ... R^ak L^bk;
+* so the walk needs no table of the states it has seen: it stops the
+  pre-period at the first even index j whose tail is reduced, an exact
+  integer test on the state (see `_hyperbolic_normalize`), and the period
+  when the state at j comes back.  That is the j and the even period that
+  a table of even states would find, since a tail off the period never
+  recurs and one on it always does.  The pairs of the least even period
+  are a primitive sequence, since a shorter period of the pairs would be
+  a shorter even period of the terms, so (runs, n) is canonical;
 * that word W generates the stabiliser of x_j in SL(2,Z) up to -I, and the
   pre-period U maps x_j to xi, so U^-1 M U = W^n for some n >= 1 (Katok,
   "Coding of closed geodesics after Gauss and Morse", Geom. Dedicata 63
@@ -160,14 +171,30 @@ class ConjClass:
         central:    sign
         parabolic:  sign, n
         elliptic:   order (3, 4 or 6), sign = chirality
-        hyperbolic: sign, word (canonical cyclic rotation, letters "R"/"L")
+        hyperbolic: sign, runs ((a1, b1), ..., (ak, bk)) and power n >= 1:
+                    the canonical word (R^a1 L^b1 ... R^ak L^bk)^n, whose
+                    runs are the least rotation of a primitive period
     """
 
     kind: str
     sign: int = 1
     n: int = 0
     order: int = 0
-    word: Tuple[str, ...] = ()
+    runs: Tuple[Tuple[int, int], ...] = ()
+    power: int = 0
+
+    @property
+    def length(self) -> int:
+        """Number of letters of the hyperbolic word (0 for other kinds)."""
+        return self.power * sum(a + b for a, b in self.runs)
+
+    @property
+    def word(self) -> Tuple[str, ...]:
+        """The hyperbolic word, one letter "R" or "L" per entry."""
+        return tuple(self._letters())
+
+    def _letters(self) -> str:
+        return "".join("R" * a + "L" * b for a, b in self.runs) * self.power
 
     def __str__(self) -> str:
         s = "+1" if self.sign == 1 else "-1"
@@ -177,7 +204,7 @@ class ConjClass:
             return f"Parabolic({s}, n={int_str(self.n)})"
         if self.kind == "elliptic":
             return f"Elliptic(order={self.order}, chirality={s})"
-        return f"Hyperbolic({s}, {''.join(self.word)})"
+        return f"Hyperbolic({s}, {self._letters()})"
 
 
 _CHUNK_DIGITS = 1000
@@ -316,41 +343,55 @@ def _log_eigenvalue(t: int) -> float:
     return log((t + sqrt(t * t - 4)) / 2) if t < 2**50 else log(t)
 
 
-def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
-    """For trace(m) > 2 return (canonical cyclic word, U) with
-    U.inverse() @ m @ U equal to the product of the letters of word.
+def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[Tuple[int, int], ...], int, Mat2]:
+    """For trace(m) > 2 return (runs, n, U): the canonical runs
+    ((a1, b1), ..., (ak, bk)) of the least even period and n >= 1 with
+    U.inverse() @ m @ U == (R^a1 L^b1 ... R^ak L^bk)^n.
 
     The attracting fixed point xi = (p + sqrt(disc)) / q of m, with
     p = a - d, q = 2c and disc = t^2 - 4, is a quadratic irrational (c != 0
-    since t > 2, and q divides disc - p^2 = 4bc), so its continued fraction
-    is eventually periodic (Lagrange).  Each step takes one partial
-    quotient k = floor((p + sqrt(disc)) / q), read off isqrt(disc) exactly,
-    and moves to (p', q') with p' = kq - p and q' = q_prev + k(p - p'),
-    which is (disc - p'^2) / q without squaring.  The walk stops at the
-    first even index whose state recurs, at index j.  The tail x_j is then
-    purely periodic, so it is reduced (Galois), and its period, of even
-    length, is the positive word W = R^a1 L^b1 ... R^ak L^bk: W fixes x_j
-    and generates its stabiliser in SL(2,Z) up to -I.  Every exponent of
-    the period is checked to be >= 1.  The pre-period maps x_j to xi, so
-    with U the pre-period followed by the period up to the least rotation,
-    U^-1 m U fixes x_j with trace t > 2 and equals W^n for some n >= 1.
-    The float only guesses n from the eigenvalues; the answer is checked
-    exactly.  The cost is one step per partial quotient of xi, so (RL)^n
-    walks one period, not n of them."""
+    since t > 2, and q divides disc - p^2 = 4bc).  With root = isqrt(disc)
+    and sqrt(disc) = root + theta, 0 < theta < 1, the walk keeps a tail
+    (p + sqrt(disc)) / q as the integers s = p + root and q.  Each step
+    takes one partial quotient k = floor((s + theta) / q), which is
+    floor(s / q) for q > 0 and floor((s + 1) / q) for q < 0, and moves to
+    s' = kq - s + 2 root and q' = q_prev + k(s - s'), which is
+    (disc - p'^2) / q without squaring.  The pre-period stops at the first
+    even index j whose tail is reduced, x_j > 1 and -1 < x_j' < 0, which
+    is the integer test 0 < q <= s <= 2 root < s + q; the period stops when
+    the state at j recurs.  The pre-period also stops at an even state it
+    has seen before, which only a wrong root can make happen; the period
+    check then fails.  Every exponent of the period is checked to be >= 1.
+    The pre-period maps x_j to xi, so with U the pre-period followed by the
+    period up to the least rotation, U^-1 m U fixes x_j with trace t > 2
+    and equals W^n for the period word W and some n >= 1.  The float only
+    guesses n from the eigenvalues; the answer is checked exactly.  The
+    cost is one step per partial quotient of xi, so (RL)^n walks one
+    period, not n of them."""
     t = m.trace()
     root = isqrt(t * t - 4)
-    p, q, q_prev = m.a - m.d, 2 * m.c, 2 * m.b
+    root2 = 2 * root
+    s, q, q_prev = m.a - m.d + root, 2 * m.c, 2 * m.b
     terms = []
-    seen = {}
+    seen = set()
+    anchor = None
     while True:
-        if len(terms) % 2 == 0:
-            j = seen.setdefault((p, q), len(terms))
-            if j < len(terms):
-                break
-        k = (p + root) // q if q > 0 else (p + root + 1) // q
-        p_next = k * q - p
-        p, q, q_prev = p_next, q_prev + k * (p - p_next), q
-        terms.append(k)
+        if anchor is None:
+            if 0 < q <= s <= root2 < s + q or (s, q) in seen:
+                anchor, j = (s, q), len(terms)
+            else:
+                seen.add((s, q))
+        elif s == anchor[0] and q == anchor[1]:
+            break
+        for _ in (0, 1):
+            if q > 0:
+                k, rem = divmod(s, q)
+                s_next = root2 - rem
+            else:
+                k, rem = divmod(s + 1, q)
+                s_next = root2 + 1 - rem
+            s, q, q_prev = s_next, q_prev + k * (s - s_next), q
+            terms.append(k)
     period = terms[j:]
     _verify(min(period) >= 1, "positive period word", m)
     pairs = list(zip(period[::2], period[1::2]))
@@ -366,7 +407,7 @@ def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[str, ...], Mat2]:
     # fails the check
     n = round(_log_eigenvalue(t) / _log_eigenvalue(w.trace())) if w.trace() > 2 else 0
     _verify(u.inverse() @ m @ u == w ** n, "hyperbolic normal form", m)
-    return tuple("".join("R" * x + "L" * y for x, y in pairs) * n), u
+    return tuple(pairs), n, u
 
 
 def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
@@ -433,10 +474,8 @@ def _normal_form(m: Mat2) -> Tuple[ConjClass, Mat2]:
     or sign times the product of the letters of the hyperbolic word."""
     if m.det() != 1:
         raise NotInSL2ZError(f"determinant {m.det()}, classification needs SL(2,Z): {m}")
-    if m == I2:
-        return ConjClass("central", 1), I2
-    if m == -I2:
-        return ConjClass("central", -1), I2
+    if m.b == 0 == m.c:  # then a = d = +-1
+        return ConjClass("central", m.a), I2
     t = m.trace()
     if abs(t) == 2:
         sign, n, u = _parabolic_normalize(m)
@@ -445,8 +484,8 @@ def _normal_form(m: Mat2) -> Tuple[ConjClass, Mat2]:
         order, chir, u = _elliptic_normalize(m)
         return ConjClass("elliptic", chir, order=order), u
     sign = 1 if t > 2 else -1
-    word, u = _hyperbolic_normalize(m if sign == 1 else -m)
-    return ConjClass("hyperbolic", sign, word=word), u
+    runs, power, u = _hyperbolic_normalize(m if sign == 1 else -m)
+    return ConjClass("hyperbolic", sign, runs=runs, power=power), u
 
 
 def classify(m: Mat2) -> ConjClass:

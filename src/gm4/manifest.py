@@ -184,6 +184,7 @@ def _end_ref(token: str, line: int) -> Tuple[str, str]:
 def parse(text: str) -> Manifest:
     version: Optional[int] = None
     blocks: List[BlockDecl] = []
+    labels = set()  # of blocks, for the duplicate check in linear time
     glues: List[GlueDecl] = []
     current_block: Optional[BlockDecl] = None
     current_glue: Optional[GlueDecl] = None
@@ -203,8 +204,9 @@ def parse(text: str) -> Manifest:
                 raise ManifestError("nested section; missing 'end'?", lineno)
             if len(tokens) != 2:
                 raise ManifestError("expected: block <label>", lineno)
-            if any(d.label == tokens[1] for d in blocks):
+            if tokens[1] in labels:
                 raise ManifestError(f"duplicate block label {tokens[1]!r}", lineno)
+            labels.add(tokens[1])
             current_block = BlockDecl(label=tokens[1], line=lineno)
         elif head == "glue":
             if inside:

@@ -6,10 +6,10 @@ psi is the conjugation-invariant integer class function pinned by
     psi(sign * [[1,n],[0,1]]) = n,      psi(+-I) = 0,
 
 extended to hyperbolic classes by the exponent sum #R - #L of the
-canonical R/L word (the alternating sum a1 - b1 + ... - bk of its runs
-R^a1 L^b1 ... R^ak L^bk) and to elliptic classes by the unique
-values in {-1,0,1} that keep psi congruent mod 3 to the abelianization
-character.  That congruence makes
+canonical R/L word (R^a1 L^b1 ... R^ak L^bk)^n, that is n times the
+alternating sum a1 - b1 + ... - bk of its runs, and to elliptic classes
+by the unique values in {-1,0,1} that keep psi congruent mod 3 to the
+abelianization character.  That congruence makes
 
     tau(A, B) = (psi(A) + psi(B) - psi(A B)) / 3
 
@@ -51,7 +51,7 @@ def _psi_of_class(m: Mat2, cls: ConjClass) -> int:
     if cls.kind == "parabolic":
         base = cls.n
     elif cls.kind == "hyperbolic":
-        base = cls.word.count("R") - cls.word.count("L")
+        base = cls.power * sum(a - b for a, b in cls.runs)
     else:
         base = 0
     kappa = _LIFT3[(abelianization_mod3(m) - base) % 3]

@@ -1,3 +1,4 @@
+import re
 from math import log2
 
 import pytest
@@ -262,6 +263,14 @@ def rl_words(max_len=300):
     return st.one_of(free, periodic).filter(lambda w: "R" in w and "L" in w)
 
 
+def runs_and_power(letters):
+    """(runs, power) of a positive R/L word that starts with R and ends with
+    L: its (R-run, L-run) pairs, cut to their least period."""
+    runs = [(len(r), len(l)) for r, l in re.findall("(R+)(L+)", "".join(letters))]
+    d = next(d for d in range(1, len(runs) + 1) if runs == runs[:d] * (len(runs) // d))
+    return tuple(runs[:d]), len(runs) // d
+
+
 disguises = st.lists(
     st.tuples(st.sampled_from([R, L, S]), st.sampled_from([1, -1, 2, -3, 7, -40])),
     max_size=12,
@@ -278,10 +287,34 @@ class TestRunLengthNormalForm:
         m = positive if sign == 1 else -positive
         cls, u = _normal_form(m)
         oracle_word, oracle_u = letterwise_normal_form(positive.entries())
-        assert cls == ConjClass("hyperbolic", sign, word=tuple(oracle_word))
+        runs, power = runs_and_power(oracle_word)
+        assert cls == ConjClass("hyperbolic", sign, runs=runs, power=power)
+        assert str(cls) == f"Hyperbolic({sign:+d}, {oracle_word})"
         assert u.det() == 1
         assert u.inverse() @ positive @ u == letters_matrix(oracle_word)
         assert psi(m) == word.count("R") - word.count("L")
+
+    @given(
+        rl_words(max_len=60),
+        st.lists(st.tuples(st.sampled_from([R, L]), st.integers(1, 60), st.sampled_from([1, -1])),
+                 min_size=8, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_letterwise_oracle_far_from_reduced(self, word, factors):
+        # a long product of R and L powers of both signs moves the fixed
+        # point far from a reduced one, so the walk has a long pre-period
+        c = to_matrix(g ** (k * e) for g, k, e in factors)
+        m = c @ letters_matrix(word) @ c.inverse()
+        oracle_word, _ = letterwise_normal_form(m.entries())
+        runs, power = runs_and_power(oracle_word)
+        assert classify(m) == ConjClass("hyperbolic", 1, runs=runs, power=power)
+
+    def test_long_run_is_one_pair(self):
+        n = 10**7
+        m = Mat2(n + 1, n, 1, 1)  # R^n L
+        cls = classify(m)
+        assert (cls.runs, cls.power, cls.length) == (((n, 1),), 1, n + 1)
+        assert psi(m) == n - 1
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 5), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -322,12 +355,12 @@ class TestRunLengthNormalForm:
 
         monkeypatch.setattr(gl2z, "_least_rotation", recorded)
         n = 2 * 10**4
-        assert classify(letters_matrix(("R", "L")) ** n) == ConjClass("hyperbolic", 1, word=("R", "L") * n)
+        assert classify(letters_matrix(("R", "L")) ** n) == ConjClass("hyperbolic", 1, runs=((1, 1),), power=n)
         assert [len(seq) for seq in seqs] == [1]
 
     def test_long_runs_past_the_old_step_guards(self):
         assert classify(Mat2(150001, 150000, 1, 1)) == ConjClass(
-            "hyperbolic", 1, word=("R",) * 150000 + ("L",)
+            "hyperbolic", 1, runs=((150000, 1),), power=1
         )
         m = L ** 150000 @ R @ L @ L ** -150000
         assert str(classify(m)) == "Hyperbolic(+1, RL)"

@@ -83,6 +83,13 @@ class TestParse:
             manifest.parse(bad).to_structure()
         assert "missing generator" in str(err.value)
 
+    def test_duplicate_block_label_located(self):
+        text = DOUBLE_GM.replace("block B", "block A")
+        lineno = text.splitlines().index("block A", 3) + 1  # the second one
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(text)
+        assert str(err.value) == f"line {lineno}, col 1: duplicate block label 'A'"
+
     def test_syntax_error_located(self):
         with pytest.raises(ManifestError) as err:
             manifest.parse("version 1\nblok A\n")
@@ -272,6 +279,16 @@ class TestCli:
         assert proc.stdout == "Hyperbolic(+1, " + "R" * 150000 + "L)\n"
         assert main(["psi", matrix]) == 0
         assert capsys.readouterr().out == "149999\n"
+
+    def test_matclass_refuses_an_over_long_word(self, capsys):
+        matrix = "[[1000000001,1000000000],[1,1]]"  # R^(10^9) L
+        rc, out, err = run_cli(["matclass", matrix])
+        assert (rc, out) == (12, "")
+        assert err == "hyperbolic word of 1000000001 letters; matclass prints at most 1000000\n"
+        assert main(["psi", matrix]) == 0
+        assert capsys.readouterr().out == "999999999\n"
+        assert main(["matclass", "[[1000000,999999],[1,1]]"]) == 0  # 10^6 letters
+        assert capsys.readouterr().out == "Hyperbolic(+1, " + "R" * 999999 + "L)\n"
 
     def test_entry_point_subprocess(self, gm_files):
         proc = subprocess.run(
