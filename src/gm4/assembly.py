@@ -312,7 +312,7 @@ def _fp_iso(src: TorusBundleOverCircle, dst: TorusBundleOverCircle,
     )
 
 
-Transport = Tuple[str, Mat2, int]  # (new boundary label, A, eps)
+Transport = Tuple[Mat2, int]  # (A, eps)
 
 
 def _transport(m: Mat2, a: Mat2, eps: int) -> Tuple[BoundaryIso, BoundaryIso]:
@@ -327,11 +327,7 @@ def _transport(m: Mat2, a: Mat2, eps: int) -> Tuple[BoundaryIso, BoundaryIso]:
 
 def _then(first: Dict[str, Transport], second: Dict[str, Transport]) -> Dict[str, Transport]:
     """The transports of first followed by those of second: (A2 A1, eps1 eps2)."""
-    out = {}
-    for lbl, (mid, a1, eps1) in first.items():
-        new, a2, eps2 = second[mid]
-        out[lbl] = (new, a2 @ a1, eps1 * eps2)
-    return out
+    return {lbl: (second[lbl][0] @ a1, eps1 * second[lbl][1]) for lbl, (a1, eps1) in first.items()}
 
 
 def _product(mats) -> Mat2:
@@ -358,7 +354,7 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     handles = block.images[: 2 * surface.genus]
     new_cs = tuple(moved.get(lbl, monos[lbl]) for lbl in new_labels[:-1])
     new_block = Block(surface, handles + new_cs, new_labels)
-    return new_block, {lbl: (lbl, n_mat if lbl in moved else I2, 1) for lbl in labels}
+    return new_block, {lbl: (n_mat if lbl in moved else I2, 1) for lbl in labels}
 
 
 def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
@@ -380,7 +376,7 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
     new_cs = (moved,) + cs[: p - 1] + cs[p:]
     new_labels = (labels[p - 1],) + labels[: p - 1] + labels[p:]
     new_block = Block(surface, head + new_cs, new_labels)
-    return new_block, {lbl: (lbl, p_mat if lbl == labels[p - 1] else I2, 1) for lbl in labels}
+    return new_block, {lbl: (p_mat if lbl == labels[p - 1] else I2, 1) for lbl in labels}
 
 
 def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
@@ -402,75 +398,67 @@ def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
     )
     new_labels = tuple(reversed(labels[:-1])) + labels[-1:]
     new_block = Block(surface, new_images, new_labels)
-    transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
-    transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
+    transports = {lbl: (n_inv, -1) for lbl in labels[:-1]}
+    transports[labels[-1]] = (n_inv @ n_inv, -1)
     return new_block, transports
 
 
-def _reglue(
-    gs: GraphStructure,
-    old_labels: set,
-    new_label: str,
-    new_block: Block,
-    mapping: Dict[End, Transport],
-    drop: Optional[int] = None,
-) -> GraphStructure:
-    """Replace the blocks old_labels by new_block under new_label, dropping
-    edge drop and moving each edge end in mapping to its new boundary label
-    through its transport (A, eps), in one rewrite of the edge list.
+# (old labels, new label, merged block, mapping), where the mapping sends each
+# old end to (new boundary label, A, eps)
+Merge = Tuple[set, str, Block, Dict[End, Tuple[str, Mat2, int]]]
 
-    Raises UnsupportedOperationError when new_block is invalid, and
+
+def _reglue(
+    blocks: Dict[str, Block], edges: List[Optional[Edge]], at: Dict[End, int], merge: Merge
+) -> None:
+    """Apply a merge in place: the merged block replaces the old blocks under
+    the new label, with ' appended until no other block has it, and each
+    end in the mapping moves to its new boundary label through its
+    transport (A, eps).  at (end -> edge index) finds the one edge at each
+    such end, so only those edges are rewritten.
+
+    Raises UnsupportedOperationError when the merged block is invalid, and
     RuntimeError when a transport does not land on the boundary monodromy
-    of new_block: the re-presentation would be wrong."""
+    of the merged block: the re-presentation would be wrong."""
+    old_labels, new_label, new_block, mapping = merge
     diags = validate_block(new_block)
     if diags:
         raise UnsupportedOperationError(
             "merged block is invalid (orientation-incoherent glueing?): "
             + "; ".join(diags)
         )
+    for lbl in old_labels:
+        del blocks[lbl]
+    while new_label in blocks:
+        new_label += "'"
+    blocks[new_label] = new_block
     monos = new_block.monodromies
-
-    def transport(end: End, m: Mat2) -> Tuple[End, BoundaryIso, BoundaryIso]:
-        new_bd, a, eps = mapping[end]
-        mu, mu_inv = _transport(m, a, eps)
+    for end, (new_bd, a, eps) in mapping.items():
+        i = at.pop(end)
+        edge = edges[i]
+        first = edge.end1 == end
+        mu, mu_inv = _transport(edge.iso.source.phi if first else edge.iso.target.phi, a, eps)
         if monos[new_bd] != mu.target.phi:
             raise RuntimeError(
                 f"re-presented boundary {new_label}.{new_bd} has monodromy "
                 f"{monos[new_bd]}, transport iso targets {mu.target.phi}"
             )
-        return (new_label, new_bd), mu, mu_inv
-
-    new_blocks = [(lbl, blk) for lbl, blk in gs.blocks if lbl not in old_labels]
-    new_blocks.append((new_label, new_block))
-    new_edges = []
-    for i, edge in enumerate(gs.edges):
-        if i == drop:
-            continue
-        iso, end1, end2 = edge.iso, edge.end1, edge.end2
-        if end1 in mapping:
-            end1, _, mu_inv = transport(end1, iso.source.phi)
-            iso = compose_isos(iso, mu_inv)
-        if end2 in mapping:
-            end2, mu, _ = transport(end2, iso.target.phi)
-            iso = compose_isos(mu, iso)
-        new_edges.append(Edge(end1, end2, iso))
-    return GraphStructure(tuple(sorted(new_blocks)), tuple(new_edges))
+        new_end = (new_label, new_bd)
+        at[new_end] = i
+        if first:
+            edges[i] = Edge(new_end, edge.end2, compose_isos(edge.iso, mu_inv))
+        else:
+            edges[i] = Edge(edge.end1, new_end, compose_isos(mu, edge.iso))
 
 
 def _position(block: Block, lbl: str) -> int:
     return block.boundary_labels().index(lbl) + 1
 
 
-def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
-    """Contract a fiber-preserving edge between two distinct blocks."""
-    edge = gs.edges[edge_idx]
+def _merge_distinct(blocks: Dict[str, Block], edge: Edge) -> Merge:
+    """Contract a fiber-preserving edge between two distinct orientable blocks."""
     (l1, bd1), (l2, bd2) = edge.end1, edge.end2
-    blocks = gs.block_map()
     b1, b2 = blocks[l1], blocks[l2]
-    if not (b1.surface.orientable and b2.surface.orientable):
-        raise UnsupportedOperationError(
-            "merging blocks with non-orientable bases is not supported"
-        )
     # normalize the base-circle direction of the glueing to t -> t^-1 (the
     # mirror's transports send t to t^-1)
     b2, trans2 = _mirror(b2) if edge.iso.t_img.k == 1 else _rotate(b2, 0)
@@ -488,7 +476,7 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
             "torus bundle over a closed surface, not a block presentation"
         )
     # fiber matrix of the contracted edge between the re-presented blocks
-    c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
+    c_mat = trans2[bd2][0] @ fiber_matrix(edge.iso) @ trans1[bd1][0].inverse()
     c_inv = c_mat.inverse()
     # images by position: block 2's handles, block 1's handles and c's, then
     # block 2's c's after its (glued) first one, conjugated into block 1's
@@ -501,32 +489,21 @@ def _merge_distinct(gs: GraphStructure, edge_idx: int) -> GraphStructure:
         + imgs1
         + tuple(c_inv @ m @ c_mat for m in imgs2[2 * g2 + 1 :])
     )
-    labels1, labels2 = b1.boundary_labels(), b2.boundary_labels()
-    new_labels = tuple(
-        [f"{l1}.{lbl}" for lbl in labels1[: n1 - 1]]
-        + [f"{l2}.{lbl}" for lbl in labels2[1:]]
-    )
-    merged_surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
-    merged = Block(merged_surface, new_images, new_labels)
-    mapping: Dict[End, Transport] = {}
-    for lbl in labels1[: n1 - 1]:
-        _, a, eps = trans1[lbl]
-        mapping[(l1, lbl)] = (f"{l1}.{lbl}", a, eps)
-    for lbl in labels2[1:]:
-        _, a, eps = trans2[lbl]
+    # the merged block's boundaries, in order: block 1's but the last, then
+    # block 2's but the first
+    mapping = {(l1, lbl): (f"{l1}.{lbl}", *trans1[lbl]) for lbl in b1.boundary_labels()[:-1]}
+    for lbl in b2.boundary_labels()[1:]:
+        a, eps = trans2[lbl]
         mapping[(l2, lbl)] = (f"{l2}.{lbl}", c_inv @ a, eps)
-    return _reglue(gs, {l1, l2}, f"{l1}+{l2}", merged, mapping, edge_idx)
+    merged_surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
+    merged = Block(merged_surface, new_images, tuple(new for new, _, _ in mapping.values()))
+    return {l1, l2}, f"{l1}+{l2}", merged, mapping
 
 
-def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
-    """Contract a fiber-preserving self-edge (same block, two boundaries)."""
-    edge = gs.edges[edge_idx]
+def _merge_self(blocks: Dict[str, Block], edge: Edge) -> Merge:
+    """Contract a fiber-preserving self-edge (same orientable block, two boundaries)."""
     lbl = edge.end1[0]
-    block = gs.block(lbl)
-    if not block.surface.orientable:
-        raise UnsupportedOperationError(
-            "merging blocks with non-orientable bases is not supported"
-        )
+    block = blocks[lbl]
     if edge.iso.t_img.k == 1:
         raise UnsupportedOperationError(
             "self-glueing preserving the base circle direction produces a "
@@ -548,7 +525,7 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
     labels = block.boundary_labels()
     m_last = block.monodromies[labels[-1]]  # at the contracted source boundary
     m_last_inv = m_last.inverse()
-    c_mat = trans[bd2][1] @ fiber_matrix(edge.iso) @ trans[bd1][1].inverse()
+    c_mat = trans[bd2][0] @ fiber_matrix(edge.iso) @ trans[bd1][0].inverse()
     # images by position: the old handles; new handles a_{g+1} = the stable
     # letter and b_{g+1} = the inverse glued word; then c_2 .. c_{b-2}
     new_images = (
@@ -556,33 +533,46 @@ def _merge_self(gs: GraphStructure, edge_idx: int) -> GraphStructure:
         + (c_mat, m_last_inv)
         + tuple(m_last_inv @ m @ m_last for m in imgs[2 * g + 1 : -1])
     )
-    new_labels = tuple(f"{lbl}.{old}" for old in labels[1 : b - 1])
-    merged_surface = SurfaceWithBoundary(True, g + 1, b - 2)
-    merged = Block(merged_surface, new_images, new_labels)
-    mapping: Dict[End, Transport] = {}
+    mapping = {}
     for old in labels[1 : b - 1]:
-        _, a, eps = trans[old]
+        a, eps = trans[old]
         mapping[(lbl, old)] = (f"{lbl}.{old}", m_last_inv @ a, eps)
-    return _reglue(gs, {lbl}, f"{lbl}*", merged, mapping, edge_idx)
+    merged_surface = SurfaceWithBoundary(True, g + 1, b - 2)
+    merged = Block(merged_surface, new_images, tuple(new for new, _, _ in mapping.values()))
+    return {lbl}, f"{lbl}*", merged, mapping
 
 
 def reduce_structure(gs: GraphStructure) -> GraphStructure:
     """Contract fiber-preserving glueings until the structure is reduced.
 
+    One loop owns the block table, the edge list (a contracted edge becomes
+    None), the index at (end -> edge index) and the set of fiber-preserving
+    edges; each merge returns its data and _reglue rewrites only the edges
+    it moves.  Transports are fiber-preserving, so composing with them
+    neither makes nor unmakes a fiber-preserving edge: the set only loses
+    the contracted edges, and its least edge by (end1, end2) is contracted
+    next.
+
     Raises ClosedBaseError when contraction would consume every boundary
     component (the input presented a torus bundle over a closed surface).
     """
     require_valid(gs)
-    while True:  # each merge removes one edge
-        reduced, offending = is_reduced(gs)
-        if reduced:
-            return gs
-        idx = min(offending, key=lambda i: (gs.edges[i].end1, gs.edges[i].end2))
-        edge = gs.edges[idx]
-        if edge.end1[0] == edge.end2[0]:
-            gs = _merge_self(gs, idx)
-        else:
-            gs = _merge_distinct(gs, idx)
+    blocks = gs.block_map()
+    edges: List[Optional[Edge]] = list(gs.edges)
+    at = {end: i for i, e in enumerate(gs.edges) for end in (e.end1, e.end2)}
+    offending = set(is_reduced(gs)[1])
+    while offending:  # each merge contracts one edge
+        idx = min(offending, key=lambda i: (edges[i].end1, edges[i].end2))
+        offending.remove(idx)
+        edge, edges[idx] = edges[idx], None
+        (l1, _), (l2, _) = edge.end1, edge.end2
+        if not (blocks[l1].surface.orientable and blocks[l2].surface.orientable):
+            raise UnsupportedOperationError(
+                "merging blocks with non-orientable bases is not supported"
+            )
+        merge = _merge_self if l1 == l2 else _merge_distinct
+        _reglue(blocks, edges, at, merge(blocks, edge))
+    return structure(blocks, [e for e in edges if e is not None])
 
 
 # ---------------------------------------------------------------------------

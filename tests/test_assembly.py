@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -21,6 +22,7 @@ from gm4 import (
     SurfaceWithBoundary,
     TorusBundleOverCircle,
     compose_isos,
+    dump_structure,
     euler_characteristic,
     fiber_matrix,
     first_homology,
@@ -28,6 +30,7 @@ from gm4 import (
     is_reduced,
     iso_inverse,
     isomorphic_reduced,
+    load_structure,
     manifold_signature,
     reduce_structure,
     structure,
@@ -36,6 +39,7 @@ from gm4 import (
 
 from conftest import (
     REDUCED_CORPUS,
+    bench_gen,
     holed_sphere,
     mirror_double,
     mirror_edge_iso,
@@ -60,7 +64,11 @@ def reglue_block(gs, label, new_block, transports):
     """gs with block label replaced by its re-presentation new_block."""
     from gm4.assembly import _reglue
 
-    return _reglue(gs, {label}, label, new_block, {(label, bd): t for bd, t in transports.items()})
+    blocks, edges = gs.block_map(), list(gs.edges)
+    at = {end: i for i, e in enumerate(edges) for end in (e.end1, e.end2)}
+    mapping = {(label, bd): (bd, a, eps) for bd, (a, eps) in transports.items()}
+    _reglue(blocks, edges, at, ({label}, label, new_block, mapping))
+    return structure(blocks, edges)
 
 
 def mirror_pair(a):
@@ -70,8 +78,8 @@ def mirror_pair(a):
     b_block, transports = _mirror(a)
     edges = []
     for lbl, m in a.monodromies.items():
-        new_lbl, u, eps = transports[lbl]
-        edges.append(Edge(("A", lbl), ("B", new_lbl), _transport(m, u, eps)[0]))
+        u, eps = transports[lbl]
+        edges.append(Edge(("A", lbl), ("B", lbl), _transport(m, u, eps)[0]))
     return structure({"A": a, "B": b_block}, edges)
 
 
@@ -287,9 +295,9 @@ class TestReduce:
         calls = []
         real = assembly._reglue
 
-        def counting(gs, *args):
-            calls.append(args[1])
-            return real(gs, *args)
+        def counting(blocks, edges, at, merge):
+            calls.append(merge[1])
+            return real(blocks, edges, at, merge)
 
         monkeypatch.setattr(assembly, "_reglue", counting)
         reduce_structure(self._far_merge())
@@ -310,6 +318,71 @@ class TestReduce:
                 reduce_structure(gs)
             except ClosedBaseError:
                 continue
+
+    def test_merged_label_clash(self):
+        # the merge of P00 and P01 is named P00+P01, which the input already
+        # uses: the merged block takes P00+P01' and the input block stays
+        gen = bench_gen()
+        ring = gen.pants_ring(2, [-3, -3], [True, False])
+        names = {"P00": "P00", "P01": "P01", "P02": "P00+P01", "P03": "P03"}
+        gs = load_structure(gen.rename(ring, names).text())
+        assert validate_structure(gs) == []
+        red = reduce_structure(gs)
+        assert [lbl for lbl, _ in red.blocks] == ["P00+P01", "P00+P01'", "P03"]
+        assert red.block("P00+P01") == gs.block("P00+P01")
+        assert validate_structure(red) == [] and is_reduced(red)[0]
+        text = dump_structure(red)
+        assert dump_structure(load_structure(text)) == text
+        assert manifold_signature(red) == manifold_signature(gs) == 0
+        assert first_homology(red) == first_homology(gs) == (3, [4])
+
+
+def _pants_ring(n, kind):
+    """The pants ring of n blocks with _ring_params(n, Random(n)); its rungs
+    preserve the fiber by a fresh Random(n) ("baseline") or all of them
+    ("preserving")."""
+    gen = bench_gen()
+    a, bs = gen._ring_params(n, random.Random(n))
+    rnd = random.Random(n)
+    preserving = [rnd.random() < 0.5 if kind == "baseline" else True for _ in bs]
+    return load_structure(gen.pants_ring(a, bs, preserving).text())
+
+
+class TestReduceAtScale:
+    @pytest.mark.parametrize("kind", ["baseline", "preserving"])
+    @pytest.mark.parametrize("n", [96, 768])
+    def test_merge_rewrites_only_the_edges_it_moves(self, monkeypatch, kind, n):
+        # a pants merge moves the four other ends of its two blocks
+        import gm4.assembly as assembly
+
+        gs = _pants_ring(n, kind)
+        merges = len(is_reduced(gs)[1])
+        built = []
+        real = assembly.Edge
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "Edge", counting)
+        reduce_structure(gs)
+        assert merges > 0 and len(built) <= 4 * merges
+
+    # sha256 of dump_structure(reduce_structure(ring)), recorded when each
+    # merge still rebuilt the whole structure
+    DIGESTS = {
+        ("baseline", 96): "bff1f11e1eaed452c5152be1c2e005cff33bad81a1b859d1c28529be50f7ac66",
+        ("baseline", 384): "7625453c8ad4264b51fe42474ff8207765531a8a27c25a05a92ef9e023bcd827",
+        ("baseline", 1536): "c1241c3319f1d88710c306f27e0784dfd17cca2645157bfa30e8b6e28f7caa7c",
+        ("preserving", 96): "e4b408ff9302f70b3277377894c649fd1272858943151dbcdbc839ace31ac30b",
+        ("preserving", 384): "c94bb9a66b19d4277f2a23344ed8d311b5cb00462be616f5d3eed41c18090bc3",
+        ("preserving", 1536): "5ecb6302e8e15d805c7cd6dc2241f1e0496a30ed5fd1b58169e9be88db586bfe",
+    }
+
+    @pytest.mark.parametrize("kind, n", sorted(DIGESTS))
+    def test_output_is_byte_identical(self, kind, n):
+        out = dump_structure(reduce_structure(_pants_ring(n, kind)))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[(kind, n)]
 
 
 class TestFirstHomology:
@@ -521,22 +594,22 @@ class TestClosedFormSurgeries:
         monos = block.monodromies
         for k in range(b):
             stepped = block
-            composed = {lbl: (lbl, I2, 1) for lbl in monos}
+            composed = {lbl: (I2, 1) for lbl in monos}
             composed_isos = {
                 lbl: BoundaryIso.identity(TorusBundleOverCircle(m)) for lbl, m in monos.items()
             }
             for _ in range(k):
                 current = stepped.monodromies
                 stepped, step = _rotate(stepped, 1)
-                for lbl, (new_lbl, a, eps) in step.items():
-                    assert new_lbl == lbl
+                assert step.keys() == monos.keys()
+                for lbl, (a, eps) in step.items():
                     mu, _ = _transport(current[lbl], a, eps)
                     composed_isos[lbl] = compose_isos(mu, composed_isos[lbl])
                 composed = _then(composed, step)
             rotated, mapping = _rotate(block, k)
             assert rotated == stepped, k
             assert mapping == composed, k
-            isos = {lbl: _transport(monos[lbl], a, eps)[0] for lbl, (_, a, eps) in mapping.items()}
+            isos = {lbl: _transport(monos[lbl], a, eps)[0] for lbl, (a, eps) in mapping.items()}
             assert isos == composed_isos, k
 
     def test_move_to_front_preserves_structure(self):
@@ -557,7 +630,7 @@ class TestClosedFormSurgeries:
 
         gs = swap_double(1, 2)
         new_block, mapping = _rotate(gs.block("A"), 1)
-        mapping["1"] = ("1", I2, -1)  # lands on the inverse monodromy
+        mapping["1"] = (I2, -1)  # lands on the inverse monodromy
         with pytest.raises(RuntimeError, match="A.1"):
             reglue_block(gs, "A", new_block, mapping)
 
@@ -588,8 +661,7 @@ class TestTransports:
 
         first, _ = _transport(m, a1, eps1)
         second, _ = _transport(first.target.phi, a2, eps2)
-        (lbl, a, eps), = _then({"p": ("q", a1, eps1)}, {"q": ("r", a2, eps2)}).values()
-        assert lbl == "r"
+        (a, eps), = _then({"p": (a1, eps1)}, {"p": (a2, eps2)}).values()
         assert _transport(m, a, eps)[0] == compose_isos(second, first)
 
 
@@ -687,14 +759,14 @@ def _oracle_mirror(block):
         else:
             new_images.append(n_inv @ monos[labels[b - i - 1]].inverse() @ n_mat)
     new_labels = tuple(reversed(labels[: b - 1])) + (labels[-1],)
-    transports = {lbl: (lbl, n_inv, -1) for lbl in labels[:-1]}
-    transports[labels[-1]] = (labels[-1], n_inv @ n_inv, -1)
+    transports = {lbl: (n_inv, -1) for lbl in labels[:-1]}
+    transports[labels[-1]] = (n_inv @ n_inv, -1)
     return Block(surface, tuple(new_images), new_labels), transports
 
 
 def _oracle_merge_distinct(gs, edge_idx):
-    """The (old labels, new label, merged block, mapping, drop) that a merge
-    of two distinct blocks hands to _reglue."""
+    """The (old labels, new label, merged block, mapping) that a merge of
+    two distinct blocks returns."""
     from gm4.assembly import _position, _rotate, _then
 
     edge = gs.edges[edge_idx]
@@ -705,7 +777,7 @@ def _oracle_merge_distinct(gs, edge_idx):
     b2, rotation = _rotate(b2, _position(b2, bd2) - 1)
     trans2 = _then(trans2, rotation)
     (g1, n1), (g2, n2) = ((b.surface.genus, b.surface.boundary_count) for b in (b1, b2))
-    c_mat = trans2[bd2][1] @ fiber_matrix(edge.iso) @ trans1[bd1][1].inverse()
+    c_mat = trans2[bd2][0] @ fiber_matrix(edge.iso) @ trans1[bd1][0].inverse()
     c_inv = c_mat.inverse()
     imgs1, imgs2 = b1.image_map, b2.image_map
     images = []
@@ -720,11 +792,11 @@ def _oracle_merge_distinct(gs, edge_idx):
     new_labels = tuple([f"{l1}.{x}" for x in labels1[: n1 - 1]] + [f"{l2}.{x}" for x in labels2[1:]])
     surface = SurfaceWithBoundary(True, g1 + g2, n1 + n2 - 2)
     merged = Block(surface, tuple(images), new_labels)
-    mapping = {(l1, x): (f"{l1}.{x}",) + trans1[x][1:] for x in labels1[: n1 - 1]}
+    mapping = {(l1, x): (f"{l1}.{x}",) + trans1[x] for x in labels1[: n1 - 1]}
     for x in labels2[1:]:
-        _, a, eps = trans2[x]
+        a, eps = trans2[x]
         mapping[(l2, x)] = (f"{l2}.{x}", c_inv @ a, eps)
-    return {l1, l2}, f"{l1}+{l2}", merged, mapping, edge_idx
+    return {l1, l2}, f"{l1}+{l2}", merged, mapping
 
 
 def _oracle_merge_self(gs, edge_idx):
@@ -742,7 +814,7 @@ def _oracle_merge_self(gs, edge_idx):
     labels = block.boundary_labels()
     m_last = _oracle_monodromies(block)[labels[-1]]
     m_last_inv = m_last.inverse()
-    c_mat = trans[bd2][1] @ fiber_matrix(edge.iso) @ trans[bd1][1].inverse()
+    c_mat = trans[bd2][0] @ fiber_matrix(edge.iso) @ trans[bd1][0].inverse()
     images = []
     for j in range(1, g + 1):
         images += [imgs[f"a{j}"], imgs[f"b{j}"]]
@@ -752,9 +824,9 @@ def _oracle_merge_self(gs, edge_idx):
     merged = Block(surface, tuple(images), tuple(f"{lbl}.{x}" for x in labels[1 : b - 1]))
     mapping = {}
     for x in labels[1 : b - 1]:
-        _, a, eps = trans[x]
+        a, eps = trans[x]
         mapping[(lbl, x)] = (f"{lbl}.{x}", m_last_inv @ a, eps)
-    return {lbl}, f"{lbl}*", merged, mapping, edge_idx
+    return {lbl}, f"{lbl}*", merged, mapping
 
 
 def _random_block(rnd, genus, boundaries, prefix=""):
@@ -784,16 +856,6 @@ class TestPositionalSurgeries:
     each must agree with the name-keyed oracle above on images, labels and
     transports."""
 
-    @staticmethod
-    def _captured(monkeypatch, merge, gs, edge_idx):
-        import gm4.assembly as assembly
-
-        seen = []
-        monkeypatch.setattr(assembly, "_reglue", lambda gs, *args: seen.append(args) or gs)
-        merge(gs, edge_idx)
-        (args,) = seen
-        return args
-
     def test_mirror(self):
         from gm4.assembly import _mirror
 
@@ -804,7 +866,7 @@ class TestPositionalSurgeries:
                     block = _random_block(rnd, genus, boundaries)
                     assert _mirror(block) == _oracle_mirror(block), (genus, boundaries)
 
-    def test_merge_distinct(self, monkeypatch):
+    def test_merge_distinct(self):
         from gm4.assembly import _merge_distinct
 
         rnd = random.Random(11)
@@ -817,10 +879,10 @@ class TestPositionalSurgeries:
                     bd1, bd2 = rnd.choice(a.boundary_labels()), rnd.choice(b.boundary_labels())
                     iso = _fiber_preserving(a.monodromies[bd1], b.monodromies[bd2], fiber, eps)
                     gs = structure({"A": a, "B": b}, [Edge(("A", bd1), ("B", bd2), iso)])
-                    got = self._captured(monkeypatch, _merge_distinct, gs, 0)
+                    got = _merge_distinct(gs.block_map(), gs.edges[0])
                     assert got == _oracle_merge_distinct(gs, 0), (g1, g2, n1, n2, eps)
 
-    def test_merge_self(self, monkeypatch):
+    def test_merge_self(self):
         from gm4.assembly import _merge_self
 
         rnd = random.Random(13)
@@ -832,5 +894,5 @@ class TestPositionalSurgeries:
                 for bd1, bd2 in ((labels[0], labels[-1]), (labels[-1], labels[1]), (labels[2], labels[1])):
                     iso = _fiber_preserving(block.monodromies[bd1], block.monodromies[bd2], fiber, -1)
                     gs = structure({"A": block}, [Edge(("A", bd1), ("A", bd2), iso)])
-                    got = self._captured(monkeypatch, _merge_self, gs, 0)
+                    got = _merge_self(gs.block_map(), gs.edges[0])
                     assert got == _oracle_merge_self(gs, 0), (genus, boundaries, bd1, bd2)
