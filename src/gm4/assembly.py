@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import smith
-from .gl2z import GL2Z, I2, Mat2, _ext_gcd, conjugate_in, int_str
+from .gl2z import GL2Z, I2, Mat2, _ext_gcd, conjugate_in, int_str, product
 from .bundles import (
     Block,
     BoundaryIso,
@@ -175,25 +175,30 @@ def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
     """(rank, torsion coefficients) of H1 of the glued 4-manifold.
 
     Each block owns a run of columns from its offset: the fiber x, then y,
-    then the block's surface generators.  Abelianized, a glueing relation
+    then the block's surface generators by position.  Abelianized, the
+    boundary c_i is +1 on its own column and the last boundary
+    (N c1 ... c{b-1})^-1 is -1 on every c, -2 on every d over a
+    non-orientable base and 0 on every a_i, b_i, as N abelianizes to
+    2 (d1 + ... + dq) or 0.  A glueing relation
     t i(g) t^-1 = j(g) reads i(g) = j(g), so the stable letters t appear in
     no relation: a spanning tree kills V - 1 of them and the other E - V + 1
     (the cycle rank of the connected graph) are free summands (Serre,
     Trees, 1980, ch. I)."""
     require_valid(gs)
     offsets: Dict[str, int] = {}
-    boundary_ab: Dict[End, Dict[int, int]] = {}  # column -> exponent sum of each boundary word
+    boundary_ab: Dict[End, Dict[int, int]] = {}  # column -> coefficient of each boundary
     rows: List[Dict[int, int]] = []
     n_columns = 0
     for lbl, block in gs.blocks:
         x = offsets[lbl] = n_columns
-        surface = block.surface
-        column = {name: x + 2 + i for i, name in enumerate(surface.generator_names())}
-        n_columns = x + 2 + len(column)
-        for bd, word in zip(block.boundary_labels(), surface.boundary_words()):
-            coeffs = boundary_ab[(lbl, bd)] = {}
-            for gen, exp in word:
-                coeffs[column[gen]] = coeffs.get(column[gen], 0) + exp
+        n_columns = x + 2 + len(block.images)
+        first_c = n_columns - len(block.cs)
+        labels = block.boundary_labels()
+        for col, bd in zip(range(first_c, n_columns), labels):
+            boundary_ab[(lbl, bd)] = {col: 1}
+        last = {} if block.surface.orientable else dict.fromkeys(range(x + 2, first_c), -2)
+        last.update(dict.fromkeys(range(first_c, n_columns), -1))
+        boundary_ab[(lbl, labels[-1])] = last
         for m in block.images:
             # gamma x gamma^-1 = x^a y^c ; gamma y gamma^-1 = x^b y^d
             rows.append({x: 1 - m.a, x + 1: -m.c})
@@ -330,13 +335,6 @@ def _then(first: Dict[str, Transport], second: Dict[str, Transport]) -> Dict[str
     return {lbl: (second[lbl][0] @ a1, eps1 * second[lbl][1]) for lbl, (a1, eps1) in first.items()}
 
 
-def _product(mats) -> Mat2:
-    out = I2
-    for m in mats:
-        out = out @ m
-    return out
-
-
 def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
     """Cycle boundary positions down by steps (0 <= steps < b): old positions
     1..steps go last, in order, their monodromies conjugated by the handle
@@ -347,13 +345,12 @@ def _rotate(block: Block, steps: int) -> Tuple[Block, Dict[str, Transport]]:
         raise ValueError("rotations re-present orientable bases only")
     labels = block.boundary_labels()
     monos = block.monodromies
-    n_inv = _product(monos.values())
-    n_mat = n_inv.inverse()
+    n_mat = block.handle_product
+    n_inv = n_mat.inverse()
     moved = {lbl: n_mat @ monos[lbl] @ n_inv for lbl in labels[:steps]}
     new_labels = labels[steps:] + labels[:steps]
-    handles = block.images[: 2 * surface.genus]
     new_cs = tuple(moved.get(lbl, monos[lbl]) for lbl in new_labels[:-1])
-    new_block = Block(surface, handles + new_cs, new_labels)
+    new_block = Block(surface, block.handles + new_cs, new_labels)
     return new_block, {lbl: (n_mat if lbl in moved else I2, 1) for lbl in labels}
 
 
@@ -369,32 +366,30 @@ def _move_to_front(block: Block, p: int) -> Tuple[Block, Dict[str, Transport]]:
     if not 1 <= p <= b - 1:
         raise ValueError(f"boundary position {p} is not below the last of {b}")
     labels = block.boundary_labels()
-    first_c = len(block.images) - (b - 1)
-    head, cs = block.images[:first_c], block.images[first_c:]
-    p_mat = _product(cs[: p - 1])
+    cs = block.cs
+    p_mat = product(cs[: p - 1])
     moved = p_mat @ cs[p - 1] @ p_mat.inverse()
     new_cs = (moved,) + cs[: p - 1] + cs[p:]
     new_labels = (labels[p - 1],) + labels[: p - 1] + labels[p:]
-    new_block = Block(surface, head + new_cs, new_labels)
+    new_block = Block(surface, block.handles + new_cs, new_labels)
     return new_block, {lbl: (p_mat if lbl == labels[p - 1] else I2, 1) for lbl in labels}
 
 
 def _mirror(block: Block) -> Tuple[Block, Dict[str, Transport]]:
     """Orientation-reversing re-presentation of an orientable block.
 
-    Handles reverse (a_i <-> b_{g+1-i}), boundary words invert (up to
+    Handles reverse (a_i <-> b_{g+1-i}), the c monodromies invert (up to
     conjugation by N) and the boundary order below the last position
     reverses; the transports send t to t^-1.
     """
     surface = block.surface
     if not surface.orientable:
         raise ValueError("mirrors re-present orientable bases only")
-    split = 2 * surface.genus
     labels = block.boundary_labels()
-    n_inv = _product(block.monodromies.values())
-    n_mat = n_inv.inverse()
-    new_images = tuple(reversed(block.images[:split])) + tuple(
-        n_inv @ m.inverse() @ n_mat for m in reversed(block.images[split:])
+    n_mat = block.handle_product
+    n_inv = n_mat.inverse()
+    new_images = tuple(reversed(block.handles)) + tuple(
+        n_inv @ m.inverse() @ n_mat for m in reversed(block.cs)
     )
     new_labels = tuple(reversed(labels[:-1])) + labels[-1:]
     new_block = Block(surface, new_images, new_labels)
@@ -483,11 +478,10 @@ def _merge_distinct(blocks: Dict[str, Block], edge: Edge) -> Merge:
     # fiber.  When block 2 has one boundary, block 1's last c becomes the
     # merged block's last boundary, which has no generator.
     imgs1 = b1.images if n2 > 1 else b1.images[:-1]
-    imgs2 = b2.images
     new_images = (
-        tuple(c_inv @ m @ c_mat for m in imgs2[: 2 * g2])
+        tuple(c_inv @ m @ c_mat for m in b2.handles)
         + imgs1
-        + tuple(c_inv @ m @ c_mat for m in imgs2[2 * g2 + 1 :])
+        + tuple(c_inv @ m @ c_mat for m in b2.cs[1:])
     )
     # the merged block's boundaries, in order: block 1's but the last, then
     # block 2's but the first
@@ -521,7 +515,6 @@ def _merge_self(blocks: Dict[str, Block], edge: Edge) -> Merge:
     block, trans = _rotate(block, _position(block, bd1) % b)
     block, front = _move_to_front(block, _position(block, bd2))
     trans = _then(trans, front)
-    imgs = block.images
     labels = block.boundary_labels()
     m_last = block.monodromies[labels[-1]]  # at the contracted source boundary
     m_last_inv = m_last.inverse()
@@ -529,9 +522,9 @@ def _merge_self(blocks: Dict[str, Block], edge: Edge) -> Merge:
     # images by position: the old handles; new handles a_{g+1} = the stable
     # letter and b_{g+1} = the inverse glued word; then c_2 .. c_{b-2}
     new_images = (
-        imgs[: 2 * g]
+        block.handles
         + (c_mat, m_last_inv)
-        + tuple(m_last_inv @ m @ m_last for m in imgs[2 * g + 1 : -1])
+        + tuple(m_last_inv @ m @ m_last for m in block.cs[1:-1])
     )
     mapping = {}
     for old in labels[1 : b - 1]:

@@ -1,15 +1,17 @@
 """Surfaces with boundary, blocks (torus bundles over them, given by their
 monodromy) and the torus bundles over circles that bound them.
 
-Generator and boundary-word convention (fixed once for the whole package):
+Generator convention (fixed once for the whole package): a block's images
+are read by position, the handle images first, then c1, ..., c{b-1}.
 
-* orientable surface of genus g with b boundary components:
-  free generators a1, b1, ..., ag, bg, c1, ..., c{b-1};
-  boundary words  c1, ..., c{b-1}  and
-  last = ([a1,b1]...[ag,bg] c1 ... c{b-1})^-1  with [x,y] = x y x^-1 y^-1.
-* non-orientable surface with q crosscaps and b boundary components:
-  free generators d1, ..., dq, c1, ..., c{b-1};
-  boundary words  c1, ..., c{b-1}  and last = (d1^2 ... dq^2 c1 ... c{b-1})^-1.
+* orientable surface of genus g with b boundary components: free
+  generators a1, b1, ..., ag, bg, c1, ..., c{b-1}, and the handle
+  product N = [a1,b1]...[ag,bg] with [x,y] = x y x^-1 y^-1;
+* non-orientable surface with q crosscaps and b boundary components: free
+  generators d1, ..., dq, c1, ..., c{b-1}, and N = d1^2 ... dq^2.
+
+The boundary monodromies are c1, ..., c{b-1} and, at the last boundary,
+(N c1 ... c{b-1})^-1, so N times all b of them, in order, is I.
 
 pi1 of the torus bundle M_phi over a circle is presented on x, y, t with
 [x, y] = 1,  t x t^-1 = x^phi11 y^phi21,  t y t^-1 = x^phi12 y^phi22,
@@ -35,14 +37,8 @@ from itertools import combinations
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gl2z import GL2Z, I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify, conjugate_in, int_str
+from .gl2z import GL2Z, I2, ConjClass, Mat2, NotInSL2ZError, NotUnimodularError, _ext_gcd, classify, conjugate_in, int_str, product
 from . import smith
-
-Word = Tuple[Tuple[str, int], ...]
-
-
-def word_inverse(word: Word) -> Word:
-    return tuple((gen, -exp) for gen, exp in reversed(word))
 
 
 class UnsupportedOperationError(ValueError):
@@ -84,20 +80,6 @@ class SurfaceWithBoundary:
             names.append(f"c{i}")
         return tuple(names)
 
-    def boundary_words(self) -> Tuple[Word, ...]:
-        words: List[Word] = [((f"c{i}", 1),) for i in range(1, self.boundary_count)]
-        head: List[Tuple[str, int]] = []
-        if self.orientable:
-            for i in range(1, self.genus + 1):
-                head += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
-        else:
-            for i in range(1, self.genus + 1):
-                head += [(f"d{i}", 2)]
-        for i in range(1, self.boundary_count):
-            head.append((f"c{i}", 1))
-        words.append(word_inverse(tuple(head)))
-        return tuple(words)
-
     def is_disc(self) -> bool:
         return self.orientable and self.genus == 0 and self.boundary_count == 1
 
@@ -115,7 +97,8 @@ class SurfaceWithBoundary:
 @dataclass(frozen=True)
 class Block:
     """A torus bundle over a surface with boundary: the monodromy images of
-    the generators, in generator_names order, and boundary labels (1..b)."""
+    the generators, in generator_names order (the handles, then the c's),
+    and boundary labels (1..b)."""
 
     surface: SurfaceWithBoundary
     images: Tuple[Mat2, ...]
@@ -126,25 +109,31 @@ class Block:
             return self.labels
         return tuple(str(i) for i in range(1, self.surface.boundary_count + 1))
 
-    @cached_property
-    def image_map(self) -> Dict[str, Mat2]:
-        """Generator name -> monodromy image, built once per block, so
-        evaluating all b boundary words costs O(b) lookups."""
-        return dict(zip(self.surface.generator_names(), self.images))
+    @property
+    def handles(self) -> Tuple[Mat2, ...]:
+        """The images of a1, b1, ..., ag, bg, or of d1, ..., dq."""
+        return self.images[: len(self.images) - self.surface.boundary_count + 1]
 
-    def evaluate(self, word: Word) -> Mat2:
-        imgs = self.image_map
-        out = I2
-        for gen, exp in word:
-            out = out @ (imgs[gen] ** exp)
-        return out
+    @property
+    def cs(self) -> Tuple[Mat2, ...]:
+        """The images of c1, ..., c{b-1}."""
+        return self.images[len(self.images) - self.surface.boundary_count + 1 :]
+
+    @cached_property
+    def handle_product(self) -> Mat2:
+        """N = [a1,b1]...[ag,bg], or d1^2 ... dq^2 over a non-orientable base."""
+        hs = self.handles
+        if self.surface.orientable:
+            return product(a @ b @ a.inverse() @ b.inverse() for a, b in zip(hs[::2], hs[1::2]))
+        return product(d @ d for d in hs)
 
     @cached_property
     def monodromies(self) -> Dict[str, Mat2]:
-        """Boundary label -> boundary monodromy, in boundary order: each
-        boundary word is evaluated once per (immutable) block."""
-        words = self.surface.boundary_words()
-        return {lbl: self.evaluate(w) for lbl, w in zip(self.boundary_labels(), words)}
+        """Boundary label -> boundary monodromy, in boundary order, read by
+        position: c1, ..., c{b-1}, then (N c1 ... c{b-1})^-1."""
+        cs = self.cs
+        last = (self.handle_product @ product(cs)).inverse()
+        return dict(zip(self.boundary_labels(), cs + (last,)))
 
     @cached_property
     def classes(self) -> Dict[str, ConjClass]:

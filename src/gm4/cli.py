@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import assembly, manifest, meyer
 from .bundles import UnsupportedOperationError
-from .gl2z import NotInSL2ZError, classify
+from .gl2z import NotInSL2ZError, classify, int_str
 
 EXIT_OK = 0
 EXIT_NO = 10
@@ -88,14 +88,14 @@ def cmd_matclass(args) -> int:
     cls = classify(manifest.parse_matrix(args.matrix, 1))
     if cls.length > MATCLASS_MAX_LETTERS:
         raise WordTooLongError(
-            f"hyperbolic word of {cls.length} letters; matclass prints at most {MATCLASS_MAX_LETTERS}"
+            f"hyperbolic word of {int_str(cls.length)} letters; matclass prints at most {MATCLASS_MAX_LETTERS}"
         )
     print(cls)
     return EXIT_OK
 
 
 def cmd_psi(args) -> int:
-    print(meyer.psi(manifest.parse_matrix(args.matrix, 1)))
+    print(int_str(meyer.psi(manifest.parse_matrix(args.matrix, 1))))
     return EXIT_OK
 
 

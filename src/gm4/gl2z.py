@@ -148,6 +148,15 @@ L = Mat2(1, 0, 1, 1)
 S = Mat2(0, -1, 1, 0)
 J_FLIP = Mat2(1, 0, 0, -1)  # determinant -1 representative for GL tests
 
+
+def product(mats) -> Mat2:
+    """The product of the matrices, left to right (I2 for none)."""
+    out = I2
+    for m in mats:
+        out = out @ m
+    return out
+
+
 # order-6 rotation fixing rho = (1 + i sqrt 3)/2; T**3 == -I2
 T6 = R @ S
 
@@ -221,6 +230,18 @@ def int_str(n: int) -> str:
         chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
     chunks.append(str(n))
     return sign + "".join(reversed(chunks))
+
+
+def parse_int(text: str) -> int:
+    """The inverse of int_str on an optional "-" and decimal digits, also
+    past the interpreter's limit on str-to-int digits: the digits are read
+    in chunks of _CHUNK_DIGITS."""
+    digits = text.lstrip("-")
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(digits[i : i + _CHUNK_DIGITS])
+    return -n if text.startswith("-") else n
 
 
 def _ext_gcd(p: int, q: int) -> Tuple[int, int, int]:

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gl2z import Mat2
+from .gl2z import Mat2, parse_int
 from .bundles import (
     Block,
     BoundaryIso,
@@ -54,21 +54,14 @@ _MATRIX_RE = re.compile(
 _TRIPLE_RE = re.compile(r"^\((-?\d+),(-?\d+),(-?\d+)\)$")
 
 
-def _ints(groups, line: int, col: int):
-    try:
-        return [int(g) for g in groups]
-    except ValueError as exc:  # more digits than int() converts (sys.int_info)
-        raise ManifestError(str(exc), line, col) from None
-
-
 def parse_matrix(text: str, line: int = 0, col: int = 1) -> Mat2:
     m = _MATRIX_RE.match(text.replace(" ", ""))
     if not m:
         raise ManifestError(f"expected matrix [[a,b],[c,d]], got {text!r}", line, col)
-    mat = Mat2(*_ints(m.groups(), line, col))
+    mat = Mat2(*map(parse_int, m.groups()))
     det = mat.det()
     if det not in (1, -1):
-        # a determinant of entries near the digit limit is too long for str()
+        # a determinant of long entries is too long to show (or for str())
         shown = det if det.bit_length() < 8000 else f"of {det.bit_length()} bits"
         raise ManifestError(f"determinant {shown}, not unimodular: {text}", line, col)
     return mat
@@ -78,7 +71,7 @@ def parse_triple(text: str, line: int = 0, col: int = 1) -> Pi1Element:
     m = _TRIPLE_RE.match(text.replace(" ", ""))
     if not m:
         raise ManifestError(f"expected pi1 image (a,b,k), got {text!r}", line, col)
-    return Pi1Element(*_ints(m.groups(), line, col))
+    return Pi1Element(*map(parse_int, m.groups()))
 
 
 @dataclass

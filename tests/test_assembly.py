@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,7 @@ from conftest import (
     upper,
 )
 from oracle_compare import reference_isomorphic_reduced
+import oracle_surface
 
 
 def identity_iso(phi):
@@ -340,12 +342,20 @@ class TestReduce:
 def _pants_ring(n, kind):
     """The pants ring of n blocks with _ring_params(n, Random(n)); its rungs
     preserve the fiber by a fresh Random(n) ("baseline") or all of them
-    ("preserving")."""
+    ("preserving" and "handles").  "handles" also preserves each ring edge
+    P_2j.2 - P_2j+1.1, so reduce contracts each pair of blocks twice, into
+    a genus-1 block with two boundaries."""
     gen = bench_gen()
     a, bs = gen._ring_params(n, random.Random(n))
     rnd = random.Random(n)
     preserving = [rnd.random() < 0.5 if kind == "baseline" else True for _ in bs]
-    return load_structure(gen.pants_ring(a, bs, preserving).text())
+    ring = gen.pants_ring(a, bs, preserving)
+    if kind == "handles":
+        ring.edges = [
+            (e1, e2, gen.PRESERVE if e1[1] == "2" and int(e1[0][1:]) % 2 == 0 else iso)
+            for e1, e2, iso in ring.edges
+        ]
+    return load_structure(ring.text())
 
 
 class TestReduceAtScale:
@@ -377,12 +387,43 @@ class TestReduceAtScale:
         ("preserving", 96): "e4b408ff9302f70b3277377894c649fd1272858943151dbcdbc839ace31ac30b",
         ("preserving", 384): "c94bb9a66b19d4277f2a23344ed8d311b5cb00462be616f5d3eed41c18090bc3",
         ("preserving", 1536): "5ecb6302e8e15d805c7cd6dc2241f1e0496a30ed5fd1b58169e9be88db586bfe",
+        # recorded while boundary monodromies were evaluated from named words
+        ("handles", 96): "e783cd755312803e2473453fe23cc2687dd094c4bfe819d2e3cdbe336121f69f",
+        ("handles", 384): "709fa10528b309800050c2794a5d6c7ed33572181c9259b84ce2f91e4f26cf2b",
+        ("handles", 1536): "fdab7bdfe9d9f070397cab4afcf52d202d0018c987440e02e0f0a49dff4acc86",
     }
 
     @pytest.mark.parametrize("kind, n", sorted(DIGESTS))
     def test_output_is_byte_identical(self, kind, n):
         out = dump_structure(reduce_structure(_pants_ring(n, kind)))
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[(kind, n)]
+
+    # sha256 of invariant_report(ring).render(), and of the report of its
+    # reduction, recorded while boundary monodromies were evaluated from
+    # named words and H1 summed the exponents of each word
+    REPORT_DIGESTS = {
+        ("baseline", 96, False): "f6f36225760a1d9f4ba5e915683be1b44b49e9c18edfa2e72fb8fce8751db0d4",
+        ("baseline", 96, True): "272c1eb2bcb64a85a0f4eb1fab98bebb4612c780f6bd0aedaf7987955f29c9d3",
+        ("baseline", 384, False): "b355c2da82d5d9f0e7b09fc1c3134ed08994bf6569acc9508cdbddf56a0240d4",
+        ("baseline", 384, True): "ea13ac4123afb9cdb4555c3ee82a8a4cf24a097ddd7daeed7f3068490f90152c",
+        ("preserving", 96, False): "3a109c26d4316378f7d603ce1dbd42ebadd919023686e2177154cd2ee6aa4b51",
+        ("preserving", 96, True): "30b5cc08da99837074eff834aa5800980003182583ab9d77f1c894b101f3e446",
+        ("preserving", 384, False): "c5ff8030d22009b7c4640b2b0ce1c88d55339b9869b21d34a28dc66c6a5d8dc4",
+        ("preserving", 384, True): "845e7325c76ba560b1be8a55dba98089767d1f906d48e37add7fe846b7192645",
+        ("handles", 96, False): "79e5664e8ef7ac58ad2cf45e1c9012631672df8e9f62f18b62f724c3d6737caf",
+        ("handles", 96, True): "4f7bf178fed53ae25267335ae3ece4c0d7338d4f1cbace803b70f40fbed2b66e",
+        ("handles", 384, False): "9092b25ce500c277785ec0414bcd1d16781539d4ef177a52b6c88f3aaf4a4b8a",
+        ("handles", 384, True): "0e4fdbb45e5973e43d482a61bd910e646fb438228ec0d27c12b93acc3d34d033",
+    }
+
+    @pytest.mark.parametrize("kind, n, reduced", sorted(REPORT_DIGESTS))
+    def test_report_is_byte_identical(self, kind, n, reduced):
+        gs = _pants_ring(n, kind)
+        if reduced:
+            gs = reduce_structure(gs)
+            assert kind != "handles" or {b.surface.genus for _, b in gs.blocks} == {1}
+        out = invariant_report(gs).render()
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_DIGESTS[(kind, n, reduced)]
 
 
 class TestFirstHomology:
@@ -396,6 +437,92 @@ class TestFirstHomology:
     def test_relabeling_invariance(self, full_corpus):
         for name, gs in full_corpus.items():
             assert first_homology(relabel(gs)) == first_homology(gs), name
+
+    def test_nonorientable_against_named_words(self):
+        # closed structures with non-orientable blocks: the merge the golden
+        # file records, twin doubles (a random block and a copy, each
+        # boundary glued to its twin by the identity) and trade doubles
+        # (d_i = J R^k_i, so N = I, and c_i = R^n_i against the negated
+        # copy, each boundary glued by x -> x, y -> t, t -> y)
+        path = Path(__file__).resolve().parent / "invalid_manifests" / "nonorientable_merge.gm"
+        cases = {"nonorientable_merge": load_structure(path.read_text())}
+        rnd = random.Random(29)
+        flip = Mat2(1, 0, 0, -1)
+        for q in (1, 2, 3):
+            for b in (1, 2, 3, 4):
+                if (q, b) == (1, 1):  # the Mobius band is no block base
+                    continue
+                surface = SurfaceWithBoundary(False, q, b)
+                words = [
+                    [rnd.choice([R, L, S, R.inverse()]) for _ in range(rnd.randint(1, 4))] for _ in range(q + b - 1)
+                ]
+                images = tuple(_word_matrix(w) @ (flip if i < q else I2) for i, w in enumerate(words))
+                block = Block(surface, images)
+                edges = [Edge(("A", bd), ("B", bd), identity_iso(m)) for bd, m in block.monodromies.items()]
+                cases[f"twin_{q}_{b}"] = structure({"A": block, "B": block}, edges)
+                ks, ns = [rnd.randint(-3, 3) for _ in range(q)], [rnd.randint(-3, 3) for _ in range(b - 1)]
+                pair = [
+                    Block(surface, tuple(flip @ upper(sign * k) for k in ks) + tuple(upper(sign * n) for n in ns))
+                    for sign in (1, -1)
+                ]
+                edges = [Edge(("A", bd), ("B", bd), swap_iso(m.b)) for bd, m in pair[0].monodromies.items()]
+                cases[f"trade_{q}_{b}"] = structure({"A": pair[0], "B": pair[1]}, edges)
+        for name, gs in cases.items():
+            assert validate_structure(gs) == [], name
+            assert first_homology(gs) == _reference_first_homology(gs), name
+
+
+def _reference_first_homology(gs):
+    """(rank, torsion) of H1 from a dense presentation reduced by sympy:
+    columns for each block's x, y and named surface generators and for each
+    edge's stable letter; rows for the block relations, for the glueing
+    relations with both boundary words abelianized by name
+    (oracle_surface), and t = 0 for the edges of a spanning tree."""
+    from test_smith import sympy_invariants
+
+    columns, rows = {}, []
+
+    def add_row(entries):
+        row = {}
+        for key, v in entries:
+            j = columns.setdefault(key, len(columns))
+            row[j] = row.get(j, 0) + v
+        rows.append(row)
+
+    # a zero entry still gives its generator a column
+    blocks = gs.block_map()
+    for lbl, block in gs.blocks:
+        for name, m in oracle_surface.image_map(block).items():
+            # gamma x gamma^-1 = x^a y^c and gamma y gamma^-1 = x^b y^d
+            add_row([((lbl, "x"), 1 - m.a), ((lbl, "y"), -m.c), ((lbl, name), 0)])
+            add_row([((lbl, "x"), -m.b), ((lbl, "y"), 1 - m.d)])
+
+    def boundary(end, k):
+        lbl, bd = end
+        block = blocks[lbl]
+        word = oracle_surface.boundary_words(block.surface)[block.boundary_labels().index(bd)]
+        return [((lbl, gen), k * exp) for gen, exp in oracle_surface.abelianized(word).items()]
+
+    for i, e in enumerate(gs.edges):
+        (l1, _), (l2, _) = e.end1, e.end2
+        for source, img in (
+            ([((l1, "x"), 1)], e.iso.x_img),
+            ([((l1, "y"), 1)], e.iso.y_img),
+            (boundary(e.end1, 1), e.iso.t_img),
+        ):
+            add_row(source + [((l2, "x"), -img.a), ((l2, "y"), -img.b), (("t", i), 0)] + boundary(e.end2, -img.k))
+    reached = {gs.blocks[0][0]}
+    grown = True
+    while grown:
+        grown = False
+        for i, e in enumerate(gs.edges):
+            if (e.end1[0] in reached) != (e.end2[0] in reached):
+                reached |= {e.end1[0], e.end2[0]}
+                add_row([(("t", i), 1)])
+                grown = True
+    assert reached == set(blocks)
+    mat = [[row.get(j, 0) for j in range(len(columns))] for row in rows]
+    return sympy_invariants(mat, len(columns))
 
 
 class TestInvariantReport:
@@ -725,32 +852,20 @@ class TestComparisonThreeValued:
 
 
 # Name-keyed oracles for the positional surgeries: the generator names of
-# the bundles convention (a_i, b_i, c_i) looked up through Block.image_map, and
-# the handle product N evaluated from the commutator word.
-
-
-def _oracle_handle_product(block, genus):
-    word = []
-    for i in range(1, genus + 1):
-        word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
-    return block.evaluate(tuple(word))
-
-
-def _oracle_monodromies(block):
-    words = block.surface.boundary_words()
-    return {lbl: block.evaluate(w) for lbl, w in zip(block.boundary_labels(), words)}
+# the bundles convention (a_i, b_i, c_i) looked up through oracle_surface,
+# and the handle product N evaluated from the commutator word.
 
 
 def _oracle_mirror(block):
     surface = block.surface
     g, b = surface.genus, surface.boundary_count
-    imgs = block.image_map
+    imgs = oracle_surface.image_map(block)
     labels = block.boundary_labels()
-    monos = _oracle_monodromies(block)
-    n_mat = _oracle_handle_product(block, g)
+    monos = oracle_surface.monodromies(block)
+    n_mat = oracle_surface.handle_product(block)
     n_inv = n_mat.inverse()
     new_images = []
-    for name in surface.generator_names():
+    for name in oracle_surface.generator_names(surface):
         kind, i = name[0], int(name[1:])
         if kind == "a":
             new_images.append(imgs[f"b{g + 1 - i}"])
@@ -779,7 +894,7 @@ def _oracle_merge_distinct(gs, edge_idx):
     (g1, n1), (g2, n2) = ((b.surface.genus, b.surface.boundary_count) for b in (b1, b2))
     c_mat = trans2[bd2][0] @ fiber_matrix(edge.iso) @ trans1[bd1][0].inverse()
     c_inv = c_mat.inverse()
-    imgs1, imgs2 = b1.image_map, b2.image_map
+    imgs1, imgs2 = oracle_surface.image_map(b1), oracle_surface.image_map(b2)
     images = []
     for j in range(1, g2 + 1):
         images += [c_inv @ imgs2[f"a{j}"] @ c_mat, c_inv @ imgs2[f"b{j}"] @ c_mat]
@@ -810,9 +925,9 @@ def _oracle_merge_self(gs, edge_idx):
     block, trans = _rotate(block, _position(block, bd1) % b)
     block, front = _move_to_front(block, _position(block, bd2))
     trans = _then(trans, front)
-    imgs = block.image_map
+    imgs = oracle_surface.image_map(block)
     labels = block.boundary_labels()
-    m_last = _oracle_monodromies(block)[labels[-1]]
+    m_last = oracle_surface.monodromies(block)[labels[-1]]
     m_last_inv = m_last.inverse()
     c_mat = trans[bd2][0] @ fiber_matrix(edge.iso) @ trans[bd1][0].inverse()
     images = []

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from gm4.bundles import PI1_T, PI1_X, PI1_Y
 
 from conftest import bench_gen, mirror_edge_iso, pants, swap_iso, upper
 from oracle_glueing import reference_image_data, reference_validate_glueing
+import oracle_surface
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -67,10 +69,30 @@ class TestSurfaces:
         assert SurfaceWithBoundary(False, 2, 2).pi1_rank() == 3
 
     def test_boundary_words_multiply_to_relator(self):
-        surface = SurfaceWithBoundary(True, 2, 3)
-        words = surface.boundary_words()
-        assert len(words) == 3
-        assert words[0] == (("c1", 1),)
+        # the oracle's words: N c1 ... c{b-1} last reduces to the empty word
+        for surface in (SurfaceWithBoundary(True, 2, 3), SurfaceWithBoundary(False, 2, 3)):
+            words = oracle_surface.boundary_words(surface)
+            assert len(words) == 3
+            assert words[0] == (("c1", 1),)
+            assert _free_reduce(oracle_surface.handle_word(surface) + sum(words, ())) == []
+
+
+def _free_reduce(word):
+    """The freely reduced form of a word of (generator, exponent) pairs."""
+    out = []
+    for gen, exp in word:
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
+    return out
+
+
+def _random_image(rnd, det=1):
+    m = I2
+    for _ in range(rnd.randint(1, 5)):
+        m = m @ rnd.choice([R, L, S, R.inverse(), L.inverse()])
+    return m if det == 1 else m @ Mat2(1, 0, 0, -1)
 
 
 class TestValidateBlock:
@@ -135,23 +157,50 @@ class TestBoundaryMonodromies:
         surface = SurfaceWithBoundary(True, 2, 3)
         images = (R, L, S, Mat2(2, 1, 1, 1), Mat2(1, 4, 0, 1), Mat2(1, 0, -2, 1))
         block = Block(surface, images)
+        imgs = oracle_surface.image_map(block)
         handles = I2
         for i in (1, 2):
-            a, b = block.image_map[f"a{i}"], block.image_map[f"b{i}"]
+            a, b = imgs[f"a{i}"], imgs[f"b{i}"]
             handles = handles @ a @ b @ a.inverse() @ b.inverse()
+        assert block.handle_product == handles
         monos = list(block.monodromies.values())
         assert handles @ monos[0] @ monos[1] @ monos[2] == I2
 
     def test_single_lookup_agrees(self):
         surface = SurfaceWithBoundary(True, 1, 4)
         block = Block(surface, (R, L, Mat2(2, 1, 1, 1), upper(3), S), ("p", "q", "r", "s"))
-        words = surface.boundary_words()
-        assert block.monodromies == {lbl: block.evaluate(w) for lbl, w in zip("pqrs", words)}
+        assert block.monodromies == oracle_surface.monodromies(block)
         assert tuple(block.monodromies) == ("p", "q", "r", "s")
         with pytest.raises(KeyError):
             block.monodromies["t"]
 
-    def test_each_boundary_word_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "orientable, genera, boundaries", [(True, range(4), range(1, 6)), (False, range(1, 4), range(1, 5))]
+    )
+    def test_positional_layout_matches_the_oracle(self, orientable, genera, boundaries):
+        # images are read by position: the handles, then c1, ..., c{b-1};
+        # the oracle looks each up by name and evaluates the boundary words
+        rnd = random.Random(17)
+        for genus in genera:
+            for b in boundaries:
+                surface = SurfaceWithBoundary(orientable, genus, b)
+                names = oracle_surface.generator_names(surface)
+                assert surface.generator_names() == names
+                for _ in range(3):
+                    dets = [-1 if name[0] == "d" else 1 for name in names]
+                    block = Block(surface, tuple(_random_image(rnd, det) for det in dets))
+                    imgs = oracle_surface.image_map(block)
+                    assert block.handles == tuple(imgs[n] for n in names if n[0] != "c")
+                    assert block.cs == tuple(imgs[n] for n in names if n[0] == "c")
+                    assert block.handle_product == oracle_surface.handle_product(block)
+                    assert block.monodromies == oracle_surface.monodromies(block)
+                    assert tuple(block.monodromies) == block.boundary_labels()
+                    total = block.handle_product
+                    for m in block.monodromies.values():
+                        total = total @ m
+                    assert total == I2, (orientable, genus, b)
+
+    def test_each_block_monodromies_computed_once(self, monkeypatch):
         # a ring of 48 pants blocks (P_i.2 - P_{i+1}.1 and rungs
         # P_2j.3 - P_2j+1.3, all trading fiber and base), parsed and reported
         from gm4 import invariant_report, structure
@@ -167,17 +216,16 @@ class TestBoundaryMonodromies:
             edges.append(Edge((f"P{2 * j + 1:02d}", "2"), (f"P{(2 * j + 2) % 48:02d}", "1"), swap_iso(-a)))
             edges.append(Edge((f"P{2 * j:02d}", "3"), (f"P{2 * j + 1:02d}", "3"), swap_iso(-a - b)))
         text = dump_structure(structure(blocks, edges))
-        calls = []
-        real = Block.evaluate
-
-        def counting(block, word):
-            calls.append(word)
-            return real(block, word)
-
-        monkeypatch.setattr(Block, "evaluate", counting)
+        calls = {"monodromies": [], "handle_product": []}
+        for name, blocks_seen in calls.items():
+            real = Block.__dict__[name].func
+            counted = cached_property(lambda block, real=real, seen=blocks_seen: seen.append(block) or real(block))
+            counted.__set_name__(Block, name)
+            monkeypatch.setattr(Block, name, counted)
         report = invariant_report(load_structure(text))
         assert report.block_count == 48 and not report.findings
-        assert len(calls) == 48 * 3
+        for name, blocks_seen in calls.items():
+            assert len(blocks_seen) == len(set(map(id, blocks_seen))) == 48, name
 
 
 class TestPi1Arithmetic:

@@ -27,6 +27,7 @@ from gm4.gl2z import (
     abelianization_mod3,
     generator_word,
     int_str,
+    parse_int,
 )
 
 from conftest import bench_gen
@@ -71,6 +72,12 @@ class TestArithmetic:
         for n in (0, -7, 10**1000 - 1, 10**1000, -(10**2000) - 3, 10**4299 + 12345):
             assert int_str(n) == str(n)
         assert int_str(-(10**5000) - 7) == "-1" + "0" * 4998 + "07"
+
+    def test_parse_int_inverts_int_str(self):
+        for n in (0, -7, 999, 1000, 10**1000 - 1, 10**1000, -(10**2000) - 3, 10**4300 + 1, -(10**12345) - 7):
+            assert parse_int(int_str(n)) == n
+        for text in ("0", "-0", "007", "-0042", "9" * 999, "1" + "0" * 1000):
+            assert parse_int(text) == int(text)
 
     def test_non_unimodular_inverse_rejected(self):
         from gm4 import NotUnimodularError
