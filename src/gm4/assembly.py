@@ -183,8 +183,12 @@ def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
     t i(g) t^-1 = j(g) reads i(g) = j(g), so the stable letters t appear in
     no relation: a spanning tree kills V - 1 of them and the other E - V + 1
     (the cycle rank of the connected graph) are free summands (Serre,
-    Trees, 1980, ch. I)."""
-    require_valid(gs)
+    Trees, 1980, ch. I).
+
+    gs must be valid, as for manifold_signature: this does not check it,
+    and on an invalid gs it may raise KeyError or return a meaningless
+    group.  invariant_report(gs).h1 is the checked H1; invariant_report and
+    isomorphic_reduced validate gs once before they call this."""
     offsets: Dict[str, int] = {}
     boundary_ab: Dict[End, Dict[int, int]] = {}  # column -> coefficient of each boundary
     rows: List[Dict[int, int]] = []
@@ -232,7 +236,9 @@ class InvariantReport:
     edge_classes: Tuple[Tuple[str, str], ...]  # the sorted classes at both ends of each edge
     sigma: Optional[Fraction]
     euler: int
-    h1: Tuple[int, Tuple[int, ...]]
+    # None only in the report that isomorphic_reduced compares before its
+    # search, which reads key() and never render()
+    h1: Optional[Tuple[int, Tuple[int, ...]]]
     reduced: bool
     findings: Tuple[str, ...]
 
@@ -267,7 +273,13 @@ class InvariantReport:
 
 
 def invariant_report(gs: GraphStructure) -> InvariantReport:
-    rank, torsion = first_homology(gs)  # first: it validates gs
+    require_valid(gs)
+    rank, torsion = first_homology(gs)
+    return _report(gs, (rank, tuple(torsion)))
+
+
+def _report(gs: GraphStructure, h1: Optional[Tuple[int, Tuple[int, ...]]]) -> InvariantReport:
+    """The invariant report of the valid structure gs, with the given h1."""
     blocks = gs.block_map()
     summary = sorted((block.surface.describe(), block.boundary_classes) for _, block in gs.blocks)
     decomposing = []
@@ -294,7 +306,7 @@ def invariant_report(gs: GraphStructure) -> InvariantReport:
         edge_classes=tuple(sorted(edge_classes)),
         sigma=sigma,
         euler=euler_characteristic(gs),
-        h1=(rank, tuple(torsion)),
+        h1=h1,
         reduced=reduced,
         findings=tuple(findings),
     )
@@ -672,6 +684,15 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     matched by position, so "inconclusive" means only that no bijection
     matched with that boundary correspondence.
 
+    Order of work: each structure is validated once and checked to be
+    reduced, the key fields before h1 are compared, and then the search
+    runs.  H1, the costly field, is computed only when no root gives a
+    witness, and a difference in it gives "no".  The verdicts are those of
+    comparing the whole key first: h1 is the last key field, so every other
+    separating field is found first as before, and a witness is a
+    structure-preserving diffeomorphism, so it implies equal H1.  The price
+    is that a pair which only h1 separates pays a failed search before H1.
+
     The conjugators of a block pair form one coset of the centralizer of
     the block's images, and two of them differ at each boundary by a
     fiber-preserving self-map, which the edge test absorbs: so one
@@ -694,12 +715,13 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     """
     reports = []
     for gs in (gs1, gs2):
-        report = invariant_report(gs)  # validates gs
+        require_valid(gs)
+        report = _report(gs, h1=None)
         if not report.reduced:
             raise NotReducedError("comparison requires reduced structures; reduce first")
         reports.append(report)
     r1, r2 = reports
-    for (name, v1), (_, v2) in zip(r1.key(), r2.key()):
+    for (name, v1), (_, v2) in zip(r1.key(), r2.key()):  # h1, the last field, is None on both
         if v1 != v2:
             return Comparison("no", separating=name)
     labels1 = [lbl for lbl, _ in gs1.blocks]
@@ -776,4 +798,6 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
         if mapping is not None and all(edge_matches(e, mapping) for e in gs1.edges):
             desc = ", ".join(f"{a}->{b}" for a, b in sorted(mapping.items()))
             return Comparison("yes", witness=f"block matching {desc}", **counts)
+    if first_homology(gs1) != first_homology(gs2):
+        return Comparison("no", separating="h1")
     return Comparison("inconclusive", **counts)

@@ -8,6 +8,12 @@ Each command only does its work and prints its result.  Rejected input has
 one handler: `main` catches every error in `INPUT_ERRORS`, prints its
 message to stderr, after `<file>: ` for the commands that read one file,
 and exits 12, so no input ends in a traceback.
+
+`main` builds the parser of the one command that its first argument names,
+and the parser of every command only when that argument names none (help,
+no arguments or a typo).  The top-level usage line names every command
+either way, so help and usage errors read as from the parser of every
+command.
 """
 from __future__ import annotations
 
@@ -110,14 +116,19 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Sequence[tuple] = COMMANDS) -> argparse.ArgumentParser:
+    """The parser of `commands`, which are entries of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="gm4",
         description="4-dimensional graph-manifold structures: validation, "
         "invariants, reduction and comparison",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, positionals, func in COMMANDS:
+    # argparse's own usage metavar of every command, so that a parser of
+    # fewer commands reports a left-over argument under the same usage line;
+    # only the parser of every command names the argument in an error
+    names = None if commands is COMMANDS else "{" + ",".join(c[0] for c in COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, help_text, positionals, func in commands:
         p = sub.add_parser(name, help=help_text)
         for arg in positionals:
             p.add_argument(arg)
@@ -126,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    named = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    args = build_parser(named or COMMANDS).parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

@@ -235,7 +235,10 @@ def int_str(n: int) -> str:
 def parse_int(text: str) -> int:
     """The inverse of int_str on an optional "-" and decimal digits, also
     past the interpreter's limit on str-to-int digits: the digits are read
-    in chunks of _CHUNK_DIGITS."""
+    in chunks of _CHUNK_DIGITS.  A text of at most _CHUNK_DIGITS characters
+    is read by one int()."""
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
     digits = text.lstrip("-")
     head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
     n = int(digits[:head])

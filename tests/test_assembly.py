@@ -11,6 +11,7 @@ from gm4 import (
     Block,
     BoundaryIso,
     ClosedBaseError,
+    Comparison,
     Edge,
     I2,
     L,
@@ -590,6 +591,61 @@ class TestIsomorphicReduced:
                 assert reference_isomorphic_reduced(gs1, gs2, bound).verdict in (got, "inconclusive")
 
 
+def _rotate_pair():
+    """A 4-block pants ring and its copy with block P00 rotated: reduced,
+    with equal invariant keys, and inconclusive."""
+    gen = bench_gen()
+    ring = gen.pants_ring(2, [-3, -3], [False, False])
+    return load_structure(ring.text()), load_structure(gen.rotate_block(ring, "P00").text())
+
+
+class TestHomologyOnlyWithoutWitness:
+    """isomorphic_reduced computes H1 only when its search finds no witness.
+    These tests count calls; they time nothing."""
+
+    @pytest.fixture()
+    def h1_calls(self, monkeypatch):
+        import gm4.assembly as assembly
+
+        calls = []
+        real = assembly.first_homology
+
+        def counting(gs):
+            calls.append(gs)
+            return real(gs)
+
+        monkeypatch.setattr(assembly, "first_homology", counting)
+        return calls
+
+    def test_not_on_a_yes(self, h1_calls):
+        gs = swap_double(1, 2)
+        assert isomorphic_reduced(gs, relabel(gs)).verdict == "yes"
+        assert h1_calls == []
+
+    def test_not_on_a_no_by_an_earlier_field(self, h1_calls):
+        result = isomorphic_reduced(swap_double(1, 2), swap_double(2, 3))
+        assert result == Comparison("no", separating="block_summary")
+        assert h1_calls == []
+
+    def test_both_on_an_inconclusive(self, h1_calls):
+        gs1, gs2 = _rotate_pair()
+        assert isomorphic_reduced(gs1, gs2).verdict == "inconclusive"
+        assert h1_calls == [gs1, gs2]
+
+    def test_h1_separates_after_a_failed_search(self, monkeypatch):
+        # no reduced swap_double pair (n1, n2 in [-6, 6]) and no reduced
+        # swap_double_4holed pair (entries in [-3, 3]) is separated by h1
+        # alone, so the two groups are patched in
+        import gm4.assembly as assembly
+
+        gs1, gs2 = _rotate_pair()
+        groups = {id(gs1): (1, []), id(gs2): (2, [])}
+        monkeypatch.setattr(assembly, "first_homology", lambda gs: groups[id(gs)])
+        result = isomorphic_reduced(gs1, gs2)
+        assert result == Comparison("no", separating="h1")
+        assert (result.assignments, result.edge_checks) == (0, 0)
+
+
 class TestValidateOnce:
     @pytest.fixture()
     def validated(self, monkeypatch):
@@ -610,9 +666,29 @@ class TestValidateOnce:
         invariant_report(gs)
         assert validated == [gs]
 
+    def test_first_homology_does_not_validate(self, validated):
+        gs = swap_double(1, 2)
+        rank, torsion = first_homology(gs)
+        assert validated == []
+        assert invariant_report(gs).h1 == (rank, tuple(torsion))  # the checked H1
+        assert validated == [gs]
+        with pytest.raises(StructureError):
+            invariant_report(structure({"A": pants(upper(1), upper(2))}, ()))
+
     def test_isomorphic_reduced(self, validated):
         gs1, gs2 = swap_double(1, 2), relabel(swap_double(1, 2))
         assert isomorphic_reduced(gs1, gs2).verdict == "yes"
+        assert validated == [gs1, gs2]
+
+    def test_isomorphic_reduced_separated(self, validated):
+        gs1, gs2 = swap_double(1, 2), swap_double(2, 3)
+        assert isomorphic_reduced(gs1, gs2).verdict == "no"
+        assert validated == [gs1, gs2]
+
+    def test_isomorphic_reduced_inconclusive(self, validated):
+        # H1 is computed after the search here, and validates nothing again
+        gs1, gs2 = _rotate_pair()
+        assert isomorphic_reduced(gs1, gs2).verdict == "inconclusive"
         assert validated == [gs1, gs2]
 
     def test_error_order(self):

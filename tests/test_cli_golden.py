@@ -12,6 +12,15 @@ repository root, by
     PYTHONPATH=src python tests/test_cli_golden.py
 
 Rewrite it only when a change of output is intended, and say so.
+
+`tests/cli_usage_golden.json`, written by the same command, pins the
+argparse side of `main`: help, usage errors and their exit codes (0 for
+help, 2 for a usage error), at a terminal width of 80 columns.  argparse
+words these differently in other CPython releases, so that record is
+replayed only on CPython 3.11, which wrote it.  On any interpreter and at
+several widths, `main`, which builds the parser of one command when its
+first argument names one, must print what it prints with the parser of
+every command.
 """
 import io
 import json
@@ -22,10 +31,27 @@ from pathlib import Path
 
 import pytest
 
+from gm4 import cli
 from gm4.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+USAGE_GOLDEN = Path(__file__).resolve().parent / "cli_usage_golden.json"
+USAGE_ARGVS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["validate"],
+    ["validate", "-h"],
+    ["compare", "x"],
+    ["compare", "a", "b", "c"],
+    ["psi"],
+    ["matclass", "-h"],
+    ["-h", "validate"],
+    ["validate", "--", "-x"],
+    ["reduce", "--bogus", "f"],
+)
 
 
 def _files(directory):
@@ -45,12 +71,15 @@ def _argvs():
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            rc = exc.code
     return {"argv": argv, "exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def _load():
-    with open(GOLDEN, encoding="utf-8") as fh:
+def _load(path=GOLDEN):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -65,10 +94,40 @@ def test_cli_output_is_byte_identical(argv, monkeypatch):
     assert _run(argv) == record
 
 
+def test_usage_golden_covers_every_usage_run():
+    assert [r["argv"] for r in _load(USAGE_GOLDEN)] == list(USAGE_ARGVS)
+
+
+def _usage_id(argv):
+    return " ".join(argv) or "(no arguments)"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse wording of CPython 3.11")
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=_usage_id)
+def test_usage_output_is_byte_identical(argv, monkeypatch):
+    record = next(r for r in _load(USAGE_GOLDEN) if r["argv"] == argv)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run(argv) == record
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=_usage_id)
+def test_usage_output_is_that_of_the_full_parser(argv, columns, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", columns)
+    got = _run(argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda commands: full())
+    assert got == _run(argv)
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
-    records = [_run(argv) for argv in _argvs()]
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(records)} records to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)
+    os.environ["COLUMNS"] = "80"
+    for path, argvs in ((GOLDEN, _argvs()), (USAGE_GOLDEN, USAGE_ARGVS)):
+        records = [_run(list(argv)) for argv in argvs]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {len(records)} records to {path.relative_to(ROOT)}", file=sys.stderr)

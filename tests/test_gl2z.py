@@ -1,3 +1,4 @@
+import random
 import re
 from math import log2
 
@@ -78,6 +79,17 @@ class TestArithmetic:
             assert parse_int(int_str(n)) == n
         for text in ("0", "-0", "007", "-0042", "9" * 999, "1" + "0" * 1000):
             assert parse_int(text) == int(text)
+
+    def test_parse_int_on_both_sides_of_one_chunk(self):
+        # one int() reads a text of at most _CHUNK_DIGITS = 1000 characters,
+        # so a signed 1000-digit text goes through the chunks
+        rng = random.Random("gm4/parse_int/chunk")
+        for digits in (999, 1000, 1001, 4301):
+            for sign in ("", "-"):
+                text = sign + str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(digits - 1))
+                assert int_str(parse_int(text)) == text
+                n = int(sign + "1") * (10 ** (digits - 1) + rng.randrange(10**6))
+                assert parse_int(int_str(n)) == n
 
     def test_non_unimodular_inverse_rejected(self):
         from gm4 import NotUnimodularError
