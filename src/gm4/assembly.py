@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import smith
@@ -417,12 +418,13 @@ Merge = Tuple[set, str, Block, Dict[End, Tuple[str, Mat2, int]]]
 
 def _reglue(
     blocks: Dict[str, Block], edges: List[Optional[Edge]], at: Dict[End, int], merge: Merge
-) -> None:
+) -> List[int]:
     """Apply a merge in place: the merged block replaces the old blocks under
     the new label, with ' appended until no other block has it, and each
     end in the mapping moves to its new boundary label through its
     transport (A, eps).  at (end -> edge index) finds the one edge at each
-    such end, so only those edges are rewritten.
+    such end, so only those edges are rewritten; their indices are
+    returned, one per moved end.
 
     Raises UnsupportedOperationError when the merged block is invalid, and
     RuntimeError when a transport does not land on the boundary monodromy
@@ -440,8 +442,10 @@ def _reglue(
         new_label += "'"
     blocks[new_label] = new_block
     monos = new_block.monodromies
+    rewritten = []
     for end, (new_bd, a, eps) in mapping.items():
         i = at.pop(end)
+        rewritten.append(i)
         edge = edges[i]
         first = edge.end1 == end
         mu, mu_inv = _transport(edge.iso.source.phi if first else edge.iso.target.phi, a, eps)
@@ -456,6 +460,7 @@ def _reglue(
             edges[i] = Edge(new_end, edge.end2, compose_isos(edge.iso, mu_inv))
         else:
             edges[i] = Edge(edge.end1, new_end, compose_isos(mu, edge.iso))
+    return rewritten
 
 
 def _position(block: Block, lbl: str) -> int:
@@ -556,7 +561,9 @@ def reduce_structure(gs: GraphStructure) -> GraphStructure:
     it moves.  Transports are fiber-preserving, so composing with them
     neither makes nor unmakes a fiber-preserving edge: the set only loses
     the contracted edges, and its least edge by (end1, end2) is contracted
-    next.
+    next.  A heap of (end1, end2, index) finds that edge: each edge that
+    _reglue rewrites is pushed again under its new ends, and an entry whose
+    edge is contracted or whose ends have moved is skipped.
 
     Raises ClosedBaseError when contraction would consume every boundary
     component (the input presented a torus bundle over a closed surface).
@@ -566,17 +573,23 @@ def reduce_structure(gs: GraphStructure) -> GraphStructure:
     edges: List[Optional[Edge]] = list(gs.edges)
     at = {end: i for i, e in enumerate(gs.edges) for end in (e.end1, e.end2)}
     offending = set(is_reduced(gs)[1])
+    heap = [(edges[i].end1, edges[i].end2, i) for i in offending]
+    heapify(heap)
     while offending:  # each merge contracts one edge
-        idx = min(offending, key=lambda i: (edges[i].end1, edges[i].end2))
+        end1, end2, idx = heappop(heap)
+        edge = edges[idx]
+        if idx not in offending or (edge.end1, edge.end2) != (end1, end2):
+            continue
         offending.remove(idx)
-        edge, edges[idx] = edges[idx], None
+        edges[idx] = None
         (l1, _), (l2, _) = edge.end1, edge.end2
         if not (blocks[l1].surface.orientable and blocks[l2].surface.orientable):
             raise UnsupportedOperationError(
                 "merging blocks with non-orientable bases is not supported"
             )
         merge = _merge_self if l1 == l2 else _merge_distinct
-        _reglue(blocks, edges, at, merge(blocks, edge))
+        for i in set(_reglue(blocks, edges, at, merge(blocks, edge))) & offending:
+            heappush(heap, (edges[i].end1, edges[i].end2, i))
     return structure(blocks, [e for e in edges if e is not None])
 
 

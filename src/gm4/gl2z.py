@@ -1,7 +1,9 @@
 """Exact arithmetic and conjugacy in GL(2,Z) and SL(2,Z).
 
 Everything here is integer-exact; matrix entries are arbitrary-precision
-Python ints, so there is no overflow mode to worry about.
+Python ints, so there is no overflow mode to worry about.  The value types
+`Mat2` and `ConjClass` are NamedTuples, so building, comparing and hashing
+them runs in C; a Mat2 equals the plain 4-tuple of its entries.
 
 Conventions used throughout the package:
 
@@ -59,7 +61,8 @@ the word (see `_hyperbolic_normalize`):
   rotations of a periodic word it takes the first.
 
 The continued fraction runs on plain ints, and U and W are multiplied out
-by `_pairs_matrix`, one column operation per run.
+by `_pairs_matrix`, one column operation per run.  The parabolic form also
+runs on plain ints and builds one Mat2, U (see `_parabolic_normalize`).
 
 The character SL(2,Z) -> Z/3 (`abelianization_mod3`) is read from a table
 of SL(2,Z/3), `CHI3`, which a breadth-first search builds at import.
@@ -68,9 +71,8 @@ Conjugacy witnesses follow the convention  C @ M1 @ C.inverse() == M2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, log, sqrt
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 
 class NotUnimodularError(ValueError):
@@ -81,9 +83,22 @@ class NotInSL2ZError(ValueError):
     """Operation requires determinant +1."""
 
 
-@dataclass(frozen=True, order=True)
-class Mat2:
-    """2x2 integer matrix, row-major entries a b / c d."""
+_tuple_new = tuple.__new__
+
+
+def _no_repetition(self, other):
+    """* on a Mat2 or ConjClass, instead of the inherited tuple repetition:
+    NotImplemented, so that 2 * R raises TypeError."""
+    return NotImplemented
+
+
+class Mat2(NamedTuple):
+    """2x2 integer matrix, row-major entries a b / c d.
+
+    A NamedTuple, so construction, ==, hash and ordering run in C: a Mat2
+    equals the plain 4-tuple of its entries and hashes as hash((a, b, c,
+    d)).  * is no tuple repetition; it raises TypeError, and @ multiplies.
+    """
 
     a: int
     b: int
@@ -91,31 +106,36 @@ class Mat2:
     d: int
 
     def det(self) -> int:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def trace(self) -> int:
         return self.a + self.d
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        # tuple.__new__ skips the generated __new__'s Python frame
+        return _tuple_new(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        a, b, c, d = self
+        e, f, g, h = other
+        return Mat2(a + e, b + f, c + g, d + h)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return Mat2(-a, -b, -c, -d)
+
+    __mul__ = __rmul__ = _no_repetition
 
     def inverse(self) -> "Mat2":
-        det = self.det()
+        a, b, c, d = self
+        det = a * d - b * c
         if det == 1:
-            return Mat2(self.d, -self.b, -self.c, self.a)
+            return Mat2(d, -b, -c, a)
         if det == -1:
-            return Mat2(-self.d, self.b, self.c, -self.a)
+            return Mat2(-d, b, c, -a)
         raise NotUnimodularError(f"determinant {det}, not unimodular: {self}")
 
     def __pow__(self, k: int) -> "Mat2":
@@ -133,13 +153,15 @@ class Mat2:
             base = base @ base
 
     def apply(self, v: Tuple[int, int]) -> Tuple[int, int]:
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
+        a, b, c, d = self
+        x, y = v
+        return (a * x + b * y, c * x + d * y)
 
     def entries(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def __str__(self) -> str:
-        return "[[{},{}],[{},{}]]".format(*map(int_str, self.entries()))
+        return "[[{},{}],[{},{}]]".format(*map(int_str, self))
 
 
 I2 = Mat2(1, 0, 0, 1)
@@ -171,9 +193,11 @@ _ELLIPTIC_REPS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     """Canonical SL(2,Z) conjugacy class descriptor.
+
+    A NamedTuple, like Mat2: it equals the plain tuple of its fields, and *
+    raises TypeError.
 
     kind is one of "central", "elliptic", "parabolic", "hyperbolic".
     Field usage per kind:
@@ -204,6 +228,8 @@ class ConjClass:
 
     def _letters(self) -> str:
         return "".join("R" * a + "L" * b for a, b in self.runs) * self.power
+
+    __mul__ = __rmul__ = _no_repetition
 
     def __str__(self) -> str:
         s = "+1" if self.sign == 1 else "-1"
@@ -272,16 +298,6 @@ def primitive(v: Tuple[int, int]) -> Tuple[int, int]:
     if x < 0 or (x == 0 and y < 0):
         x, y = -x, -y
     return (x, y)
-
-
-def extend_to_unimodular(v: Tuple[int, int]) -> Mat2:
-    """Matrix with determinant +1 whose first column is the primitive v."""
-    x, y = v
-    g, p, q = _ext_gcd(x, y)
-    if g != 1:
-        raise ValueError(f"{v} is not primitive")
-    # x*p + y*q = 1; columns (x,y) and (-q,p) give determinant x*p + y*q = 1
-    return Mat2(x, -q, y, p)
 
 
 class _AllVectors:
@@ -483,13 +499,25 @@ def _elliptic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
 
 def _parabolic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
     """For |trace| = 2, m != +-I, return (sign, n, U) with
-    U.inverse() @ m @ U == sign * [[1,n],[0,1]]."""
+    U.inverse() @ m @ U == sign * [[1,n],[0,1]].
+
+    On plain ints, with K = sign * m - I, nilpotent and nonzero: v = (x, y)
+    is the primitive kernel vector of K that eigenvector_eigenvalue_one
+    gives, and U = [[x, -q], [y, p]] with x p + y q = 1 from _ext_gcd.  So
+    U^-1 K U = [[0, n], [0, 0]], which the exact check confirms: K v = 0,
+    the (2,2) entry of U^-1 K U is 0, and n != 0."""
     sign = 1 if m.trace() == 2 else -1
-    mp = m if sign == 1 else -m
-    u = extend_to_unimodular(eigenvector_eigenvalue_one(mp))
-    canon = u.inverse() @ mp @ u
-    _verify((canon.a, canon.c, canon.d) == (1, 0, 1) and canon.b != 0, "parabolic normal form", m)
-    return sign, canon.b, u
+    a, b, c, d = m
+    ka, kb, kc, kd = sign * a - 1, sign * b, sign * c, sign * d - 1
+    x, y = primitive((kb, -ka) if ka or kb else (kd, -kc))
+    g, p, q = _ext_gcd(x, y)
+    # w = K (-q, p); the second column of U^-1 K U is U^-1 w, with
+    # U^-1 = [[p, q], [-y, x]]
+    w0, w1 = kb * p - ka * q, kd * p - kc * q
+    n = p * w0 + q * w1
+    ok = g == 1 and ka * x + kb * y == 0 == kc * x + kd * y and x * w1 == y * w0 and n != 0
+    _verify(ok, "parabolic normal form", m)
+    return sign, n, Mat2(x, -q, y, p)
 
 
 def _normal_form(m: Mat2) -> Tuple[ConjClass, Mat2]:

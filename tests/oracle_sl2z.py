@@ -3,8 +3,14 @@
 Deliberately self-contained (raw 4-tuples, no package imports): decisions
 come from breadth-first search over conjugators that are words of bounded
 length in the generators R, L, S.
+
+The one exception is `mat2_parabolic_normalize`, the Mat2 routine that
+`gl2z._parabolic_normalize` ran before it moved to plain ints; it is kept
+to replay the int routine against, so it uses the package's Mat2.
 """
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+
+from gm4.gl2z import Mat2, _ext_gcd, eigenvector_eigenvalue_one
 
 MTuple = Tuple[int, int, int, int]
 
@@ -116,3 +122,21 @@ def letterwise_normal_form(m: MTuple) -> Tuple[str, MTuple]:
     for x in letters[:i0]:
         u = mul(u, R if x == "R" else L)
     return "".join(letters[i0:] + letters[:i0]), u
+
+
+def mat2_parabolic_normalize(m: Mat2) -> Tuple[int, int, Mat2]:
+    """(sign, n, U) with U^-1 m U == sign * [[1,n],[0,1]] for a parabolic m,
+    by Mat2 products: U extends the eigenvalue-1 eigenvector of sign * m to
+    a determinant-1 matrix with the _ext_gcd coefficients."""
+    sign = 1 if m.trace() == 2 else -1
+    mp = m if sign == 1 else -m
+    x, y = eigenvector_eigenvalue_one(mp)
+    g, p, q = _ext_gcd(x, y)
+    if g != 1:
+        raise ValueError(f"{(x, y)} is not primitive")
+    # x*p + y*q = 1; columns (x,y) and (-q,p) give determinant x*p + y*q = 1
+    u = Mat2(x, -q, y, p)
+    canon = u.inverse() @ mp @ u
+    if (canon.a, canon.c, canon.d) != (1, 0, 1) or canon.b == 0:
+        raise RuntimeError(f"parabolic normal form of {m} failed its check")
+    return sign, canon.b, u

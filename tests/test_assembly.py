@@ -379,6 +379,30 @@ class TestReduceAtScale:
         reduce_structure(gs)
         assert merges > 0 and len(built) <= 4 * merges
 
+    @pytest.mark.parametrize("kind", ["baseline", "preserving"])
+    def test_merge_pick_pops_each_pushed_edge_at_most_once(self, monkeypatch, kind):
+        # the heap holds the preserving edges and one entry per rewrite
+        import gm4.assembly as assembly
+
+        gs = _pants_ring(768, kind)
+        preserving = len(is_reduced(gs)[1])
+        pops, rewritten = [], []
+        real_pop, real_reglue = assembly.heappop, assembly._reglue
+
+        def counting_pop(heap):
+            pops.append(1)
+            return real_pop(heap)
+
+        def counting_reglue(*args):
+            moved = real_reglue(*args)
+            rewritten.extend(moved)
+            return moved
+
+        monkeypatch.setattr(assembly, "heappop", counting_pop)
+        monkeypatch.setattr(assembly, "_reglue", counting_reglue)
+        reduce_structure(gs)
+        assert preserving <= len(pops) <= preserving + len(rewritten)
+
     # sha256 of dump_structure(reduce_structure(ring)), recorded when each
     # merge still rebuilt the whole structure
     DIGESTS = {

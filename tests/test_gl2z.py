@@ -32,7 +32,12 @@ from gm4.gl2z import (
 )
 
 from conftest import bench_gen
-from oracle_sl2z import conjugacy_orbit, letterwise_normal_form, sl2z_entries_up_to
+from oracle_sl2z import (
+    conjugacy_orbit,
+    letterwise_normal_form,
+    mat2_parabolic_normalize,
+    sl2z_entries_up_to,
+)
 
 
 def words(max_len=8):
@@ -101,6 +106,40 @@ class TestArithmetic:
         assert R ** 5 == Mat2(1, 5, 0, 1)
         assert R ** -3 == Mat2(1, -3, 0, 1)
         assert (S ** 4) == I2
+
+
+class TestTupleSemantics:
+    """Mat2 and ConjClass are NamedTuples; what they inherit from tuple must
+    not change what they mean."""
+
+    def test_times_an_int_is_no_repetition(self):
+        for value in (R, classify(R)):
+            with pytest.raises(TypeError):
+                2 * value
+            with pytest.raises(TypeError):
+                value * 2
+
+    def test_hash_and_equality_are_the_entries(self):
+        for m in (I2, R, L, S, Mat2(10**50, -3, 7, 0)):
+            assert hash(m) == hash(m.entries()) and m == m.entries()
+            assert type(m.entries()) is tuple
+        cls = ConjClass("hyperbolic", -1, runs=((2, 1),), power=3)
+        assert hash(cls) == hash(("hyperbolic", -1, 0, 0, ((2, 1),), 3))
+
+    def test_repr(self):
+        assert repr(R) == "Mat2(a=1, b=1, c=0, d=1)"
+        assert repr(ConjClass("parabolic", 1, n=5)) == (
+            "ConjClass(kind='parabolic', sign=1, n=5, order=0, runs=(), power=0)"
+        )
+
+    def test_order_is_by_entries(self):
+        # as the ordered dataclass compared: field by field
+        assert not R < L and L < R and S < L
+        mats = [R, L, S, I2, -R, R.inverse(), Mat2(2, 1, 1, 1), Mat2(1, 1, 0, 1)]
+        assert sorted(mats) == sorted(mats, key=lambda m: (m.a, m.b, m.c, m.d))
+
+    def test_addition_adds_entries(self):
+        assert R + L == Mat2(2, 1, 1, 2) and len(R + L) == 4
 
 
 class TestClassify:
@@ -229,6 +268,66 @@ class TestConjugateIn:
                 assert got == expected, (t1, t2)
                 if got:
                     assert witness @ mats[i] @ witness.inverse() == mats[j]
+
+
+def disguised_parabolics():
+    """sign * C R^n C^-1 for a conjugator C and n != 0, up to n past the
+    4,300-digit limit of str()."""
+    big = st.integers(-(10**30), 10**30) | st.integers(1, 50).map(lambda k: 10**4400 + k)
+    n = (big | big.map(lambda k: -k)).filter(bool)
+    conjugators = words(max_len=12).map(to_matrix)
+    return st.builds(
+        lambda sign, n, c: Mat2(*(sign * x for x in c @ Mat2(1, n, 0, 1) @ c.inverse())),
+        st.sampled_from((1, -1)), n, conjugators,
+    )
+
+
+class TestParabolicOracle:
+    """The int parabolic form against the Mat2 routine it replaced."""
+
+    @given(disguised_parabolics())
+    @settings(max_examples=400, deadline=None)
+    def test_disguised_powers(self, m):
+        sign, n, u = gl2z._parabolic_normalize(m)
+        assert (sign, n, u) == mat2_parabolic_normalize(m)
+        assert type(u) is Mat2 and u.inverse() @ m @ u == Mat2(sign, sign * n, 0, sign)
+
+    def test_recorded_boundary_monodromies(self):
+        from pathlib import Path
+
+        from gm4 import load_structure
+
+        gen = bench_gen()
+        manifests = Path(__file__).resolve().parent.parent / "manifests"
+        texts = [p.read_text() for p in sorted(manifests.glob("*.gm"))]
+        texts += [it.text for it in gen.ring_items(1, 1)]
+        texts += [t for it in gen.match_items(1, 1) for t in (it.text1, it.text2)]
+        monos = set()
+        for text in texts:
+            try:
+                gs = load_structure(text)
+            except ValueError:  # the ring workload's invalid files
+                continue
+            monos.update(m for _, block in gs.blocks for m in block.monodromies.values())
+        parabolic = [m for m in monos if abs(m.trace()) == 2 and (m.b, m.c) != (0, 0)]
+        assert len(parabolic) >= 40
+        for m in parabolic:
+            assert gl2z._parabolic_normalize(m) == mat2_parabolic_normalize(m), m
+
+    def test_classify_of_a_parabolic_multiplies_no_matrices(self, monkeypatch):
+        calls = []
+        real = Mat2.__matmul__
+
+        def counting(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(Mat2, "__matmul__", counting)
+        assert R @ L == Mat2(2, 1, 1, 1) and len(calls) == 1
+        calls.clear()
+        for m in (Mat2(-5, 12, -3, 7), Mat2(-15, 28, -7, 13), Mat2(1, 0, -2, 1), -R):
+            assert classify(m).kind == "parabolic"
+        assert calls == []
 
 
 class TestEigenvectorOne:
