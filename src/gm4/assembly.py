@@ -698,7 +698,8 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     matched with that boundary correspondence.
 
     Order of work: each structure is validated once and checked to be
-    reduced, the key fields before h1 are compared, and then the search
+    reduced (the error that rejects one carries `operand`, 0 for gs1 and 1
+    for gs2), the key fields before h1 are compared, and then the search
     runs.  H1, the costly field, is computed only when no root gives a
     witness, and a difference in it gives "no".  The verdicts are those of
     comparing the whole key first: h1 is the last key field, so every other
@@ -727,11 +728,15 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     the order of itertools.permutations, whose edges all match.
     """
     reports = []
-    for gs in (gs1, gs2):
-        require_valid(gs)
-        report = _report(gs, h1=None)
-        if not report.reduced:
-            raise NotReducedError("comparison requires reduced structures; reduce first")
+    for operand, gs in enumerate((gs1, gs2)):
+        try:
+            require_valid(gs)
+            report = _report(gs, h1=None)
+            if not report.reduced:
+                raise NotReducedError("comparison requires reduced structures; reduce first")
+        except (StructureError, NotReducedError) as exc:
+            exc.operand = operand
+            raise
         reports.append(report)
     r1, r2 = reports
     for (name, v1), (_, v2) in zip(r1.key(), r2.key()):  # h1, the last field, is None on both

@@ -6,19 +6,18 @@ Results go to stdout, diagnostics to stderr.
 
 Each command only does its work and prints its result.  Rejected input has
 one handler: `main` catches every error in `INPUT_ERRORS`, prints its
-message to stderr, after `<file>: ` for the commands that read one file,
+message to stderr, after `<file>: ` for the commands that read files (for
+`compare`, the file that failed to load or whose structure it rejected),
 and exits 12, so no input ends in a traceback.
 
-`main` builds the parser of the one command that its first argument names,
-and the parser of every command only when that argument names none (help,
-no arguments or a typo).  The top-level usage line names every command
-either way, so help and usage errors read as from the parser of every
-command.
+`main` runs a well-formed call straight from the `COMMANDS` table
+(`_table_args`) and imports argparse only for the rest: help, usage errors
+and calls such as one with `--`.
 """
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import assembly, manifest, meyer
@@ -79,7 +78,18 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    result = assembly.isomorphic_reduced(_load(args.file1), _load(args.file2))
+    files = (args.file1, args.file2)
+    structures = []
+    try:
+        for path in files:
+            structures.append(_load(path))
+        result = assembly.isomorphic_reduced(*structures)
+    except INPUT_ERRORS as exc:
+        # for `main`: the file that did not load, else the one rejected
+        operand = getattr(exc, "operand", len(structures))
+        if operand < len(files):
+            args.file = files[operand]
+        raise
     if result.verdict == "yes":
         print(f"Yes ({result.witness})")
         return EXIT_OK
@@ -116,19 +126,17 @@ COMMANDS = (
 )
 
 
-def build_parser(commands: Sequence[tuple] = COMMANDS) -> argparse.ArgumentParser:
-    """The parser of `commands`, which are entries of COMMANDS."""
+def build_parser():
+    """The argparse parser of every command in COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gm4",
         description="4-dimensional graph-manifold structures: validation, "
         "invariants, reduction and comparison",
     )
-    # argparse's own usage metavar of every command, so that a parser of
-    # fewer commands reports a left-over argument under the same usage line;
-    # only the parser of every command names the argument in an error
-    names = None if commands is COMMANDS else "{" + ",".join(c[0] for c in COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
-    for name, help_text, positionals, func in commands:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, positionals, func in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for arg in positionals:
             p.add_argument(arg)
@@ -136,10 +144,21 @@ def build_parser(commands: Sequence[tuple] = COMMANDS) -> argparse.ArgumentParse
     return parser
 
 
+def _table_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The attributes `build_parser().parse_args(argv)` gives a
+    well-formed call, a command and as many positionals as it takes, none
+    starting with `-` (the subparsers take positionals only, and argparse
+    reads every other string, the empty one too, as one); else None."""
+    if argv and not any(arg.startswith("-") for arg in argv):
+        for name, _, positionals, func in COMMANDS:
+            if argv[0] == name and len(argv) == len(positionals) + 1:
+                return SimpleNamespace(command=name, func=func, **dict(zip(positionals, argv[1:])))
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = [c for c in COMMANDS if argv and c[0] == argv[0]]
-    args = build_parser(named or COMMANDS).parse_args(argv)
+    args = _table_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

@@ -599,6 +599,16 @@ class TestIsomorphicReduced:
         with pytest.raises(NotReducedError):
             isomorphic_reduced(gs, gs)
 
+    def test_rejection_names_its_operand(self):
+        reduced, unreduced = swap_double(1, 2), partial_reducible(1, 2)
+        text = (Path(__file__).parent / "invalid_manifests" / "open_boundaries.gm").read_text()
+        invalid = load_structure(text)
+        for error, bad in ((NotReducedError, unreduced), (StructureError, invalid)):
+            for operand, pair in enumerate(((bad, reduced), (reduced, bad))):
+                with pytest.raises(error) as info:
+                    isomorphic_reduced(*pair)
+                assert info.value.operand == operand
+
     def test_agrees_with_the_bounded_reference(self):
         # the library answers "yes" wherever the coefficient-box reference
         # does, at any bound, and never contradicts a decided answer

@@ -155,7 +155,7 @@ class TestCli:
             assert main(["compare", *pair]) == 12
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == "line 3, col 1: block A: missing 'base' line\n"
+            assert err == f"{gm_files['bad']}: line 3, col 1: block A: missing 'base' line\n"
 
     def test_reduce_outputs_manifest(self, gm_files, capsys, tmp_path):
         assert main(["reduce", gm_files["double"]]) == 0
@@ -209,7 +209,7 @@ class TestCli:
         for pair in ((str(path), DOUBLE), (DOUBLE, str(path))):
             rc, out, err = run_cli(["compare", *pair])
             assert (rc, out) == (12, ""), err
-            assert err.startswith("'utf-8' codec can't decode") and err.count("\n") == 1
+            assert err.startswith(f"{path}: 'utf-8' codec can't decode") and err.count("\n") == 1
 
     def test_class_past_the_int_str_digit_limit(self, tmp_path):
         # parabolic entries of 4,300 digits, the interpreter's default limit
