@@ -108,6 +108,7 @@ def validate_structure(gs: GraphStructure) -> List[str]:
                 out.append(f"open boundary: {lbl}.{bd} appears in no edge")
     if out:
         return out
+    checked: Dict[BoundaryIso, List[str]] = {}  # each distinct glueing is checked once
     for idx, edge in enumerate(gs.edges):
         m1 = blocks[edge.end1[0]].monodromies[edge.end1[1]]
         m2 = blocks[edge.end2[0]].monodromies[edge.end2[1]]
@@ -122,7 +123,10 @@ def validate_structure(gs: GraphStructure) -> List[str]:
                 f"{edge.iso.target.phi} != boundary monodromy {m2}"
             )
         if edge.iso.source.phi == m1 and edge.iso.target.phi == m2:
-            for v in validate_glueing(edge.iso):
+            found = checked.get(edge.iso)
+            if found is None:
+                found = checked[edge.iso] = validate_glueing(edge.iso)
+            for v in found:
                 out.append(f"edge {idx}: {v}")
     if len(labels) > 1:
         adjacent: Dict[str, List[str]] = {lbl: [] for lbl in labels}

@@ -174,8 +174,16 @@ def _end_ref(token: str, line: int) -> Tuple[str, str]:
     return (blk, bd)
 
 
+def _column(raw: str, index: int) -> int:
+    """1-based column of the index-th token of raw, by scanning the tokens in
+    order (so a token repeated on its line gets its own column)."""
+    return [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
+
+
 def parse(text: str) -> Manifest:
     version: Optional[int] = None
+    matrices: Dict[str, Mat2] = {}  # token text -> value: each distinct token parses once
+    images: Dict[str, Pi1Element] = {}
     blocks: List[BlockDecl] = []
     labels = set()  # of blocks, for the duplicate check in linear time
     glues: List[GlueDecl] = []
@@ -255,8 +263,10 @@ def parse(text: str) -> Manifest:
                 raise ManifestError("expected: gen <name> [[a,b],[c,d]]", lineno)
             if tokens[1] in current_block.gens:
                 raise ManifestError(f"duplicate generator {tokens[1]!r}", lineno)
-            col = raw.index(tokens[2]) + 1
-            current_block.gens[tokens[1]] = parse_matrix(tokens[2], lineno, col)
+            mat = matrices.get(tokens[2])
+            if mat is None:
+                mat = matrices[tokens[2]] = parse_matrix(tokens[2], lineno, _column(raw, 2))
+            current_block.gens[tokens[1]] = mat
             current_block.gen_lines[tokens[1]] = lineno
         elif head in ("x", "y", "t"):
             if current_glue is None:
@@ -265,8 +275,10 @@ def parse(text: str) -> Manifest:
                 raise ManifestError(f"expected: {head} (a,b,k)", lineno)
             if head in current_glue.images:
                 raise ManifestError(f"duplicate image of {head!r}", lineno)
-            col = raw.index(tokens[1]) + 1
-            current_glue.images[head] = parse_triple(tokens[1], lineno, col)
+            img = images.get(tokens[1])
+            if img is None:
+                img = images[tokens[1]] = parse_triple(tokens[1], lineno, _column(raw, 1))
+            current_glue.images[head] = img
         else:
             raise ManifestError(f"unknown directive {head!r}", lineno)
     if current_block is not None or current_glue is not None:

@@ -638,7 +638,9 @@ class TestClosedFormValidation:
         monkeypatch.setattr(TorusBundleOverCircle, "power", power)
         monkeypatch.setattr(assembly, "validate_glueing", validate)
         assert validate_structure(gs) == []
-        assert calls == {"power": 0, "validate_glueing": 576}
+        # one check per distinct glueing, not one per edge (576 edges)
+        assert len(gs.edges) == 576 and len({e.iso for e in gs.edges}) == 21
+        assert calls == {"power": 0, "validate_glueing": 21}
 
 
 class TestFiberCovering:

@@ -1,4 +1,5 @@
 import io
+import random
 import re
 import subprocess
 import sys
@@ -10,12 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gm4 import Edge, GraphStructure, L, Mat2, R, S, classify, iso_inverse, manifest, psi, validate_structure
+from gm4 import Edge, GraphStructure, L, Mat2, R, S, assembly, classify, iso_inverse, manifest, psi, validate_structure
 from gm4.cli import main
 from gm4.gl2z import int_str
 from gm4.manifest import ManifestError
 
-from conftest import REDUCED_CORPUS, full_corpus, swap_double
+from conftest import REDUCED_CORPUS, bench_gen, full_corpus, swap_double
 
 DOUBLE_GM = """\
 # minimal two-block double
@@ -102,11 +103,99 @@ class TestParse:
             manifest.parse(bad)
         assert "(a,b,k)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "version 1\nglue A.1 B.1\n  x x\nend\n",
+                "line 3, col 5: expected pi1 image (a,b,k), got 'x'",
+            ),
+            (
+                "version 1\nblock A\n  base orientable genus 0 boundaries 3\n  gen c1 c1\nend\n",
+                "line 4, col 10: expected matrix [[a,b],[c,d]], got 'c1'",
+            ),
+        ],
+    )
+    def test_column_of_a_token_equal_to_one_before_it(self, text, message):
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                DOUBLE_GM.replace("(0,1,0)", "(0,1)", 1).replace("(0,1,0)", "  (0,1)", 1),
+                "line 16, col 5: expected pi1 image (a,b,k), got '(0,1)'",
+            ),
+            (
+                DOUBLE_GM.replace("[[1,2],[0,1]]", "[[1,2],[0,x]]").replace(
+                    "[[1,-2],[0,1]]", "  [[1,2],[0,x]]"
+                ),
+                "line 6, col 10: expected matrix [[a,b],[c,d]], got '[[1,2],[0,x]]'",
+            ),
+        ],
+    )
+    def test_repeated_malformed_token_located_at_its_first_line(self, bad, message):
+        # the same bad token on two lines, the second at another column
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(bad)
+        assert str(err.value) == message
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        gen = bench_gen()
+        a, bs = gen._ring_params(384, random.Random(384))
+        rnd = random.Random(0)
+        text = gen.pants_ring(a, bs, [rnd.random() < 0.5 for _ in bs]).text()
+        calls = []
+        for name in ("parse_matrix", "parse_triple"):
+            real = getattr(manifest, name)
+            monkeypatch.setattr(
+                manifest, name, lambda token, *args, real=real: calls.append(token) or real(token, *args)
+            )
+        gs = manifest.load_structure(text)
+        assert len(calls) == len(set(calls)) == 14
+        assert len(gs.edges) == 576
+
 
 ROOT = Path(__file__).resolve().parent.parent
 DOUBLE = str(ROOT / "manifests" / "double.gm")
 # valid, but its one merge is between non-orientable bases
 NONORIENTABLE = ROOT / "tests" / "invalid_manifests" / "nonorientable_merge.gm"
+# edges 0 and 2 carry one relation-breaking glueing (the identity between
+# boundaries of monodromies R and R^-1), edge 1 a valid one
+REPEATED_BAD_GLUE_GM = """\
+version 1
+block A
+  base orientable genus 0 boundaries 3
+  gen c1 [[1,1],[0,1]]
+  gen c2 [[1,1],[0,1]]
+end
+block B
+  base orientable genus 0 boundaries 3
+  gen c1 [[1,-1],[0,1]]
+  gen c2 [[1,-1],[0,1]]
+end
+glue A.1 B.1
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,1)
+end
+glue A.3 B.3
+  x (1,0,0)
+  y (0,0,1)
+  t (0,1,0)
+end
+glue A.2 B.2
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,1)
+end
+"""
+REPEATED_BAD_GLUE_DIAGNOSTICS = [
+    "edge 0: relation t y t^-1 = x^phi12 y^phi22 fails on images",
+    "edge 2: relation t y t^-1 = x^phi12 y^phi22 fails on images",
+]
 
 
 @pytest.fixture()
@@ -130,6 +219,21 @@ class TestCli:
     def test_validate_bad_exit_code(self, gm_files, capsys):
         assert main(["validate", gm_files["bad"]]) == 12
         assert capsys.readouterr().err
+
+    def test_repeated_invalid_glueing_reported_on_each_edge(self, tmp_path, monkeypatch):
+        gs = manifest.load_structure(REPEATED_BAD_GLUE_GM)
+        calls = []
+        real = assembly.validate_glueing
+        monkeypatch.setattr(assembly, "validate_glueing", lambda iso: calls.append(iso) or real(iso))
+        assert validate_structure(gs) == REPEATED_BAD_GLUE_DIAGNOSTICS
+        assert len(calls) == len({e.iso for e in gs.edges}) == 2
+        path = tmp_path / "repeated.gm"
+        path.write_text(REPEATED_BAD_GLUE_GM)
+        assert run_cli(["validate", str(path)]) == (
+            12,
+            "",
+            "".join(f"{path}: {d}\n" for d in REPEATED_BAD_GLUE_DIAGNOSTICS),
+        )
 
     def test_invariants_report(self, gm_files, capsys):
         assert main(["invariants", gm_files["double"]]) == 0
