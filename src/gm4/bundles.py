@@ -67,18 +67,23 @@ class SurfaceWithBoundary:
             return 2 * self.genus + self.boundary_count - 1
         return self.genus + self.boundary_count - 1
 
-    def generator_names(self) -> Tuple[str, ...]:
+    def generator_names(self, limit: Optional[int] = None) -> Tuple[str, ...]:
+        """The pi1_rank() generator names in convention order, or the first
+        `limit` of them, built without the rest."""
+        genus, stop = self.genus, self.boundary_count
+        if limit is not None:
+            genus, stop = min(genus, limit), min(stop, limit + 1)
         names: List[str] = []
         if self.orientable:
-            for i in range(1, self.genus + 1):
+            for i in range(1, genus + 1):
                 names.append(f"a{i}")
                 names.append(f"b{i}")
         else:
-            for i in range(1, self.genus + 1):
+            for i in range(1, genus + 1):
                 names.append(f"d{i}")
-        for i in range(1, self.boundary_count):
+        for i in range(1, stop):
             names.append(f"c{i}")
-        return tuple(names)
+        return tuple(names if limit is None else names[:limit])
 
     def is_disc(self) -> bool:
         return self.orientable and self.genus == 0 and self.boundary_count == 1

@@ -554,25 +554,29 @@ def conjugate_in(m1: Mat2, m2: Mat2, ambient: str = SL2Z) -> Tuple[bool, Optiona
 
     Returns (decision, witness); witness satisfies the displayed equation.
     For ambient SL2Z both inputs must lie in SL(2,Z).  For ambient GL2Z the
-    inputs may have determinant -1 as well; determinant -1 pairs are decided
-    through their squares (trace != 0) or the integral involution
+    inputs may have determinant -1 as well.  The order of decision is:
+    determinants (an input error raises, unequal ones answer no), then
+    traces (unequal ones answer no, as trace is a GL(2,Z) conjugacy
+    invariant), and only then normal forms.  Determinant -1 pairs are
+    decided through their squares (trace != 0) or the integral involution
     classification (trace 0).
     """
     if ambient == SL2Z:
         if m1.det() != 1 or m2.det() != 1:
             raise NotInSL2ZError("SL2Z ambient requires determinant +1 inputs")
-        return _match_normal_forms(m1, _normal_form(m1), m2, _normal_form(m2))
-    if ambient != GL2Z:
+        d1 = d2 = 1
+    elif ambient == GL2Z:
+        d1, d2 = m1.det(), m2.det()
+        if abs(d1) != 1 or abs(d2) != 1:
+            raise NotUnimodularError("GL2Z ambient requires determinant +-1 inputs")
+    else:
         raise ValueError(f"unknown ambient {ambient!r}")
-    d1, d2 = m1.det(), m2.det()
-    if abs(d1) != 1 or abs(d2) != 1:
-        raise NotUnimodularError("GL2Z ambient requires determinant +-1 inputs")
-    if d1 != d2:
+    if d1 != d2 or m1.trace() != m2.trace():
         return False, None
     if d1 == 1:
         nf2 = _normal_form(m2)
         ok, witness = _match_normal_forms(m1, _normal_form(m1), m2, nf2)
-        if ok:
+        if ok or ambient == SL2Z:
             return ok, witness
         flipped = J_FLIP @ m1 @ J_FLIP
         ok, witness = _match_normal_forms(flipped, _normal_form(flipped), m2, nf2)
@@ -623,8 +627,7 @@ def _involution_normalize(m: Mat2) -> Tuple[Mat2, Mat2]:
 
 
 def _conjugate_det_minus_one(m1: Mat2, m2: Mat2) -> Tuple[bool, Optional[Mat2]]:
-    if m1.trace() != m2.trace():
-        return False, None
+    """Determinant -1 pairs of equal trace, decided as conjugate_in states."""
     t = m1.trace()
     if t == 0:
         rep1, u1 = _involution_normalize(m1)

@@ -52,6 +52,9 @@ _MATRIX_RE = re.compile(
     r"^\[\[(-?\d+),(-?\d+)\],\[(-?\d+),(-?\d+)\]\]$"
 )
 _TRIPLE_RE = re.compile(r"^\((-?\d+),(-?\d+),(-?\d+)\)$")
+# how many generator names past the declared ones a missing-images
+# diagnostic lists at most
+_NAMES_PAST_DECLARED = 20
 
 
 def parse_matrix(text: str, line: int = 0, col: int = 1) -> Mat2:
@@ -108,12 +111,15 @@ class Manifest:
                 surface = SurfaceWithBoundary(decl.orientable, decl.genus, decl.boundaries)
             except ValueError as exc:
                 raise ManifestError(f"block {decl.label}: {exc}", decl.base_line) from None
-            names = surface.generator_names()
+            # the base may ask for more names than the file declares: build at
+            # most _NAMES_PAST_DECLARED more, which are all there are if none is missing
+            names = surface.generator_names(len(decl.gens) + _NAMES_PAST_DECLARED)
             missing = [n for n in names if n not in decl.gens]
             if missing:
+                more = len(names) < surface.pi1_rank()
                 raise ManifestError(
-                    f"block {decl.label}: missing generator images {missing}"
-                    f" (convention order: {', '.join(names)})",
+                    f"block {decl.label}: missing generator images {missing}{' and more' if more else ''}"
+                    f" (convention order: {', '.join(names)}{', ...' if more else ''})",
                     decl.line,
                 )
             extra = [n for n in decl.gens if n not in names]
@@ -199,7 +205,10 @@ def parse(text: str) -> Manifest:
         if head == "version":
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise ManifestError("expected: version <integer>", lineno)
-            version = int(tokens[1])
+            try:  # isdigit() admits digits such as superscript two that int() rejects
+                version = int(tokens[1])
+            except ValueError:
+                raise ManifestError("expected: version <integer>", lineno) from None
         elif head == "block":
             if inside:
                 raise ManifestError("nested section; missing 'end'?", lineno)

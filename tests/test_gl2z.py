@@ -1,5 +1,7 @@
 import random
 import re
+from functools import lru_cache
+from itertools import product
 from math import log2
 
 import pytest
@@ -13,6 +15,7 @@ from gm4 import (
     L,
     Mat2,
     NotInSL2ZError,
+    NotUnimodularError,
     R,
     S,
     SL2Z,
@@ -58,6 +61,25 @@ def letters_matrix(letters):
 
 
 sl2z_matrices = words().map(to_matrix)
+
+# the determinant +-1 matrices with entries in [-2, 2], as 4-tuples
+SMALL_UNIMODULAR = [t for t in product(range(-2, 3), repeat=4) if abs(t[0] * t[3] - t[1] * t[2]) == 1]
+
+
+@lru_cache(maxsize=None)
+def small_orbit(t):
+    return conjugacy_orbit(t, depth=12)
+
+
+@st.composite
+def small_pairs(draw):
+    """(t1, t2) from SMALL_UNIMODULAR, of one determinant; t2 has t1's
+    trace in about half of the draws."""
+    t1 = draw(st.sampled_from(SMALL_UNIMODULAR))
+    det = t1[0] * t1[3] - t1[1] * t1[2]
+    same_det = [t for t in SMALL_UNIMODULAR if t[0] * t[3] - t[1] * t[2] == det]
+    same_trace = [t for t in same_det if t[0] + t[3] == t1[0] + t1[3]]
+    return t1, draw(st.sampled_from(same_det) | st.sampled_from(same_trace))
 
 
 class TestArithmetic:
@@ -244,6 +266,53 @@ class TestConjugateIn:
         ok, w = conjugate_in(m1, m2, GL2Z)
         assert ok and w @ m1 @ w.inverse() == m2
         assert len(seen) == 3  # m1, m2 and m1 flipped by J
+
+    def test_unequal_traces_take_no_normal_form(self, monkeypatch):
+        calls = []
+        for name in ("_normal_form", "_involution_normalize"):
+            real = getattr(gl2z, name)
+            monkeypatch.setattr(gl2z, name, lambda m, real=real, name=name: calls.append(name) or real(m))
+        pairs = [
+            (R @ L, R @ R @ L, SL2Z),  # traces 3 and 4
+            (R @ L, R @ R @ L, GL2Z),
+            (Mat2(1, 1, 1, 0), Mat2(2, 1, 1, 0), GL2Z),  # det -1, traces 1 and 2
+            (Mat2(1, 0, 0, -1), Mat2(1, 1, 1, 0), GL2Z),  # det -1, traces 0 and 1
+        ]
+        for m1, m2, ambient in pairs:
+            assert conjugate_in(m1, m2, ambient) == (False, None)
+            assert conjugate_in(m2, m1, ambient) == (False, None)
+        assert calls == []
+
+    def test_input_errors_come_before_the_trace(self):
+        # every pair below has unequal traces
+        with pytest.raises(NotInSL2ZError):
+            conjugate_in(Mat2(1, 0, 0, -1), R, SL2Z)
+        with pytest.raises(NotInSL2ZError):
+            conjugate_in(R @ L, Mat2(1, 1, 1, 0), SL2Z)
+        with pytest.raises(NotUnimodularError):
+            conjugate_in(Mat2(2, 0, 0, 1), R, GL2Z)
+        with pytest.raises(NotUnimodularError):
+            conjugate_in(R @ L, Mat2(1, 1, 1, 3), GL2Z)
+        with pytest.raises(ValueError, match="unknown ambient 'SL3Z'"):
+            conjugate_in(R, R @ L, "SL3Z")
+
+    @given(small_pairs(), st.sampled_from([SL2Z, GL2Z]))
+    @settings(max_examples=300, deadline=None)
+    def test_small_pairs_agree_with_brute_force(self, pair, ambient):
+        t1, t2 = pair
+        det = t1[0] * t1[3] - t1[1] * t1[2]
+        if ambient == SL2Z and det == -1:
+            ambient = GL2Z
+        flipped = (t1[0], -t1[1], -t1[2], t1[3])  # J t1 J, J = diag(1, -1)
+        expected = t2 in small_orbit(t1) or (ambient == GL2Z and t2 in small_orbit(flipped))
+        m1, m2 = Mat2(*t1), Mat2(*t2)
+        ok, witness = conjugate_in(m1, m2, ambient)
+        assert ok == expected, (t1, t2, ambient)
+        if ok:
+            assert witness.det() in ((1,) if ambient == SL2Z else (1, -1))
+            assert witness @ m1 @ witness.inverse() == m2
+        else:
+            assert witness is None
 
     def test_mixed_determinants_not_conjugate(self):
         ok, w = conjugate_in(R, Mat2(1, 0, 0, -1), GL2Z)

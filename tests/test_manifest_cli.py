@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gm4 import Edge, GraphStructure, L, Mat2, R, S, assembly, classify, iso_inverse, manifest, psi, validate_structure
+from gm4 import Edge, GraphStructure, L, Mat2, R, S, assembly, bundles, classify, iso_inverse, manifest, psi, validate_structure
 from gm4.cli import main
 from gm4.gl2z import int_str
 from gm4.manifest import ManifestError
@@ -83,7 +83,50 @@ class TestParse:
         bad = DOUBLE_GM.replace("  gen c2 [[1,2],[0,1]]\nend", "end", 1)
         with pytest.raises(ManifestError) as err:
             manifest.parse(bad).to_structure()
-        assert "missing generator" in str(err.value)
+        assert str(err.value) == "line 3, col 1: block A: missing generator images ['c2'] (convention order: c1, c2)"
+        gens = "".join(f"  gen c{i} [[1,0],[0,1]]\n" for i in range(2, 20))
+        text = f"version 1\nblock A\n  base nonorientable genus 3 boundaries 20\n{gens}end\n"
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(text).to_structure()
+        assert str(err.value) == (
+            "line 2, col 1: block A: missing generator images ['d1', 'd2', 'd3', 'c1'] (convention order: "
+            + ", ".join(["d1", "d2", "d3"] + [f"c{i}" for i in range(1, 20)]) + ")"
+        )
+
+    @pytest.mark.parametrize(
+        "base, gens, names",
+        [
+            ("orientable genus 0 boundaries 1000000000000", ["c2"], [f"c{i}" for i in range(1, 22)]),
+            ("orientable genus 1000000000000 boundaries 1", [], [f"{x}{i}" for i in range(1, 11) for x in "ab"]),
+            ("nonorientable genus 1000000000000 boundaries 2", ["d1", "x"], [f"d{i}" for i in range(1, 23)]),
+        ],
+    )
+    def test_huge_base_is_checked_without_its_names(self, base, gens, names, monkeypatch):
+        real = bundles.SurfaceWithBoundary.generator_names
+
+        def bounded(surface, limit=None):
+            assert limit is not None and limit <= 100, "a huge base's names were built"
+            return real(surface, limit)
+
+        monkeypatch.setattr(bundles.SurfaceWithBoundary, "generator_names", bounded)
+        lines = "".join(f"  gen {name} [[1,0],[0,1]]\n" for name in gens)
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(f"version 1\nblock A\n  base {base}\n{lines}end\n").to_structure()
+        missing = [n for n in names if n not in gens]
+        assert str(err.value) == (
+            f"line 2, col 1: block A: missing generator images {missing} and more"
+            f" (convention order: {', '.join(names)}, ...)"
+        )
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u2460", "\u00b9"])
+    def test_version_with_a_digit_that_int_rejects(self, digit):
+        assert digit.isdigit()
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(f"version {digit}\n")
+        assert str(err.value) == "line 1, col 1: expected: version <integer>"
+
+    def test_version_in_arabic_indic_digits_reads_as_one(self):
+        assert manifest.parse(DOUBLE_GM.replace("version 1", "version \u0661")).version == 1
 
     def test_duplicate_block_label_located(self):
         text = DOUBLE_GM.replace("block B", "block A")
@@ -283,6 +326,19 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == ""
             assert "line 4" in err and "Traceback" not in err
+
+    def test_version_superscript_two_exit_code(self, tmp_path):
+        path = tmp_path / "sup.gm"
+        path.write_text("version \u00b2\n", encoding="utf-8")
+        assert run_cli(["validate", str(path)]) == (12, "", f"{path}: line 1, col 1: expected: version <integer>\n")
+
+    def test_huge_rank_exit_code(self, tmp_path):
+        path = tmp_path / "rank.gm"
+        path.write_text("version 1\nblock A\nbase orientable genus 0 boundaries 1000000000000\nend\n")
+        rc, out, err = run_cli(["validate", str(path)])
+        assert (rc, out) == (12, "")
+        assert err.startswith(f"{path}: line 2, col 1: block A: missing generator images ['c1', 'c2',")
+        assert len(err.encode()) < 4096 and "Traceback" not in err
 
     def test_empty_structure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "empty.gm"
