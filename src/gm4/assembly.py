@@ -250,13 +250,14 @@ class InvariantReport:
     def key(self) -> Tuple[Tuple[str, object], ...]:
         """The comparison key as (field name, value) pairs.  An edge is keyed
         by the classes at both of its ends, so the key does not depend on
-        which way round a glue line is written."""
+        which way round a glue line is written.  euler is always 0, and sigma
+        is a third of the psi-sum over the boundary classes, which
+        block_summary lists with each base (orientable or not, which decides
+        "unavailable"), so neither could separate: both are left out."""
         return (
             ("block_count", self.block_count),
             ("block_summary", self.block_summary),
             ("decomposing_classes", self.edge_classes),
-            ("sigma", self.sigma),
-            ("euler", self.euler),
             ("h1", self.h1),
         )
 

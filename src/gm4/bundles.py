@@ -26,13 +26,13 @@ images once their w0 powers are removed.  Both checks are closed forms on
 2x2 integer matrices: powers are (v, 0)^n = (n v, 0) and
 (v, k)^n = (G(psi^k, n) v, n k) with G(A, n) = sum of A^i over i < n, and
 the fiber image is Z^2 iff the gcd of the 2x2 minors of its six spanning
-vectors is 1.  The Euclid echelon that tracks source elements serves only
-iso_inverse, which needs the preimages of x, y and t.
+vectors is 1.  iso_inverse finds the preimages of x and y as integer
+combinations of the same six vectors, with smith.solve_integer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -171,29 +171,30 @@ def validate_block(block: Block) -> List[str]:
         )
     elif len(set(labels)) != len(labels):
         out.append("boundary labels are not distinct")
-    names = surface.generator_names()
-    if len(block.images) != len(names):
-        out.append(
-            f"monodromy image count {len(block.images)} does not match "
-            f"pi1 rank {len(names)}"
-        )
+    rank = surface.pi1_rank()
+    if len(block.images) != rank:
+        out.append(f"monodromy image count {len(block.images)} does not match pi1 rank {rank}")
         return out
-    for name, m in zip(names, block.images):
-        det = m.det()
+    # over a non-orientable base the handles are the d's, of determinant -1;
+    # a generator is named only for a message
+    d_count = 0 if surface.orientable else len(block.handles)
+    for i, m in enumerate(block.images):
+        det, want = m.det(), -1 if i < d_count else 1
+        if det == want:
+            continue
+        name = surface.generator_names(i + 1)[i]
         if det not in (1, -1):
             out.append(f"image of {name} has determinant {det}, not unimodular")
-        elif surface.orientable and det != 1:
+        elif surface.orientable:
             out.append(
                 f"image of {name} has determinant -1 over an orientable base: "
                 "total space would be non-orientable"
             )
-        elif not surface.orientable:
-            want = -1 if name.startswith("d") else 1
-            if det != want:
-                out.append(
-                    f"image of {name} has determinant {det}; orientation "
-                    f"pattern over a non-orientable base needs {want}"
-                )
+        else:
+            out.append(
+                f"image of {name} has determinant {det}; orientation "
+                f"pattern over a non-orientable base needs {want}"
+            )
     return out
 
 
@@ -312,27 +313,6 @@ def compose_isos(second: BoundaryIso, first: BoundaryIso) -> BoundaryIso:
     )
 
 
-def _echelon_pivot(group: TorusBundleOverCircle, rows, i: int):
-    """One Euclid pass on coordinate i over (fiber vector, source element)
-    rows, each element mapping to its vector: (pivot row, other rows), where
-    the pivot's coordinate i is +-gcd and every other row's is 0."""
-    pivot = None
-    rest = []
-    for v, e in rows:
-        if pivot is None and v[i]:
-            pivot = (v, e)
-            continue
-        if pivot is not None:
-            w, f = pivot
-            while v[i]:
-                q = w[i] // v[i]
-                rem = (w[0] - q * v[0], w[1] - q * v[1])
-                w, f, v, e = v, e, rem, group.mul(f, group.power(e, -q))
-            pivot = (w, f)
-        rest.append((v, e))
-    return pivot, rest
-
-
 def _winding_element(iso: BoundaryIso) -> Tuple[int, Optional[Pi1Element], Optional[Pi1Element]]:
     """(g, w0, f(w0)), g the gcd of the winding numbers of the images.  When
     g is 1, w0 = x^(pu) y^(qu) t^v is a source element of image winding 1;
@@ -359,42 +339,6 @@ def _fiber_vectors(iso: BoundaryIso, w0_tgt: Pi1Element) -> List[Tuple[int, int]
         c = _geometric(psi, img.k).apply(omega)
         vecs.append((img.a - c[0], img.b - c[1]))
     return vecs + [psi.apply(vec) for vec in vecs]
-
-
-def _image_data(iso: BoundaryIso) -> Tuple[int, Optional[Tuple[Pi1Element, ...]]]:
-    """(winding gcd g, source preimages of x, y, t or None if not bijective).
-
-    With g = 1, each source generator times a power of w0 maps to a fiber
-    vector of `_fiber_vectors`, and conjugation by w0 maps it to its
-    psi-image.  Their span L0 + psi L0 is the image of the fiber: by
-    Cayley-Hamilton it is closed under psi and psi^-1.  One Euclid echelon
-    pass over the vectors, tracking their source elements, finds the
-    preimages when that lattice is Z^2, i.e. its echelon basis is
-    ((+-1, r), (0, +-1)).
-    """
-    src, tgt = iso.source, iso.target
-    g, w0_src, w0_tgt = _winding_element(iso)
-    if g != 1:
-        return g, None
-    elems = [
-        src.mul(gen, src.power(w0_src, -img.k))
-        for gen, img in ((PI1_X, iso.x_img), (PI1_Y, iso.y_img), (PI1_T, iso.t_img))
-    ]
-    elems += [src.conjugate(w0_src, e) for e in elems]
-    rows = list(zip(_fiber_vectors(iso, w0_tgt), elems))
-    pivot_x, rest = _echelon_pivot(src, rows, 0)
-    pivot_y, _ = _echelon_pivot(src, rest, 1)
-    if pivot_x is None or pivot_y is None:
-        return 1, None
-    (sx, r), ex = pivot_x
-    (_, sy), ey = pivot_y
-    if abs(sx) != 1 or abs(sy) != 1:
-        return 1, None
-    y_pre = src.power(ey, sy)
-    x_pre = src.power(src.mul(ex, src.power(y_pre, -r)), sx)
-    delta = tgt.mul(PI1_T, tgt.inv(w0_tgt))  # a fiber element, as w0_tgt.k == 1
-    t_pre = src.mul(src.mul(src.power(x_pre, delta.a), src.power(y_pre, delta.b)), w0_src)
-    return 1, (x_pre, y_pre, t_pre)
 
 
 def _relation_violations(iso: BoundaryIso) -> List[str]:
@@ -459,13 +403,39 @@ def fiber_matrix(iso: BoundaryIso) -> Mat2:
 def iso_inverse(iso: BoundaryIso) -> BoundaryIso:
     """Inverse isomorphism, computed from generator preimages.  Raises
     ValueError when the images break the source relations or the map is
-    not bijective."""
+    not bijective.
+
+    With winding gcd 1, each source generator times a power of w0 maps to a
+    fiber vector of `_fiber_vectors`, and its w0-conjugate to the psi-image.
+    The preimage of x (of y) is the product of these six elements raised to
+    an integer solution c of (fiber vectors) c = (1, 0) (= (0, 1)), found by
+    smith.solve_integer; none exists iff their span is not Z^2.  The six lie
+    in the kernel of winding o iso, which the iso maps injectively into the
+    abelian fiber, so neither the order of the product nor the choice of c
+    changes the element.
+    """
     broken = _relation_violations(iso)
     if broken:
         raise ValueError("iso is not a homomorphism: " + "; ".join(broken))
-    g, pre = _image_data(iso)
-    if pre is None:
+    g, w0_src, w0_tgt = _winding_element(iso)
+    if g != 1:
         raise ValueError("iso is not bijective")
+    src, tgt = iso.source, iso.target
+    elems = [
+        src.mul(gen, src.power(w0_src, -img.k))
+        for gen, img in ((PI1_X, iso.x_img), (PI1_Y, iso.y_img), (PI1_T, iso.t_img))
+    ]
+    elems += [src.conjugate(w0_src, e) for e in elems]
+    mat = list(zip(*_fiber_vectors(iso, w0_tgt)))  # 2 x 6: the vectors are its columns
+    pre = []
+    for rhs in ((1, 0), (0, 1)):
+        c = smith.solve_integer(mat, rhs)
+        if c is None:
+            raise ValueError("iso is not bijective")
+        pre.append(reduce(src.mul, map(src.power, elems, c)))
+    x_pre, y_pre = pre
+    delta = tgt.mul(PI1_T, tgt.inv(w0_tgt))  # a fiber element, as w0_tgt.k == 1
+    pre.append(src.mul(src.mul(src.power(x_pre, delta.a), src.power(y_pre, delta.b)), w0_src))
     for img, gen in zip(map(iso.apply, pre), (PI1_X, PI1_Y, PI1_T)):
         if img != gen:
             raise RuntimeError(f"computed preimage of {gen} maps to {img}")

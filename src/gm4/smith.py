@@ -3,9 +3,9 @@
 Matrices are lists of rows of Python ints.  ``snf_with_transforms`` is a dense
 gcd-pivot algorithm that keeps both transforms; ``kernel_basis`` uses it on
 the 4-column intertwiner systems, reached only through the conjugators of
-blocks with non-commuting images and ``fiber_covering_exists``.  No library
-code calls ``solve_integer``; it stays for the bounded reference edge test
-of the test suite and because the benchmark's tracer wraps it by name.
+blocks with non-commuting images and ``fiber_covering_exists``, and
+``solve_integer`` on the 2 x 6 systems of ``bundles.iso_inverse``, reached
+when ``compare`` meets a glue line written the other way round.
 
 ``abelian_invariants`` takes H1 presentations, which grow with the structure
 (416 x 289 for a ring of 64 pants blocks) and are sparse, with mostly unit

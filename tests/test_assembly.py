@@ -567,6 +567,11 @@ class TestInvariantReport:
         assert invariant_report(gs).render() == invariant_report(gs).render()
         assert "euler: 0" in invariant_report(gs).render()
 
+    def test_key_leaves_out_what_cannot_separate(self):
+        # euler is always 0, and equal block summaries give equal sigma
+        names = [name for name, _ in invariant_report(swap_double(1, 2)).key()]
+        assert names == ["block_count", "block_summary", "decomposing_classes", "h1"]
+
 
 class TestIsomorphicReduced:
     def test_self(self):

@@ -30,7 +30,7 @@ from gm4 import (
     validate_block,
     validate_glueing,
 )
-from gm4 import assembly, bundles, load_structure, validate_structure
+from gm4 import assembly, bundles, load_structure, smith, validate_structure
 from gm4.assembly import _fp_iso
 from gm4.bundles import PI1_T, PI1_X, PI1_Y
 
@@ -128,7 +128,52 @@ class TestValidateBlock:
     def test_image_count_mismatch(self):
         surface = SurfaceWithBoundary(True, 0, 3)
         block = Block(surface, (R,))
-        assert any("count" in v for v in validate_block(block))
+        assert validate_block(block) == ["monodromy image count 1 does not match pi1 rank 2"]
+
+    @pytest.mark.parametrize(
+        "surface, images, expected",
+        [
+            (
+                SurfaceWithBoundary(True, 1, 2),
+                (Mat2(1, 0, 0, -1), R, Mat2(2, 0, 0, 1)),
+                [
+                    "image of a1 has determinant -1 over an orientable base: total space would be non-orientable",
+                    "image of c1 has determinant 2, not unimodular",
+                ],
+            ),
+            (
+                SurfaceWithBoundary(True, 2, 3),
+                (R, R, R, Mat2(1, 0, 0, -1), R, Mat2(1, 1, 1, 1)),
+                [
+                    "image of b2 has determinant -1 over an orientable base: total space would be non-orientable",
+                    "image of c2 has determinant 0, not unimodular",
+                ],
+            ),
+            (
+                SurfaceWithBoundary(False, 2, 3),
+                (R, R, Mat2(1, 0, 0, -1), Mat2(2, 0, 0, 1)),
+                [
+                    "image of d1 has determinant 1; orientation pattern over a non-orientable base needs -1",
+                    "image of d2 has determinant 1; orientation pattern over a non-orientable base needs -1",
+                    "image of c1 has determinant -1; orientation pattern over a non-orientable base needs 1",
+                    "image of c2 has determinant 2, not unimodular",
+                ],
+            ),
+        ],
+    )
+    def test_determinant_diagnostics_name_their_generator(self, surface, images, expected):
+        assert validate_block(Block(surface, images)) == expected
+
+    def test_valid_ring_builds_no_generator_names(self, monkeypatch):
+        gen = bench_gen()
+        a, bs = gen._ring_params(48, random.Random(48))
+        rnd = random.Random(48)
+        gs = load_structure(gen.pants_ring(a, bs, [rnd.random() < 0.5 for _ in bs]).text())
+        calls = []
+        real = SurfaceWithBoundary.generator_names
+        monkeypatch.setattr(SurfaceWithBoundary, "generator_names", lambda *args: calls.append(args) or real(*args))
+        assert validate_structure(gs) == []
+        assert calls == []
 
 
 class TestBoundaryMonodromies:
@@ -339,18 +384,31 @@ class TestResultChecksRaise:
 
     @pytest.mark.parametrize("i", range(3))
     def test_iso_inverse_witness_checks(self, monkeypatch, i):
-        real = bundles._image_data
+        # x and y: the i-th solution of smith.solve_integer moves by one along
+        # a nonzero fiber vector; t: delta = t f(w0)^-1, read through the
+        # target's inv, is off by x
+        iso = swap_iso(3)
+        if i < 2:
+            real, calls = smith.solve_integer, []
 
-        def broken(iso):
-            g, pre = real(iso)
-            pre = list(pre)
-            pre[i] = iso.source.mul(pre[i], PI1_X)
-            return g, tuple(pre)
+            def broken(mat, rhs):
+                c = real(mat, rhs)
+                if len(calls) == i:
+                    c[next(j for j, col in enumerate(zip(*mat)) if any(col))] += 1
+                calls.append(rhs)
+                return c
 
-        monkeypatch.setattr(bundles, "_image_data", broken)
+            monkeypatch.setattr(smith, "solve_integer", broken)
+        else:
+            real = TorusBundleOverCircle.inv
+
+            def broken(bundle, e):
+                return bundle.mul(real(bundle, e), PI1_X) if bundle is iso.target else real(bundle, e)
+
+            monkeypatch.setattr(TorusBundleOverCircle, "inv", broken)
         gen = (PI1_X, PI1_Y, PI1_T)[i]
         with pytest.raises(RuntimeError, match=re.escape(f"preimage of {gen} maps to")):
-            iso_inverse(swap_iso(3))
+            iso_inverse(iso)
 
     def test_winding_check(self, monkeypatch):
         monkeypatch.setattr(bundles, "_ext_gcd", lambda p, q: (1, 0, 0))
@@ -479,6 +537,27 @@ class TestRandomGlueings:
             e = data.draw(elements)
             assert inv.apply(iso.apply(e)) == e
             assert iso.apply(inv.apply(e)) == e
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_integer_solution_gives_the_same_inverse(self, data):
+        # the preimages are products over the kernel of winding o iso, which
+        # the iso maps injectively into the fiber: a kernel vector of the
+        # 2 x 6 system added to a solution changes no preimage
+        iso = random_bijective_glueing(_drawer(data))
+        expected = iso_inverse(iso)
+        real = smith.solve_integer
+
+        def shifted(mat, rhs):
+            c = real(mat, rhs)
+            for v in smith.kernel_basis(mat):
+                n = data.draw(st.integers(-3, 3))
+                c = [a + n * b for a, b in zip(c, v)]
+            return c
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smith, "solve_integer", shifted)
+            assert iso_inverse(iso) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(2, 5))

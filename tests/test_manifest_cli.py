@@ -207,6 +207,52 @@ DOUBLE = str(ROOT / "manifests" / "double.gm")
 NONORIENTABLE = ROOT / "tests" / "invalid_manifests" / "nonorientable_merge.gm"
 # edges 0 and 2 carry one relation-breaking glueing (the identity between
 # boundaries of monodromies R and R^-1), edge 1 a valid one
+# an annulus base, and a pants block whose boundary labels repeat
+BAD_BLOCKS_GM = """\
+version 1
+block A
+  base orientable genus 0 boundaries 2
+  gen c1 [[1,1],[0,1]]
+end
+block B
+  base orientable genus 0 boundaries 3
+  labels p p q
+  gen c1 [[1,1],[0,1]]
+  gen c2 [[1,1],[0,1]]
+end
+glue A.1 B.p
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,1)
+end
+glue A.2 B.q
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,1)
+end
+"""
+
+# two genus-1 blocks with one boundary each, glued fiber-preservingly: the
+# merge in reduce would leave a closed base
+CLOSING_GLUE_GM = """\
+version 1
+block A
+  base orientable genus 1 boundaries 1
+  gen a1 [[1,1],[0,1]]
+  gen b1 [[1,0],[0,1]]
+end
+block B
+  base orientable genus 1 boundaries 1
+  gen a1 [[1,-1],[0,1]]
+  gen b1 [[1,0],[0,1]]
+end
+glue A.1 B.1
+  x (1,0,0)
+  y (0,1,0)
+  t (0,0,-1)
+end
+"""
+
 REPEATED_BAD_GLUE_GM = """\
 version 1
 block A
@@ -416,6 +462,36 @@ class TestCli:
     def test_compare_distinct(self, gm_files, capsys):
         assert main(["compare", gm_files["double"], gm_files["other"]]) == 10
         assert capsys.readouterr().out.startswith("No")
+
+    def test_compare_inconclusive_exit_code(self, tmp_path):
+        # a rotated genus-1 partner: boundaries are matched by position only
+        item = bench_gen().match_items(1, 1)[0]
+        assert (item.id, item.partner) == ("m00000", "rotate")
+        paths = [tmp_path / "m1.gm", tmp_path / "m2.gm"]
+        for path, text in zip(paths, (item.text1, item.text2)):
+            path.write_text(text)
+        assert run_cli(["compare", *map(str, paths)]) == (11, "Inconclusive\n", "")
+
+    def test_block_diagnostics_exit_code(self, tmp_path):
+        path = tmp_path / "blocks.gm"
+        path.write_text(BAD_BLOCKS_GM)
+        assert run_cli(["validate", str(path)]) == (
+            12,
+            "",
+            f"{path}: block A: chi = 0 (annulus): block bases need chi < 0\n"
+            f"{path}: block B: boundary labels are not distinct\n",
+        )
+
+    def test_reduce_closing_the_base_exit_code(self, tmp_path):
+        path = tmp_path / "closed.gm"
+        path.write_text(CLOSING_GLUE_GM)
+        assert run_cli(["validate", str(path)]) == (0, "valid\n", "")
+        assert run_cli(["reduce", str(path)]) == (
+            12,
+            "",
+            f"{path}: contracting this glueing closes the base: the structure is a "
+            "torus bundle over a closed surface, not a block presentation\n",
+        )
 
     def test_psi(self, capsys):
         assert main(["psi", "[[1,4],[0,1]]"]) == 0
