@@ -10,7 +10,7 @@ blocks land back in that convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,7 +32,7 @@ from .bundles import (
     validate_block,
     validate_glueing,
 )
-from .meyer import signature_sum
+from .meyer import block_signature
 
 End = Tuple[str, str]  # (block label, boundary label)
 
@@ -168,7 +168,7 @@ def euler_characteristic(gs: GraphStructure) -> int:
 def manifold_signature(gs: GraphStructure) -> Fraction:
     """Signature: sum of block signatures, blocks oriented compatibly
     (glueings reversing the induced boundary orientations)."""
-    return signature_sum(block for _, block in gs.blocks)
+    return sum((block_signature(block) for _, block in gs.blocks), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +239,10 @@ class InvariantReport:
     block_summary: Tuple[Tuple[str, Tuple[str, ...]], ...]
     decomposing_classes: Tuple[str, ...]  # the class at the first end of each glue line
     edge_classes: Tuple[Tuple[str, str], ...]  # the sorted classes at both ends of each edge
-    sigma: Optional[Fraction]
+    sigma: Optional[Fraction]  # None where unavailable (a non-orientable base)
     euler: int
-    # None only in the report that isomorphic_reduced compares before its
-    # search, which reads key() and never render()
+    # sigma and h1 are both None only in the report that isomorphic_reduced
+    # compares before its search, which reads key() and never render()
     h1: Optional[Tuple[int, Tuple[int, ...]]]
     reduced: bool
     findings: Tuple[str, ...]
@@ -281,13 +281,17 @@ class InvariantReport:
 def invariant_report(gs: GraphStructure) -> InvariantReport:
     require_valid(gs)
     rank, torsion = first_homology(gs)
-    return _report(gs, (rank, tuple(torsion)))
+    try:
+        sigma = manifold_signature(gs)
+    except UnsupportedOperationError:
+        sigma = None
+    return replace(_report(gs), sigma=sigma, h1=(rank, tuple(torsion)))
 
 
-def _report(gs: GraphStructure, h1: Optional[Tuple[int, Tuple[int, ...]]]) -> InvariantReport:
-    """The invariant report of the valid structure gs, with the given h1."""
+def _report(gs: GraphStructure) -> InvariantReport:
+    """The invariant report of the valid structure gs without sigma and h1."""
     blocks = gs.block_map()
-    summary = sorted((block.surface.describe(), block.boundary_classes) for _, block in gs.blocks)
+    summary = sorted(_block_key(block) for _, block in gs.blocks)
     decomposing = []
     edge_classes = []
     findings = []
@@ -301,18 +305,14 @@ def _report(gs: GraphStructure, h1: Optional[Tuple[int, Tuple[int, ...]]]) -> In
                 f"reduced structure has non-parabolic decomposing class {cls1} "
                 f"on edge {edge.end1[0]}.{edge.end1[1]}"
             )
-    try:
-        sigma = manifold_signature(gs)
-    except UnsupportedOperationError:
-        sigma = None
     return InvariantReport(
         block_count=len(gs.blocks),
         block_summary=tuple(summary),
         decomposing_classes=tuple(sorted(decomposing)),
         edge_classes=tuple(sorted(edge_classes)),
-        sigma=sigma,
+        sigma=None,
         euler=euler_characteristic(gs),
-        h1=h1,
+        h1=None,
         reduced=reduced,
         findings=tuple(findings),
     )
@@ -685,9 +685,9 @@ def _iso_matches(f_goal: BoundaryIso, f_base: BoundaryIso) -> bool:
     return True
 
 
-def _block_key(block: Block) -> Tuple:
-    s = block.surface
-    return (s.orientable, s.genus, s.boundary_count, block.boundary_classes)
+def _block_key(block: Block) -> Tuple[str, Tuple[str, ...]]:
+    """The block's block_summary entry: its base and its boundary classes."""
+    return block.surface.describe(), block.boundary_classes
 
 
 def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
@@ -736,7 +736,7 @@ def isomorphic_reduced(gs1: GraphStructure, gs2: GraphStructure) -> Comparison:
     for operand, gs in enumerate((gs1, gs2)):
         try:
             require_valid(gs)
-            report = _report(gs, h1=None)
+            report = _report(gs)
             if not report.reduced:
                 raise NotReducedError("comparison requires reduced structures; reduce first")
         except (StructureError, NotReducedError) as exc:

@@ -67,23 +67,13 @@ class SurfaceWithBoundary:
             return 2 * self.genus + self.boundary_count - 1
         return self.genus + self.boundary_count - 1
 
-    def generator_names(self, limit: Optional[int] = None) -> Tuple[str, ...]:
-        """The pi1_rank() generator names in convention order, or the first
-        `limit` of them, built without the rest."""
-        genus, stop = self.genus, self.boundary_count
-        if limit is not None:
-            genus, stop = min(genus, limit), min(stop, limit + 1)
-        names: List[str] = []
-        if self.orientable:
-            for i in range(1, genus + 1):
-                names.append(f"a{i}")
-                names.append(f"b{i}")
-        else:
-            for i in range(1, genus + 1):
-                names.append(f"d{i}")
-        for i in range(1, stop):
-            names.append(f"c{i}")
-        return tuple(names if limit is None else names[:limit])
+    def generator_name(self, i: int) -> str:
+        """The name of generator i (0 <= i < pi1_rank()) in convention order:
+        a1, b1, ..., ag, bg or d1, ..., dq, then c1, ..., c{b-1}."""
+        handles = 2 * self.genus if self.orientable else self.genus
+        if i >= handles:
+            return f"c{i - handles + 1}"
+        return f"{'ab'[i % 2]}{i // 2 + 1}" if self.orientable else f"d{i + 1}"
 
     def is_disc(self) -> bool:
         return self.orientable and self.genus == 0 and self.boundary_count == 1
@@ -102,7 +92,7 @@ class SurfaceWithBoundary:
 @dataclass(frozen=True)
 class Block:
     """A torus bundle over a surface with boundary: the monodromy images of
-    the generators, in generator_names order (the handles, then the c's),
+    the generators, in convention order (the handles, then the c's),
     and boundary labels (1..b)."""
 
     surface: SurfaceWithBoundary
@@ -155,15 +145,12 @@ class Block:
 def validate_block(block: Block) -> List[str]:
     out: List[str] = []
     surface = block.surface
-    chi = surface.euler_characteristic()
     if surface.is_mobius():
         out.append("excluded surface: Mobius band (chi = 0)")
     elif surface.is_disc():
         out.append("excluded surface: disc (chi = 1)")
     elif surface.is_annulus():
         out.append("chi = 0 (annulus): block bases need chi < 0")
-    elif chi >= 0:
-        out.append(f"chi = {chi}: block bases need chi < 0")
     labels = block.boundary_labels()
     if len(labels) != surface.boundary_count:
         out.append(
@@ -182,7 +169,7 @@ def validate_block(block: Block) -> List[str]:
         det, want = m.det(), -1 if i < d_count else 1
         if det == want:
             continue
-        name = surface.generator_names(i + 1)[i]
+        name = surface.generator_name(i)
         if det not in (1, -1):
             out.append(f"image of {name} has determinant {det}, not unimodular")
         elif surface.orientable:

@@ -38,7 +38,7 @@ from .bundles import (
     SurfaceWithBoundary,
     TorusBundleOverCircle,
 )
-from .assembly import Edge, GraphStructure
+from .assembly import Edge, GraphStructure, structure
 
 
 class ManifestError(ValueError):
@@ -111,9 +111,10 @@ class Manifest:
                 surface = SurfaceWithBoundary(decl.orientable, decl.genus, decl.boundaries)
             except ValueError as exc:
                 raise ManifestError(f"block {decl.label}: {exc}", decl.base_line) from None
-            # the base may ask for more names than the file declares: build at
+            # the base may ask for more names than the file declares: name at
             # most _NAMES_PAST_DECLARED more, which are all there are if none is missing
-            names = surface.generator_names(len(decl.gens) + _NAMES_PAST_DECLARED)
+            count = min(surface.pi1_rank(), len(decl.gens) + _NAMES_PAST_DECLARED)
+            names = [surface.generator_name(i) for i in range(count)]
             missing = [n for n in names if n not in decl.gens]
             if missing:
                 more = len(names) < surface.pi1_rank()
@@ -164,7 +165,7 @@ class Manifest:
                 src, tgt, glue.images["x"], glue.images["y"], glue.images["t"]
             )
             edges.append(Edge(glue.end1, glue.end2, iso))
-        return GraphStructure(tuple(sorted(blocks.items())), tuple(edges))
+        return structure(blocks, edges)
 
 
 def _end_ref(token: str, line: int) -> Tuple[str, str]:
@@ -315,8 +316,8 @@ def dump_structure(gs: GraphStructure) -> str:
         labels = tuple(block.boundary_labels())
         if labels != tuple(str(i) for i in range(1, surface.boundary_count + 1)):
             lines.append("  labels " + " ".join(labels))
-        for name, m in zip(surface.generator_names(), block.images):
-            lines.append(f"  gen {name} {m}")
+        for i, m in enumerate(block.images):
+            lines.append(f"  gen {surface.generator_name(i)} {m}")
         lines.append("end")
     for edge in sorted(gs.edges, key=lambda e: (e.end1, e.end2)):
         (b1, bd1), (b2, bd2) = edge.end1, edge.end2

@@ -1,5 +1,5 @@
 """Characteristic function on SL(2,Z), its signature 2-cocycle, and
-signatures of blocks and whole graph structures.
+signatures of blocks, which assembly.manifold_signature sums.
 
 psi is the conjugation-invariant integer class function pinned by
 
@@ -30,7 +30,6 @@ decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .gl2z import ConjClass, Mat2, NotInSL2ZError, R, S, _verify, abelianization_mod3, classify, generator_word
 from .bundles import Block, UnsupportedOperationError
@@ -104,8 +103,3 @@ def block_signature(block: Block) -> Fraction:
             )
     total = sum(_psi_of_class(m, block.classes[lbl]) for lbl, m in block.monodromies.items())
     return Fraction(total, 3)
-
-
-def signature_sum(blocks: Iterable[Block]) -> Fraction:
-    """Signature of a union of compatibly oriented blocks (Novikov sum)."""
-    return sum((block_signature(b) for b in blocks), Fraction(0))

@@ -236,12 +236,7 @@ def abelian_invariants(
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> List[List[int]]:
     """Basis of the integer kernel {v : mat @ v = 0}."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    cols = len(mat[0]) if mat else 0
     _, v, diag = snf_with_transforms(mat)
     out = []
     for j in range(cols):
@@ -256,8 +251,6 @@ def solve_integer(
     """One integer solution x of mat @ x = rhs, or None."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
     u, v, diag = snf_with_transforms(mat)
     ub = [sum(u[i][j] * rhs[j] for j in range(rows)) for i in range(rows)]
     y = [0] * cols

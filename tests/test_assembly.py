@@ -13,6 +13,7 @@ from gm4 import (
     ClosedBaseError,
     Comparison,
     Edge,
+    GraphStructure,
     I2,
     L,
     Mat2,
@@ -47,6 +48,7 @@ from conftest import (
     mirror_edge_iso,
     pants,
     partial_reducible,
+    planar_double,
     relabel,
     swap_double,
     swap_iso,
@@ -149,6 +151,23 @@ class TestValidateStructure:
         gs = structure(blocks, edges)
         assert validate_structure(gs) == [
             "underlying graph not connected: unreachable blocks ['A2', 'B2']"
+        ]
+
+    def test_duplicate_block_labels_rejected(self):
+        a = pants(upper(1), upper(2))
+        assert validate_structure(GraphStructure((("A", a), ("A", a)), ())) == ["block labels are not distinct"]
+
+    @pytest.mark.parametrize(
+        "end, message",
+        [(("Z", "1"), "edge 0: unknown block label 'Z'"), (("A", "9"), "edge 0: unknown boundary label A.9")],
+    )
+    def test_unknown_end_rejected(self, end, message):
+        gs = swap_double(1, 2)
+        first = gs.edges[0]
+        edges = (Edge(end, first.end2, first.iso),) + gs.edges[1:]
+        assert validate_structure(GraphStructure(gs.blocks, edges)) == [
+            message,
+            "open boundary: A.1 appears in no edge",
         ]
 
 
@@ -567,6 +586,13 @@ class TestInvariantReport:
         assert invariant_report(gs).render() == invariant_report(gs).render()
         assert "euler: 0" in invariant_report(gs).render()
 
+    def test_non_parabolic_decomposing_classes_are_findings(self):
+        lines = invariant_report(planar_double((0, 0))).render().splitlines()
+        assert [line for line in lines if line.startswith("finding:")] == [
+            f"finding: reduced structure has non-parabolic decomposing class Central(+1) on edge A.{k}"
+            for k in (1, 2, 3)
+        ]
+
     def test_key_leaves_out_what_cannot_separate(self):
         # euler is always 0, and equal block summaries give equal sigma
         names = [name for name, _ in invariant_report(swap_double(1, 2)).key()]
@@ -683,6 +709,32 @@ class TestHomologyOnlyWithoutWitness:
         result = isomorphic_reduced(gs1, gs2)
         assert result == Comparison("no", separating="h1")
         assert (result.assignments, result.edge_checks) == (0, 0)
+
+
+class TestSignatureOutsideCompare:
+    """isomorphic_reduced compares a report without sigma, which its key
+    leaves out; invariant_report sums it once.  These tests count calls."""
+
+    @pytest.fixture()
+    def sigma_calls(self, monkeypatch):
+        import gm4.assembly as assembly
+
+        calls = []
+        real = assembly.manifold_signature
+        monkeypatch.setattr(assembly, "manifold_signature", lambda gs: calls.append(gs) or real(gs))
+        return calls
+
+    def test_not_in_compare(self, sigma_calls):
+        gs = swap_double(1, 2)
+        assert isomorphic_reduced(gs, relabel(gs)).verdict == "yes"
+        assert isomorphic_reduced(gs, swap_double(2, 3)).verdict == "no"
+        assert isomorphic_reduced(*_rotate_pair()).verdict == "inconclusive"
+        assert sigma_calls == []
+
+    def test_once_in_the_report(self, sigma_calls):
+        gs = swap_double(1, 2)
+        assert invariant_report(gs).sigma == 0
+        assert sigma_calls == [gs]
 
 
 class TestValidateOnce:

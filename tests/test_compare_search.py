@@ -292,6 +292,22 @@ def test_edge_test_accepts_whatever_the_reference_accepts(monkeypatch):
     assert missed == []
 
 
+@pytest.mark.parametrize(
+    "goal, matches",
+    [
+        # content c = 5 and gamma = -2, which is neither 1 nor -1 mod 5
+        (((-2, 0, 5), (0, 1, 0), (1, 0, -2)), False),
+        (((-1, 0, 5), (0, 1, 0), (-1, 0, 4)), True),
+    ],
+)
+def test_t3_edge_test_decides_by_gamma_mod_the_content(goal, matches):
+    t3 = TorusBundleOverCircle(I2)
+    base = BoundaryIso(t3, t3, Pi1Element(1, 0, 5), PI1_Y, Pi1Element(0, 0, 1))
+    f_goal = BoundaryIso(t3, t3, *(Pi1Element(*img) for img in goal))
+    assert validate_glueing(base) == validate_glueing(f_goal) == []
+    assert assembly._iso_matches(f_goal, base) is matches
+
+
 def test_edge_test_finds_a_translation_the_linearisation_misses():
     base = swap_iso(1)  # M_R -> M_R^-1: x -> x, y -> t, t -> y
     src, tgt = base.source, base.target

@@ -1,9 +1,11 @@
 """Code hygiene of src/gm4, read with the standard library's ast: no
 module-level import that nothing uses, no _private function or class
-that nothing references, no assert statement, and every function the
-bench traces exists."""
+that nothing references, no public top-level function or class that
+nothing in src/gm4, tests/ or bench/ references, no assert statement,
+and every function the bench traces exists."""
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,15 +16,14 @@ def _trees():
     return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-def _names(tree):
-    """Identifiers a module reads: bare names and attribute names."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
+def _reads(tree):
+    """How often a module reads each identifier: bare names and attribute
+    names."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 def _imported_from(trees, module):
@@ -41,7 +42,7 @@ def test_no_unused_module_imports():
     for module, tree in trees.items():
         if module == "__init__":  # re-exports
             continue
-        used = _names(tree) | _imported_from(trees, module)
+        used = set(_reads(tree)) | _imported_from(trees, module)
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -55,7 +56,7 @@ def test_no_unused_module_imports():
 
 def test_no_unreferenced_private_definitions():
     trees = _trees()
-    used = set().union(*(_names(tree) for tree in trees.values()))
+    used = set().union(*(_reads(tree) for tree in trees.values()))
     unreferenced = [
         f"{module}: {node.name}"
         for module, tree in trees.items()
@@ -64,6 +65,24 @@ def test_no_unreferenced_private_definitions():
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and node.name not in used
+    ]
+    assert unreferenced == []
+
+
+def test_no_unreferenced_public_definitions():
+    # a reference is a bare name or an attribute name read anywhere but in
+    # the definition's own body; an import alone does not count
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    reads = Counter()
+    for path in files:
+        reads.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    unreferenced = [
+        f"{module}: {node.name}"
+        for module, tree in _trees().items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and reads[node.name] == _reads(node)[node.name]
     ]
     assert unreferenced == []
 

@@ -102,13 +102,15 @@ class TestParse:
         ],
     )
     def test_huge_base_is_checked_without_its_names(self, base, gens, names, monkeypatch):
-        real = bundles.SurfaceWithBoundary.generator_names
+        real = bundles.SurfaceWithBoundary.generator_name
+        calls = []
 
-        def bounded(surface, limit=None):
-            assert limit is not None and limit <= 100, "a huge base's names were built"
-            return real(surface, limit)
+        def bounded(surface, i):
+            calls.append(i)
+            assert len(calls) <= 100, "a huge base's names were built"
+            return real(surface, i)
 
-        monkeypatch.setattr(bundles.SurfaceWithBoundary, "generator_names", bounded)
+        monkeypatch.setattr(bundles.SurfaceWithBoundary, "generator_name", bounded)
         lines = "".join(f"  gen {name} [[1,0],[0,1]]\n" for name in gens)
         with pytest.raises(ManifestError) as err:
             manifest.parse(f"version 1\nblock A\n  base {base}\n{lines}end\n").to_structure()
@@ -117,6 +119,31 @@ class TestParse:
             f"line 2, col 1: block A: missing generator images {missing} and more"
             f" (convention order: {', '.join(names)}, ...)"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("version 1 2\n", "line 1, col 1: expected: version <integer>"),
+            ("version 1\nblock\n", "line 2, col 1: expected: block <label>"),
+            ("version 1\nglue A.1\n", "line 2, col 1: expected: glue <b1>.<bd1> <b2>.<bd2>"),
+            ("version 1\nglue A B.1\n", "line 2, col 1: expected block.boundary reference, got 'A'"),
+            ("version 1\nglue A. B.1\n", "line 2, col 1: expected block.boundary reference, got 'A.'"),
+            ("version 1\nlabels p q\n", "line 2, col 1: 'labels' outside a block section"),
+            ("version 1\nblock A\n  labels\n", "line 3, col 1: expected: labels <l1> <l2> ..."),
+            ("version 1\nblock A\n  gen c1\n", "line 3, col 1: expected: gen <name> [[a,b],[c,d]]"),
+            ("version 1\nglue A.1 B.1\n  x\n", "line 3, col 1: expected: x (a,b,k)"),
+            ("version 2\n", "line 1, col 1: unsupported manifest version 2"),
+            (
+                DOUBLE_GM.replace("boundaries 3\n", "boundaries 3\n  labels p q\n", 1),
+                "line 3, col 1: block A: 2 labels for 3 boundary components",
+            ),
+            (DOUBLE_GM.replace("glue A.1 B.1", "glue Z.1 B.1"), "line 13, col 1: unknown block label 'Z'"),
+        ],
+    )
+    def test_diagnostic(self, text, message):
+        with pytest.raises(ManifestError) as err:
+            manifest.parse(text).to_structure()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("digit", ["\u00b2", "\u2460", "\u00b9"])
     def test_version_with_a_digit_that_int_rejects(self, digit):

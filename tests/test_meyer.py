@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gm4 import (
     Block,
+    BoundaryIso,
+    Edge,
     I2,
     L,
     Mat2,
@@ -14,6 +16,7 @@ from gm4 import (
     R,
     S,
     SurfaceWithBoundary,
+    TorusBundleOverCircle,
     UnsupportedOperationError,
     block_signature,
     invariant_report,
@@ -21,12 +24,14 @@ from gm4 import (
     meyer_cocycle,
     psi,
     psi_by_folding,
+    structure,
+    validate_structure,
 )
 
 from gm4 import bundles, gl2z, meyer
 from gm4.manifest import load_structure
 
-from conftest import mirror_double, pants, trivial_double, upper
+from conftest import T3_CORPUS, mirror_double, pants, trivial_double, upper
 
 
 def to_matrix(word):
@@ -190,6 +195,34 @@ class TestManifoldSignature:
     def test_reduced_corpus_zero(self, reduced_corpus):
         for name, gs in reduced_corpus.items():
             assert manifold_signature(gs) == 0, name
+
+    def test_every_edge_cancels(self, full_corpus):
+        # each boundary lies on one edge, so sigma is a third of the sum of
+        # the per-edge sums psi(m1) + psi(m2), and a coherent edge cancels
+        structures = dict(full_corpus)
+        structures.update((name, build()) for name, build in T3_CORPUS.items())
+        paths = sorted((Path(__file__).resolve().parent.parent / "manifests").glob("*.gm"))
+        structures.update((path.name, load_structure(path.read_text())) for path in paths)
+        for name, gs in structures.items():
+            assert _edge_psi_sums(gs) == [0] * len(gs.edges), name
+            assert manifold_signature(gs) == 0, name
+
+    def test_incoherent_edges_are_flagged(self):
+        # two equal pants blocks glued by identities: valid, with sigma 0,
+        # but no edge reverses the boundary orientation
+        a = pants(upper(1), upper(2))
+        edges = [
+            Edge(("A", lbl), ("B", lbl), BoundaryIso.identity(TorusBundleOverCircle(m)))
+            for lbl, m in a.monodromies.items()
+        ]
+        gs = structure({"A": a, "B": a}, edges)
+        assert validate_structure(gs) == []
+        assert manifold_signature(gs) == 0
+        assert _edge_psi_sums(gs) == [2, 4, -6]
+
+
+def _edge_psi_sums(gs):
+    return [psi(e.iso.source.phi) + psi(e.iso.target.phi) for e in gs.edges]
 
 
 class TestSeededInvariantSuites:
