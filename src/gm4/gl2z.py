@@ -38,14 +38,15 @@ the word (see `_hyperbolic_normalize`):
   periodic (Lagrange); a tail x_j is purely periodic iff it is reduced,
   x_j > 1 and -1 < x_j' < 0 (Galois), and the period, taken in pairs
   (a1, b1, ..., ak, bk), is the positive word R^a1 L^b1 ... R^ak L^bk;
-* so the walk needs no table of the states it has seen: it stops the
-  pre-period at the first even index j whose tail is reduced, an exact
-  integer test on the state (see `_hyperbolic_normalize`), and the period
-  when the state at j comes back.  That is the j and the even period that
-  a table of even states would find, since a tail off the period never
-  recurs and one on it always does.  The pairs of the least even period
-  are a primitive sequence, since a shorter period of the pairs would be
-  a shorter even period of the terms, so (runs, n) is canonical;
+* so the walk needs no table of the states it has seen: a pre-period
+  loop stops at the first even index j whose tail is reduced, an exact
+  integer test on the state, and a period loop, with no sign branch as
+  q > 0 on reduced tails, when the state at j comes back.  That is the j
+  and the even period that a table of even states would find, since a
+  tail off the period never recurs and one on it always does.  The pairs
+  of the least even period are a primitive sequence, since a shorter
+  period of the pairs would be a shorter even period of the terms, so
+  (runs, n) is canonical;
 * that word W generates the stabiliser of x_j in SL(2,Z) up to -I, and the
   pre-period U maps x_j to xi, so U^-1 M U = W^n for some n >= 1 (Katok,
   "Coding of closed geodesics after Gauss and Morse", Geom. Dedicata 63
@@ -55,14 +56,15 @@ the word (see `_hyperbolic_normalize`):
   and the final check U^-1 M U == W^n is exact, so the float can only
   make the check fail, never give a wrong answer;
 * the least rotation starts at an R run, and comparing two rotations run
-  by run orders the runs by the key (-a, b): a longer R run first, then a
-  shorter L run.  Booth's algorithm (Inf. Proc. Lett. 10(4), 1980) finds
-  the least rotation of the key sequence in linear time, and of equal
-  rotations of a periodic word it takes the first.
+  by run orders the runs by the key (-a, b), the int b - a (max b + 1): a
+  longer R run first, then a shorter L run.  Booth's algorithm (Inf. Proc.
+  Lett. 10, 1980) finds the least rotation of the key sequence in linear
+  time, and of equal rotations of a periodic word it takes the first.
 
 The continued fraction runs on plain ints, and U and W are multiplied out
-by `_pairs_matrix`, one column operation per run.  The parabolic form also
-runs on plain ints and builds one Mat2, U (see `_parabolic_normalize`).
+by `_pairs_matrix`, one column operation per run and each run once.  The
+parabolic form also runs on plain ints and builds one Mat2, U (see
+`_parabolic_normalize`).
 
 The character SL(2,Z) -> Z/3 (`abelianization_mod3`) is read from a table
 of SL(2,Z/3), `CHI3`, which a breadth-first search builds at import.
@@ -248,7 +250,9 @@ _CHUNK = 10**_CHUNK_DIGITS
 
 def int_str(n: int) -> str:
     """str(n), also past the interpreter's limit on int-to-str digits: the
-    digits are rendered in chunks of _CHUNK_DIGITS."""
+    digits are rendered in chunks of _CHUNK_DIGITS (one str() below _CHUNK)."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
     sign, n = ("-", -n) if n < 0 else ("", n)
     chunks = []
     while n >= _CHUNK:
@@ -345,6 +349,8 @@ def _least_rotation(seq: list) -> int:
 
     Of equal least rotations (a periodic seq) it returns the first, since k
     only ever moves on to a strictly smaller rotation."""
+    if seq.count(least := min(seq)) == 1:
+        return seq.index(least)
     s = seq + seq
     f = [-1] * len(s)
     k = 0
@@ -396,33 +402,28 @@ def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[Tuple[int, int], ...], int, Ma
     takes one partial quotient k = floor((s + theta) / q), which is
     floor(s / q) for q > 0 and floor((s + 1) / q) for q < 0, and moves to
     s' = kq - s + 2 root and q' = q_prev + k(s - s'), which is
-    (disc - p'^2) / q without squaring.  The pre-period stops at the first
-    even index j whose tail is reduced, x_j > 1 and -1 < x_j' < 0, which
-    is the integer test 0 < q <= s <= 2 root < s + q; the period stops when
-    the state at j recurs.  The pre-period also stops at an even state it
-    has seen before, which only a wrong root can make happen; the period
-    check then fails.  Every exponent of the period is checked to be >= 1.
-    The pre-period maps x_j to xi, so with U the pre-period followed by the
-    period up to the least rotation, U^-1 m U fixes x_j with trace t > 2
-    and equals W^n for the period word W and some n >= 1.  The float only
-    guesses n from the eigenvalues; the answer is checked exactly.  The
-    cost is one step per partial quotient of xi, so (RL)^n walks one
-    period, not n of them."""
+    (disc - p'^2) / q without squaring.  The pre-period loop stops at the
+    first even index j whose tail is reduced, x_j > 1 and -1 < x_j' < 0,
+    which is the integer test 0 < q <= s <= 2 root < s + q; an even state
+    seen before comes only from a wrong root and fails the positive period
+    check.  On the period q > 0, so its loop takes two steps per pass with
+    no sign branch until the state at j recurs.  It checks q' > rem after
+    each step (s' + q' > 2 root), which keeps q > 0 and s <= 2 root < s + q,
+    where a state has one predecessor (the s of its residue mod q in
+    (2 root - q, 2 root]) among finitely many, so the walk comes back to j.
+    Only a wrong root breaks it, which ends the walk; ending off j fails the
+    positive period check, as does a partial quotient below 1.  With P the
+    pre-period (it maps x_j to xi) and the period split at its least
+    rotation into H and T, U = P H, W = T H and U^-1 m U = W^n, n >= 1,
+    checked exactly; one step per partial quotient: (RL)^n walks one period."""
     t = m.trace()
     root = isqrt(t * t - 4)
     root2 = 2 * root
     s, q, q_prev = m.a - m.d + root, 2 * m.c, 2 * m.b
-    terms = []
-    seen = set()
-    anchor = None
-    while True:
-        if anchor is None:
-            if 0 < q <= s <= root2 < s + q or (s, q) in seen:
-                anchor, j = (s, q), len(terms)
-            else:
-                seen.add((s, q))
-        elif s == anchor[0] and q == anchor[1]:
-            break
+    terms, seen = [], set()
+    while not 0 < q <= s <= root2 < s + q:
+        _verify((s, q) not in seen, "positive period word", m)
+        seen.add((s, q))
         for _ in (0, 1):
             if q > 0:
                 k, rem = divmod(s, q)
@@ -432,17 +433,31 @@ def _hyperbolic_normalize(m: Mat2) -> Tuple[Tuple[Tuple[int, int], ...], int, Ma
                 s_next = root2 + 1 - rem
             s, q, q_prev = s_next, q_prev + k * (s - s_next), q
             terms.append(k)
-    period = terms[j:]
-    _verify(min(period) >= 1, "positive period word", m)
-    pairs = list(zip(period[::2], period[1::2]))
-    # lexicographically least rotation with R < L: it starts at an R run,
-    # and a longer R run, then a shorter L run, sorts first; of equal ones
-    # the first is taken
-    r0 = _least_rotation([(-x, y) for x, y in pairs])
-    pairs = pairs[r0:] + pairs[:r0]
-    walk = terms[: j + 2 * r0]
-    u = _pairs_matrix(zip(walk[::2], walk[1::2]))
-    w = _pairs_matrix(pairs)
+    s_j, q_j = s, q
+    xs, ys = [], []
+    while True:
+        k, rem1 = divmod(s, q)
+        s_next = root2 - rem1
+        s, q, q_prev = s_next, q_prev + k * (s - s_next), q
+        k2, rem = divmod(s, q)
+        s_next = root2 - rem
+        s, q, q_prev = s_next, q_prev + k2 * (s - s_next), q
+        xs.append(k)
+        ys.append(k2)
+        if q_prev <= rem1 or q <= rem or s == s_j and q == q_j:
+            break
+    _verify(s == s_j and q == q_j and min(min(xs), min(ys)) >= 1, "positive period word", m)
+    pairs = list(zip(xs, ys))
+    # least rotation with R < L: y - x (max y + 1) orders the runs as (-x, y)
+    bound = max(ys) + 1
+    r0 = _least_rotation([y - x * bound for x, y in pairs])
+    w = _pairs_matrix(pairs[r0:])
+    u = _pairs_matrix(zip(terms[::2], terms[1::2])) if terms else I2
+    if r0:
+        h = _pairs_matrix(pairs[:r0])
+        u = u @ h if terms else h
+        w = w @ h
+        pairs = pairs[r0:] + pairs[:r0]
     # a trace of at most 2 comes only from a broken product; n = 0 then
     # fails the check
     n = round(_log_eigenvalue(t) / _log_eigenvalue(w.trace())) if w.trace() > 2 else 0

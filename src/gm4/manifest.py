@@ -123,7 +123,8 @@ class Manifest:
                     f" (convention order: {', '.join(names)}{', ...' if more else ''})",
                     decl.line,
                 )
-            extra = [n for n in decl.gens if n not in names]
+            known = set(names)
+            extra = [n for n in decl.gens if n not in known]
             if extra:
                 raise ManifestError(
                     f"block {decl.label}: unknown generators {extra}",

@@ -5,7 +5,7 @@ from itertools import product
 from math import log2
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gm4 import (
     ALL_VECTORS,
@@ -100,6 +100,10 @@ class TestArithmetic:
         for n in (0, -7, 10**1000 - 1, 10**1000, -(10**2000) - 3, 10**4299 + 12345):
             assert int_str(n) == str(n)
         assert int_str(-(10**5000) - 7) == "-1" + "0" * 4998 + "07"
+
+    @given(st.integers(-(10**1000) + 1, 10**1000 - 1) | st.integers(-(2**64), 2**64))
+    def test_int_str_of_a_small_int_is_str(self, n):
+        assert int_str(n) == str(n)
 
     def test_parse_int_inverts_int_str(self):
         for n in (0, -7, 999, 1000, 10**1000 - 1, 10**1000, -(10**2000) - 3, 10**4300 + 1, -(10**12345) - 7):
@@ -524,13 +528,81 @@ class TestRunLengthNormalForm:
             return count[0]
 
         monkeypatch.setattr(Mat2, "__matmul__", counted)
-        # the continued fraction, U and the period word take no Mat2
-        # product; the check takes two, plus the squarings of W ** n:
-        # R^n L is one period, (RL)^n is n periods of RL
+        # the continued fraction takes no Mat2 product, and U = P H and
+        # W = T H take one each only where the least rotation starts inside
+        # the period (H is not empty), never for these one-pair periods; the
+        # check takes two, plus the squarings of W ** n: R^n L is one
+        # period, (RL)^n is n periods of RL
         ns = (8, 64, 512, 4096)
         assert all(products(Mat2(n + 1, n, 1, 1)) <= 4 for n in ns + (10**5,))
         for n in ns:
             assert products(letters_matrix(("R", "L") * n)) <= 3 + 2 * log2(n), n
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=2)
+        | st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=24),
+        st.integers(0, 23),
+        st.integers(1, 4),
+        st.just(I2) | disguises,
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(pairs=[(5, 2)], offset=0, power=3, c=I2, sign=1)
+    @example(pairs=[(3, 1), (1, 2), (2, 2), (1, 1)], offset=0, power=1, c=I2, sign=1)
+    @example(pairs=[(3, 1), (1, 2), (2, 2), (1, 1)], offset=2, power=2, c=I2, sign=-1)
+    @example(pairs=[(3, 1), (1, 2), (2, 2), (1, 1)], offset=1, power=4, c=I2, sign=1)
+    @example(pairs=[(3, 1), (1, 2), (2, 2), (1, 1)], offset=2, power=1, c=R ** 5 @ L ** 7, sign=1)
+    def test_runs_are_the_least_rotation_keyed_by_pairs(self, pairs, offset, power, c, sign):
+        # the word, rotated by offset pairs, to the given power: undisguised
+        # (c = I2), the walk reads it from its first pair, so the least
+        # rotation starts at the first pair (offset 0), mid-period (offset 2
+        # of 4) or at the last pair (offset 1 of 4)
+        k = next(d for d in range(1, len(pairs) + 1) if pairs == pairs[:d] * (len(pairs) // d))
+        period = pairs[:k]
+        runs = min((period[i:] + period[:i] for i in range(k)), key=lambda rot: [(-a, b) for a, b in rot])
+        shift = offset % k
+        positive = c @ gl2z._pairs_matrix(period[shift:] + period[:shift]) ** (power * len(pairs) // k) @ c.inverse()
+        cls, u = _normal_form(positive if sign == 1 else -positive)
+        assert cls == ConjClass("hyperbolic", sign, runs=tuple(runs), power=power * len(pairs) // k)
+        assert u.inverse() @ positive @ u == gl2z._pairs_matrix(runs) ** cls.power
+
+    @pytest.mark.parametrize("offset, r0", [(0, 0), (2, 2), (1, 3)])
+    def test_least_rotation_at_the_start_middle_and_end(self, offset, r0, monkeypatch):
+        found = []
+        least = gl2z._least_rotation
+
+        def recorded(seq):
+            found.append(least(seq))
+            return found[-1]
+
+        monkeypatch.setattr(gl2z, "_least_rotation", recorded)
+        period = [(3, 1), (1, 2), (2, 2), (1, 1)]
+        rotated = period[offset:] + period[:offset]
+        cls, u = _normal_form(gl2z._pairs_matrix(rotated))
+        assert found == [r0] and cls.runs == tuple(period)
+        assert u == gl2z._pairs_matrix(rotated[:r0])
+
+    def test_each_pair_is_multiplied_once(self, monkeypatch):
+        # the walk reads the pre-period R^5 L^7, then the period from
+        # (2, 2), whose least rotation starts at its third pair: U = P H and
+        # W = T H multiply 1 + 4 pairs, where U and W multiplied out apart
+        # would take 1 + 2 and 4
+        counted = []
+        pairs_matrix = gl2z._pairs_matrix
+
+        def counting(pairs):
+            pairs = list(pairs)
+            counted.append(len(pairs))
+            return pairs_matrix(pairs)
+
+        monkeypatch.setattr(gl2z, "_pairs_matrix", counting)
+        period = [(3, 1), (1, 2), (2, 2), (1, 1)]
+        c = R ** 5 @ L ** 7
+        m = c @ pairs_matrix(period[2:] + period[:2]) @ c.inverse()
+        cls, u = _normal_form(m)
+        assert cls.runs == tuple(period) and cls.power == 1
+        assert u == c @ pairs_matrix(period[2:])
+        assert sum(counted) == 1 + 4
 
     def test_walks_the_period_not_the_power(self, monkeypatch):
         seqs = []
@@ -613,6 +685,48 @@ class TestResultChecks:
         monkeypatch.setattr(gl2z, "isqrt", lambda n: 1)
         with pytest.raises(RuntimeError, match="positive period word"):
             classify(Mat2(2, 3, 1, 2))
+
+    # (matrix, root + delta) -> the class, or None for a RuntimeError, as
+    # the one-loop walk (pre-period and period both with the sign branch)
+    # gave them
+    WRONG_ROOTS = {
+        ((2, 1, 1, 1), -1): "Hyperbolic(+1, RL)",
+        ((2, 1, 1, 1), 1): None,
+        ((2, 1, 1, 1), 2): None,
+        ((2, 1, 1, 1), 5): None,
+        ((2, 3, 1, 2), -1): "Hyperbolic(+1, RRL)",
+        ((2, 3, 1, 2), 1): None,
+        ((2, 3, 1, 2), 2): None,
+        ((2, 3, 1, 2), 5): None,
+        ((5, 2, 2, 1), -1): "Hyperbolic(+1, RRLL)",
+        ((5, 2, 2, 1), 1): "Hyperbolic(+1, RRLL)",
+        ((5, 2, 2, 1), 2): "Hyperbolic(+1, RRLL)",
+        ((5, 2, 2, 1), 5): None,
+        ((3, 4, 2, 3), -1): "Hyperbolic(+1, RRLL)",
+        ((3, 4, 2, 3), 1): "Hyperbolic(+1, RRLL)",
+        ((3, 4, 2, 3), 2): "Hyperbolic(+1, RRLL)",
+        ((3, 4, 2, 3), 5): None,
+        ((13, 8, 8, 5), -1): "Hyperbolic(+1, RLRLRL)",
+        ((13, 8, 8, 5), 1): "Hyperbolic(+1, RLRLRL)",
+        ((13, 8, 8, 5), 2): "Hyperbolic(+1, RLRLRL)",
+        ((13, 8, 8, 5), 5): "Hyperbolic(+1, RLRLRL)",
+    }
+
+    @pytest.mark.parametrize("entries, delta", sorted(WRONG_ROOTS))
+    def test_wrong_root(self, entries, delta, monkeypatch):
+        # a wrong square root either fails a check with RuntimeError (never
+        # ValueError, ZeroDivisionError or a walk that does not stop) or,
+        # where the walk still meets a period, gives the right class and U
+        m = Mat2(*entries)
+        want, u_want = _normal_form(m)
+        isqrt = gl2z.isqrt
+        monkeypatch.setattr(gl2z, "isqrt", lambda n: isqrt(n) + delta)
+        if self.WRONG_ROOTS[entries, delta] is None:
+            with pytest.raises(RuntimeError):
+                _normal_form(m)
+        else:
+            cls, u = _normal_form(m)
+            assert str(cls) == self.WRONG_ROOTS[entries, delta] and (cls, u) == (want, u_want)
 
     def test_witness_check(self, monkeypatch):
         monkeypatch.setattr(gl2z, "_normal_form", lambda m: (ConjClass("central"), I2))

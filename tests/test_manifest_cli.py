@@ -120,6 +120,17 @@ class TestParse:
             f" (convention order: {', '.join(names)}, ...)"
         )
 
+    def test_fully_declared_high_genus_block_loads(self):
+        # the unknown-generator check is one set lookup per declared name
+        names = [f"{x}{i}" for i in range(1, 4001) for x in "ab"] + ["c1", "c2"]
+        lines = "".join(f"  gen {name} [[1,{i}],[0,1]]\n" for i, name in enumerate(names))
+        text = f"version 1\nblock A\n  base orientable genus 4000 boundaries 3\n{lines}end\n"
+        (label, block), = manifest.parse(text).to_structure().blocks
+        assert label == "A" and len(block.images) == 8002
+        assert block.images == tuple(Mat2(1, i, 0, 1) for i in range(8002))
+        with pytest.raises(ManifestError, match=r"unknown generators \['c3'\]"):
+            manifest.parse(text.replace("end\n", "  gen c3 [[1,0],[0,1]]\nend\n")).to_structure()
+
     @pytest.mark.parametrize(
         "text, message",
         [
