@@ -1,11 +1,12 @@
 """Exact integer matrix routines: Smith normal form, kernels, solving.
 
-Matrices are lists of rows of Python ints.  ``snf_with_transforms`` is a dense
-gcd-pivot algorithm that keeps both transforms; ``kernel_basis`` uses it on
-the 4-column intertwiner systems, reached only through the conjugators of
-blocks with non-commuting images and ``fiber_covering_exists``, and
-``solve_integer`` on the 2 x 6 systems of ``bundles.iso_inverse``, reached
-when ``compare`` meets a glue line written the other way round.
+Matrices are lists of rows of Python ints.  ``snf_with_transforms`` runs a
+Hermite echelon step on the rows and on the columns in turn, keeping both
+transforms (Kannan and Bachem, SIAM J. Comput. 8 (1979); Cohen, GTM 138,
+2.4.2).  ``kernel_basis`` uses it on the 4-column intertwiner systems of
+``fiber_covering_exists`` and of conjugators between blocks with
+non-commuting images, and ``solve_integer`` on the 2 x 6 systems of
+``bundles.iso_inverse``, met when ``compare`` reads a reversed glue line.
 
 ``abelian_invariants`` takes H1 presentations, which grow with the structure
 (416 x 289 for a ring of 64 pants blocks) and are sparse, with mostly unit
@@ -24,11 +25,51 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+from .gl2z import _ext_gcd
 
 
 def _identity(n: int) -> List[List[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _echelon(rows: List[List[int]], width: int) -> None:
+    """Hermite form of the first `width` columns of `rows`, in place; whole
+    rows take part, so the columns past `width` record the transform.
+
+    Below each pivot a, an entry b is cleared by the unimodular row operation
+    [[x, y], [-b/g, a/g]] with x a + y b = g = gcd(a, b), or, when a | b, by
+    subtracting b/a times the pivot row, which keeps that row; the pivot is
+    made positive and the entries above it are reduced modulo it.
+    """
+    n, top = len(rows), 0
+    for j in range(width):
+        if top == n:
+            return
+        piv = rows[top]
+        for i in range(top + 1, n):
+            row = rows[i]
+            a, b = piv[j], row[j]
+            if b and a and b % a == 0:
+                k = b // a
+                rows[i] = [e - k * f for e, f in zip(row, piv)]
+            elif b:
+                g, x, y = _ext_gcd(a, b)
+                s, t = b // g, a // g
+                piv, rows[i] = [x * f + y * e for e, f in zip(row, piv)], [t * e - s * f for e, f in zip(row, piv)]
+        p = piv[j]
+        if not p:
+            continue
+        if p < 0:
+            p, piv = -p, [-f for f in piv]
+        rows[top] = piv
+        for i in range(top):
+            k = rows[i][j] // p
+            if k:
+                rows[i] = [e - k * f for e, f in zip(rows[i], piv)]
+        top += 1
 
 
 def snf_with_transforms(
@@ -37,94 +78,30 @@ def snf_with_transforms(
     """(U, V, diag) with U @ mat @ V diagonal, U and V unimodular.
 
     diag has length min(rows, cols), entries nonnegative with d_i | d_{i+1}.
+    `_echelon` runs on [A | U], then on [A^T | V^T], until A is diagonal; if
+    d_i does not divide d_{i+1}, column i+1 is added to column i, and the
+    next pass puts gcd(d_i, d_{i+1}) in the corner.  It terminates: each pass
+    leaves a positive first pivot dividing the last one, and an unchanged
+    pivot divided its column (row), which the pass cleared keeping the pivot
+    row, so the next pass clears its row (column) or lowers it.  A cleared
+    first row and column stay clear, and the rest follows by induction; a
+    divisibility step keeps d_0..d_{i-1} and lowers d_i.
     """
-    a = [list(row) for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def row_op(i1: int, i2: int, q: int) -> None:
-        for j in range(cols):
-            a[i2][j] -= q * a[i1][j]
-        for j in range(rows):
-            u[i2][j] -= q * u[i1][j]
-
-    def col_op(j1: int, j2: int, q: int) -> None:
-        for i in range(rows):
-            a[i][j2] -= q * a[i][j1]
-        for i in range(cols):
-            v[i][j2] -= q * v[i][j1]
-
-    def row_swap(i1: int, i2: int) -> None:
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def col_swap(j1: int, j2: int) -> None:
-        for i in range(rows):
-            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
-        for i in range(cols):
-            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
-
-    def row_negate(i: int) -> None:
-        for j in range(cols):
-            a[i][j] = -a[i][j]
-        for j in range(rows):
-            u[i][j] = -u[i][j]
-
-    diag: List[int] = []
-    top = 0
-    while top < rows and top < cols:
-        pr = pc = -1
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pr, pc = i, j
-        if pr < 0:
-            break
-        row_swap(top, pr)
-        col_swap(top, pc)
-        while True:
-            # clear column
-            for i in range(top + 1, rows):
-                while a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    row_op(top, i, q)
-                    if a[i][top] != 0:
-                        row_swap(top, i)
-            # clear row
-            dirty = False
-            for j in range(top + 1, cols):
-                while a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    col_op(top, j, q)
-                    if a[top][j] != 0:
-                        col_swap(top, j)
-                        dirty = True
-            if not dirty and all(a[i][top] == 0 for i in range(top + 1, rows)):
-                break
-        if a[top][top] < 0:
-            row_negate(top)
-        # divisibility fix
-        piv = a[top][top]
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % piv != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(offender, top, -1)  # add offending row to pivot row
-            continue
-        diag.append(piv)
-        top += 1
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    return u, v, diag
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    au, vt = [list(row) + unit for row, unit in zip(mat, _identity(rows))], _identity(cols)
+    while True:
+        _echelon(au, cols)
+        avt = [list(col) + t for col, t in zip(zip(*au), vt)]
+        _echelon(avt, rows)
+        if not any(any(row[i + 1:rows]) for i, row in enumerate(avt)):
+            d = [avt[i][i] for i in range(min(rows, cols))]
+            i = next((i for i in range(len(d) - 1) if gcd(d[i], d[i + 1]) != d[i]), None)
+            if i is None:
+                return [row[cols:] for row in au], [list(col) for col in zip(*avt)][rows:], d
+            avt[i] = [e + f for e, f in zip(avt[i], avt[i + 1])]  # column i of A += column i+1
+        au = [list(col) + row[cols:] for col, row in zip(zip(*avt), au)]
+        vt = [row[rows:] for row in avt]
 
 
 def _invariant_factors(orders: Iterable[int]) -> List[int]:
@@ -235,38 +212,21 @@ def abelian_invariants(
 
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Basis of the integer kernel {v : mat @ v = 0}."""
-    cols = len(mat[0]) if mat else 0
+    """Basis of the integer kernel {v : mat @ v = 0}: V's columns past the rank."""
     _, v, diag = snf_with_transforms(mat)
-    out = []
-    for j in range(cols):
-        if j >= len(diag) or diag[j] == 0:
-            out.append([v[i][j] for i in range(cols)])
-    return out
+    return [list(col) for col in zip(*v)][sum(1 for d in diag if d):]
 
 
 def solve_integer(
     mat: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[List[int]]:
-    """One integer solution x of mat @ x = rhs, or None."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+    """One integer solution x of mat @ x = rhs, or None.
+
+    With U mat V = diag: x = V y, y_i = (U rhs)_i // d_i, and y_i = 0 where
+    d_i = 0 or past diag.  A solution exists iff d_i | (U rhs)_i and
+    (U rhs)_i = 0 past the rank, and then x is one, so mat @ x = rhs decides.
+    """
     u, v, diag = snf_with_transforms(mat)
-    ub = [sum(u[i][j] * rhs[j] for j in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if i < len(ub) and ub[i] != 0:
-                return None
-            continue
-        if ub[i] % d != 0:
-            return None
-        if i < cols:
-            y[i] = ub[i] // d
-    x = [sum(v[i][j] * y[j] for j in range(cols)) for i in range(cols)]
-    # verify: cheap on the 2 x 2 systems of the edge test
-    for i in range(rows):
-        if sum(mat[i][j] * x[j] for j in range(cols)) != rhs[i]:
-            return None
-    return x
+    y = [sum(map(mul, row, rhs)) // d if d else 0 for row, d in zip(u, diag)]
+    x = [sum(map(mul, row, y)) for row in v]
+    return x if all(sum(map(mul, row, x)) == r for row, r in zip(mat, rhs)) else None

@@ -202,13 +202,34 @@ def planar_double(ns) -> GraphStructure:
     return structure({"A": a, "B": b}, edges)
 
 
+def fiber_basis_partner(gs: GraphStructure, bases) -> GraphStructure:
+    """Copy of gs with each block presented in the fiber basis X = bases[label]
+    (I when absent): its images become X m X^-1, and each edge f becomes
+    mu_2 f mu_1^-1 for the transports mu = (X, 1) of its ends."""
+    from gm4.assembly import _transport
+
+    blocks = gs.block_map()
+
+    def transport(end):
+        return _transport(blocks[end[0]].monodromies[end[1]], bases.get(end[0], I2), 1)
+
+    edges = tuple(
+        Edge(e.end1, e.end2, compose_isos(transport(e.end2)[0], compose_isos(e.iso, transport(e.end1)[1])))
+        for e in gs.edges
+    )
+    new_blocks = {}
+    for lbl, block in gs.blocks:
+        x = bases.get(lbl, I2)
+        new_blocks[lbl] = Block(block.surface, tuple(x @ m @ x.inverse() for m in block.images), block.labels)
+    return structure(new_blocks, edges)
+
+
 def automorphism_partner(gs: GraphStructure, rnd, reach: int = 12) -> GraphStructure:
     """Copy of gs re-glued by one block automorphism Z per block, so the
-    blocks stay and each edge f becomes mu_2 f mu_1^-1 for the transports
-    mu = (Z, 1) of its ends.  Z commutes with every image of its block: it
-    is +-R^j with |j| <= reach when the images are powers of R, and a word
-    of up to three such letters R^j, L^j and a flip when they are all I."""
-    from gm4.assembly import _transport
+    blocks stay: the fiber-basis partner by Z, which commutes with every
+    image of its block.  Z is +-R^j with |j| <= reach when the images are
+    powers of R, and a word of up to three such letters R^j, L^j and a flip
+    when they are all I."""
 
     def automorphism(block: Block) -> Mat2:
         if any(m != I2 for m in block.images):
@@ -222,16 +243,27 @@ def automorphism_partner(gs: GraphStructure, rnd, reach: int = 12) -> GraphStruc
     autos = {lbl: automorphism(block) for lbl, block in gs.blocks}
     for lbl, block in gs.blocks:
         assert all(autos[lbl] @ m == m @ autos[lbl] for m in block.images)
-    blocks = gs.block_map()
+    return fiber_basis_partner(gs, autos)
 
-    def transport(end):
-        return _transport(blocks[end[0]].monodromies[end[1]], autos[end[0]], 1)
 
-    edges = tuple(
-        Edge(e.end1, e.end2, compose_isos(transport(e.end2)[0], compose_isos(e.iso, transport(e.end1)[1])))
-        for e in gs.edges
-    )
-    return structure(blocks, edges)
+def noncommuting_double() -> GraphStructure:
+    """Reduced: 4-holed spheres A with images (R^2, L^-2, R^-2) and B with
+    (R^-2, L^2, R^2), whose images do not commute.  Boundary i of A is
+    U R^n U^-1 with (U, n) = (I, 2), (S, 2), (I, -2), (R^2 S, -2), that of B
+    is V R^-n V^-1 with V = I, S, I, R^-2 S, and each pair is glued by
+    swap_iso(n) after the transport (U^-1, 1) and before the transport (V, 1)."""
+    from gm4.assembly import _transport
+
+    s = Mat2(0, -1, 1, 0)
+    a = holed_sphere([upper(2), Mat2(1, 0, -2, 1), upper(-2)])
+    b = holed_sphere([upper(-2), Mat2(1, 0, 2, 1), upper(2)])
+    edges = []
+    conjugators = zip((I2, s, I2, upper(2) @ s), (I2, s, I2, upper(-2) @ s), (2, 2, -2, -2))
+    for lbl, (u, v, n) in zip(a.boundary_labels(), conjugators):
+        into = _transport(a.monodromies[lbl], u.inverse(), 1)[0]
+        out = _transport(upper(-n), v, 1)[0]
+        edges.append(Edge(("A", lbl), ("B", lbl), compose_isos(out, compose_isos(swap_iso(n), into))))
+    return structure({"A": a, "B": b}, edges)
 
 
 def rename_blocks(gs: GraphStructure, names) -> GraphStructure:

@@ -36,6 +36,7 @@ from gm4 import (
     load_structure,
     manifold_signature,
     reduce_structure,
+    smith,
     structure,
     validate_structure,
 )
@@ -43,13 +44,16 @@ from gm4 import (
 from conftest import (
     REDUCED_CORPUS,
     bench_gen,
+    fiber_basis_partner,
     holed_sphere,
     mirror_double,
     mirror_edge_iso,
+    noncommuting_double,
     pants,
     partial_reducible,
     planar_double,
     relabel,
+    rename_blocks,
     swap_double,
     swap_iso,
     trivial_double,
@@ -656,6 +660,36 @@ class TestIsomorphicReduced:
                 assert reference_isomorphic_reduced(gs1, gs2, bound).verdict in (got, "inconclusive")
 
 
+class TestNonCommutingDouble:
+    """4-holed spheres whose images do not commute: `compare` conjugates
+    them through the intertwiner lattice, and so through the dense Smith
+    form."""
+
+    def test_valid_and_reduced(self):
+        gs = noncommuting_double()
+        assert validate_structure(gs) == []
+        assert is_reduced(gs) == (True, [])
+        assert "h1: Z^3 + Z/2 + Z/2\n" in invariant_report(gs).render()
+
+    def test_rename(self):
+        gs = noncommuting_double()
+        result = isomorphic_reduced(gs, rename_blocks(gs, {"A": "B", "B": "A"}))
+        assert (result.verdict, result.witness) == ("yes", "block matching A->A, B->B")
+
+    @pytest.mark.parametrize("label", ["A", "B"])
+    @pytest.mark.parametrize("x", [Mat2(2, 1, 1, 1), Mat2(1, 3, 0, 1), S], ids=str)
+    def test_fiber_basis_partner_takes_one_smith_form(self, label, x, monkeypatch):
+        gs = noncommuting_double()
+        partner = fiber_basis_partner(gs, {label: x})
+        assert validate_structure(partner) == []
+        calls = []
+        real = smith.snf_with_transforms
+        monkeypatch.setattr(smith, "snf_with_transforms", lambda mat: calls.append(mat) or real(mat))
+        result = isomorphic_reduced(gs, partner)
+        assert (result.verdict, result.witness) == ("yes", "block matching A->A, B->B")
+        assert len(calls) == 1
+
+
 def _rotate_pair():
     """A 4-block pants ring and its copy with block P00 rotated: reduced,
     with equal invariant keys, and inconclusive."""
@@ -971,20 +1005,7 @@ class TestEulerDiagnosticMode:
 
 def _conjugate_structure(gs, c):
     """Copy of gs with every block's fiber basis changed by c."""
-    from gm4.assembly import _transport
-
-    new_blocks = {}
-    mus = {}
-    for lbl, block in gs.blocks:
-        imgs = tuple(c @ m @ c.inverse() for m in block.images)
-        new_blocks[lbl] = Block(block.surface, imgs, block.boundary_labels())
-        for bd, m in block.monodromies.items():
-            mus[(lbl, bd)] = _transport(m, c, 1)
-    new_edges = tuple(
-        Edge(e.end1, e.end2, compose_isos(mus[e.end2][0], compose_isos(e.iso, mus[e.end1][1])))
-        for e in gs.edges
-    )
-    return structure(new_blocks, new_edges)
+    return fiber_basis_partner(gs, {lbl: c for lbl, _ in gs.blocks})
 
 
 class TestComparisonThreeValued:

@@ -22,6 +22,30 @@ def sympy_invariants(mat, n_generators):
     return n_generators - len(nonzero), sorted(d for d in nonzero if d > 1)
 
 
+def sympy_diagonal(mat):
+    """The diagonal of sympy's Smith normal form of `mat`, up to sign, sorted."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(sympy.Matrix(mat), domain=sympy.ZZ)
+    return sorted(abs(int(snf[i, i])) for i in range(min(snf.shape)))
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def check_smith_form(mat):
+    """snf_with_transforms(mat) keeps its contract and has sympy's diagonal."""
+    sympy = pytest.importorskip("sympy")
+    u, v, d = smith.snf_with_transforms(mat)
+    rows, cols = len(mat), len(mat[0])
+    assert matmul(matmul(u, mat), v) == [[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert abs(sympy.Matrix(u).det()) == abs(sympy.Matrix(v).det()) == 1
+    assert all(x >= 0 for x in d) and all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
+    assert sorted(d) == sympy_diagonal(mat)
+
+
 def sparse(mat):
     return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
@@ -95,6 +119,22 @@ class TestAgainstSympy:
             rows, cols = rnd.randint(1, 10), rnd.randint(1, 10)
             mat = random_matrix(rnd, kind, rows, cols)
             assert smith.abelian_invariants(sparse(mat), cols) == sympy_invariants(mat, cols), mat
+            check_smith_form(mat)
+
+    @pytest.mark.parametrize(
+        "mat",
+        # the alternation cycles on both when the echelon step neither
+        # subtracts the pivot row from a divisible entry nor reduces above
+        # the pivot, and on the second when the divisibility fix is a row
+        # operation on [A | U], which that reduction undoes
+        [
+            [[2, 0, -3, 9, 4, 9], [-1, 2, 2, 6, 9, 4], [0, 6, -1, 4, 4, 1],
+             [-3, 9, -3, 0, 6, 9], [0, 1, 9, 4, -3, 6], [0, 6, 0, 2, 4, 1]],
+            [[9, 0, 4], [9, 1, 9], [9, -1, 4], [0, 6, -3]],
+        ],
+    )
+    def test_dense_form_terminates(self, mat):
+        check_smith_form(mat)
 
     def test_zero_rows_and_columns(self):
         rnd = random.Random("gm4/smith/zeros")
@@ -136,6 +176,8 @@ class TestAgainstSympy:
         assert smith.kernel_basis([]) == smith.kernel_basis([[]]) == []
         assert smith.solve_integer([], []) == []
         assert smith.kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
+        assert smith.snf_with_transforms([]) == ([], [], [])
+        assert smith.snf_with_transforms([[]]) == ([[1]], [], [])
 
     @pytest.mark.parametrize("blocks", [4, 8, 12, 16])
     def test_ring_presentations(self, blocks, monkeypatch):
@@ -166,6 +208,15 @@ class TestGrowth:
         for blocks in (8, 12, 24, 48, 96):
             first_homology(random_ring(blocks, random.Random(f"gm4/smith/growth/{blocks}")))
         assert shapes == []
+
+    def test_dense_transforms_stay_small(self):
+        """On 15 x 15 matrices with entries in [-2^16, 2^16], every entry of
+        U and V has under 1,024 bits."""
+        for seed in range(8):
+            rnd = random.Random(f"gm4/smith/transforms/{seed}")
+            mat = [[rnd.randint(-2 ** 16, 2 ** 16) for _ in range(15)] for _ in range(15)]
+            u, v, _ = smith.snf_with_transforms(mat)
+            assert max(abs(e).bit_length() for t in (u, v) for row in t for e in row) < 1024, seed
 
     def test_work_grows_linearly(self, monkeypatch):
         """Heap pushes, one per entry a changed row offers as a pivot, at
