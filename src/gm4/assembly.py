@@ -32,7 +32,7 @@ from .bundles import (
     validate_block,
     validate_glueing,
 )
-from .meyer import block_signature
+from .meyer import boundary_psi_sum
 
 End = Tuple[str, str]  # (block label, boundary label)
 
@@ -128,22 +128,28 @@ def validate_structure(gs: GraphStructure) -> List[str]:
                 found = checked[edge.iso] = validate_glueing(edge.iso)
             for v in found:
                 out.append(f"edge {idx}: {v}")
-    if len(labels) > 1:
-        adjacent: Dict[str, List[str]] = {lbl: [] for lbl in labels}
-        for edge in gs.edges:
-            adjacent[edge.end1[0]].append(edge.end2[0])
-            adjacent[edge.end2[0]].append(edge.end1[0])
-        reached = {labels[0]}
-        frontier = [labels[0]]
-        while frontier:
-            for b in adjacent[frontier.pop()]:
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        if reached != set(labels):
-            missing = sorted(set(labels) - reached)
-            out.append(f"underlying graph not connected: unreachable blocks {missing}")
+    reached = _breadth_first(gs)
+    if len(reached) != len(labels):
+        missing = sorted(set(labels) - set(reached))
+        out.append(f"underlying graph not connected: unreachable blocks {missing}")
     return out
+
+
+def _breadth_first(gs: GraphStructure) -> List[str]:
+    """The labels of the blocks that the first block reaches, in breadth-first
+    order of the block graph, each block's neighbours in edge order."""
+    adjacent: Dict[str, List[str]] = {lbl: [] for lbl, _ in gs.blocks}
+    for edge in gs.edges:
+        adjacent[edge.end1[0]].append(edge.end2[0])
+        adjacent[edge.end2[0]].append(edge.end1[0])
+    order = [gs.blocks[0][0]]
+    placed = set(order)
+    for lbl in order:
+        for other in adjacent[lbl]:
+            if other not in placed:
+                placed.add(other)
+                order.append(other)
+    return order
 
 
 def require_valid(gs: GraphStructure) -> None:
@@ -167,8 +173,9 @@ def euler_characteristic(gs: GraphStructure) -> int:
 
 def manifold_signature(gs: GraphStructure) -> Fraction:
     """Signature: sum of block signatures, blocks oriented compatibly
-    (glueings reversing the induced boundary orientations)."""
-    return sum((block_signature(block) for _, block in gs.blocks), Fraction(0))
+    (glueings reversing the induced boundary orientations), as one third of
+    the sum of their boundary psi-sums."""
+    return Fraction(sum(boundary_psi_sum(block) for _, block in gs.blocks), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -179,53 +186,63 @@ def manifold_signature(gs: GraphStructure) -> Fraction:
 def first_homology(gs: GraphStructure) -> Tuple[int, List[int]]:
     """(rank, torsion coefficients) of H1 of the glued 4-manifold.
 
-    Each block owns a run of columns from its offset: the fiber x, then y,
-    then the block's surface generators by position.  Abelianized, the
-    boundary c_i is +1 on its own column and the last boundary
-    (N c1 ... c{b-1})^-1 is -1 on every c, -2 on every d over a
-    non-orientable base and 0 on every a_i, b_i, as N abelianizes to
-    2 (d1 + ... + dq) or 0.  A glueing relation
-    t i(g) t^-1 = j(g) reads i(g) = j(g), so the stable letters t appear in
-    no relation: a spanning tree kills V - 1 of them and the other E - V + 1
-    (the cycle rank of the connected graph) are free summands (Serre,
-    Trees, 1980, ch. I).
+    The columns are numbered block by block, in breadth-first order of the
+    block graph from the least label, so that a glueing relates two runs of
+    columns that the order keeps close, and smith.abelian_invariants
+    eliminates them in that order.  Each block's run holds the fiber x,
+    then y, then d1, ..., dq over a non-orientable base, then one column
+    beta per boundary.  Abelianized, the boundary c_i is beta_i.  The last
+    boundary (N c1 ... c{b-1})^-1, as N abelianizes to 2 (d1 + ... + dq) or
+    0, would read -(c1 + ... + c{b-1}) - 2 (d1 + ... + dq); a Tietze move
+    gives it the column beta_b and the block the one row
+    beta_1 + ... + beta_b + 2 (d1 + ... + dq) = 0.  So the handles a_i, b_i
+    of an orientable base appear in no relation: they are free summands
+    without a column.  A glueing relation t i(g) t^-1 = j(g)
+    reads i(g) = j(g) on the x, y and beta columns of its two ends, so the
+    stable letters t appear in no relation either: a spanning tree kills
+    V - 1 of them and the other E - V + 1 (the cycle rank of the connected
+    graph) are free summands (Serre, Trees, 1980, ch. I).
 
     gs must be valid, as for manifold_signature: this does not check it,
     and on an invalid gs it may raise KeyError or return a meaningless
     group.  invariant_report(gs).h1 is the checked H1; invariant_report and
     isomorphic_reduced validate gs once before they call this."""
+    blocks = gs.block_map()
     offsets: Dict[str, int] = {}
-    boundary_ab: Dict[End, Dict[int, int]] = {}  # column -> coefficient of each boundary
+    beta: Dict[End, int] = {}  # the column of each boundary
     rows: List[Dict[int, int]] = []
-    n_columns = 0
-    for lbl, block in gs.blocks:
+    n_columns = free = 0
+    for lbl in _breadth_first(gs):
+        block = blocks[lbl]
         x = offsets[lbl] = n_columns
-        n_columns = x + 2 + len(block.images)
-        first_c = n_columns - len(block.cs)
-        labels = block.boundary_labels()
-        for col, bd in zip(range(first_c, n_columns), labels):
-            boundary_ab[(lbl, bd)] = {col: 1}
-        last = {} if block.surface.orientable else dict.fromkeys(range(x + 2, first_c), -2)
-        last.update(dict.fromkeys(range(first_c, n_columns), -1))
-        boundary_ab[(lbl, labels[-1])] = last
         for m in block.images:
             # gamma x gamma^-1 = x^a y^c ; gamma y gamma^-1 = x^b y^d
             rows.append({x: 1 - m.a, x + 1: -m.c})
             rows.append({x: -m.b, x + 1: 1 - m.d})
+        if block.surface.orientable:
+            free += len(block.handles)
+            n_columns = x + 2
+            block_row = {}
+        else:
+            n_columns = x + 2 + len(block.handles)
+            block_row = dict.fromkeys(range(x + 2, n_columns), 2)
+        for bd in block.boundary_labels():
+            beta[(lbl, bd)] = n_columns
+            block_row[n_columns] = 1
+            n_columns += 1
+        rows.append(block_row)
 
     for edge in gs.edges:
         x1, x2 = offsets[edge.end1[0]], offsets[edge.end2[0]]
-        sources = ({x1: 1}, {x1 + 1: 1}, dict(boundary_ab[edge.end1]))
-        images = (edge.iso.x_img, edge.iso.y_img, edge.iso.t_img)
-        for coeffs, img in zip(sources, images):
-            coeffs[x2] = coeffs.get(x2, 0) - img.a
-            coeffs[x2 + 1] = coeffs.get(x2 + 1, 0) - img.b
-            for col, exp in boundary_ab[edge.end2].items():
-                coeffs[col] = coeffs.get(col, 0) - img.k * exp
-            rows.append(coeffs)
+        beta2 = beta[edge.end2]
+        for col, img in ((x1, edge.iso.x_img), (x1 + 1, edge.iso.y_img), (beta[edge.end1], edge.iso.t_img)):
+            row = {col: 1}
+            for target, exp in ((x2, img.a), (x2 + 1, img.b), (beta2, img.k)):
+                row[target] = row.get(target, 0) - exp
+            rows.append(row)
 
     rank, torsion = smith.abelian_invariants(rows, n_columns)
-    return rank + len(gs.edges) - len(gs.blocks) + 1, torsion
+    return rank + free + len(gs.edges) - len(gs.blocks) + 1, torsion
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .assembly import Edge, GraphStructure, structure
 class ManifestError(ValueError):
     def __init__(self, message: str, line: int, col: int = 1):
         super().__init__(f"line {line}, col {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -182,10 +183,16 @@ def _end_ref(token: str, line: int) -> Tuple[str, str]:
     return (blk, bd)
 
 
-def _column(raw: str, index: int) -> int:
-    """1-based column of the index-th token of raw, by scanning the tokens in
-    order (so a token repeated on its line gets its own column)."""
-    return [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
+def _parse_token(parse_token, token: str, raw: str, index: int, line: int):
+    """parse_token(token, line) for the index-th token of the line raw.  A
+    rejection is located at the token's 1-based column, which only then is
+    found by scanning the tokens in order (so a token repeated on its line
+    gets its own column)."""
+    try:
+        return parse_token(token, line)
+    except ManifestError as err:
+        col = [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
+        raise ManifestError(err.message, line, col) from None
 
 
 def parse(text: str) -> Manifest:
@@ -276,7 +283,7 @@ def parse(text: str) -> Manifest:
                 raise ManifestError(f"duplicate generator {tokens[1]!r}", lineno)
             mat = matrices.get(tokens[2])
             if mat is None:
-                mat = matrices[tokens[2]] = parse_matrix(tokens[2], lineno, _column(raw, 2))
+                mat = matrices[tokens[2]] = _parse_token(parse_matrix, tokens[2], raw, 2, lineno)
             current_block.gens[tokens[1]] = mat
             current_block.gen_lines[tokens[1]] = lineno
         elif head in ("x", "y", "t"):
@@ -288,7 +295,7 @@ def parse(text: str) -> Manifest:
                 raise ManifestError(f"duplicate image of {head!r}", lineno)
             img = images.get(tokens[1])
             if img is None:
-                img = images[tokens[1]] = parse_triple(tokens[1], lineno, _column(raw, 1))
+                img = images[tokens[1]] = _parse_token(parse_triple, tokens[1], raw, 1, lineno)
             current_glue.images[head] = img
         else:
             raise ManifestError(f"unknown directive {head!r}", lineno)

@@ -1,5 +1,6 @@
 """Characteristic function on SL(2,Z), its signature 2-cocycle, and
-signatures of blocks, which assembly.manifold_signature sums.
+signatures of blocks: boundary_psi_sum, whose integer totals
+assembly.manifold_signature adds up and divides by 3 once.
 
 psi is the conjugation-invariant integer class function pinned by
 
@@ -88,9 +89,14 @@ def psi_by_folding(m: Mat2, pivot: str = "floor") -> int:
 
 
 def block_signature(block: Block) -> Fraction:
-    """Signature of a block: one third of the psi-sum over its boundary
-    torus-bundle monodromies, each read from its class in Block.classes.
-    Requires an orientable base and SL(2,Z) boundary monodromies."""
+    """Signature of a block: one third of its boundary_psi_sum."""
+    return Fraction(boundary_psi_sum(block), 3)
+
+
+def boundary_psi_sum(block: Block) -> int:
+    """The psi-sum over the boundary torus-bundle monodromies of a block,
+    each read from its class in Block.classes.  Requires an orientable base
+    and SL(2,Z) boundary monodromies."""
     if not block.surface.orientable:
         raise UnsupportedOperationError(
             "signature is computed for blocks with orientable base only"
@@ -101,5 +107,4 @@ def block_signature(block: Block) -> Fraction:
                 f"boundary monodromy {mono} has determinant -1; "
                 "signature needs SL(2,Z) monodromies"
             )
-    total = sum(_psi_of_class(m, block.classes[lbl]) for lbl, m in block.monodromies.items())
-    return Fraction(total, 3)
+    return sum(_psi_of_class(m, block.classes[lbl]) for lbl, m in block.monodromies.items())

@@ -9,21 +9,24 @@ non-commuting images, and ``solve_integer`` on the 2 x 6 systems of
 ``bundles.iso_inverse``, met when ``compare`` reads a reversed glue line.
 
 ``abelian_invariants`` takes H1 presentations, which grow with the structure
-(416 x 289 for a ring of 64 pants blocks) and are sparse, with mostly unit
-entries.  It keeps them as sparse rows, with a column -> rows index so that a
-pivot costs only the rows it touches, and eliminates one pivot at a time:
-first the +-1 entries, each a diagonal 1, Markowitz-style by least
-(row length - 1) x (column count - 1); then the other entries, where Euclid
-steps around the pivot leave it alone in its row and column, a cyclic summand.
-Those summands merge into the invariant factors at the end.  Dumas, Saunders
-and Villard ("On efficient sparse integer matrix Smith normal form
-computations", JSC 32 (2001)) hand what the unit pivots leave to a dense
-method; on rings of pants blocks that remainder grows with the ring (55 x 55
-at 384 blocks), so here the sparse elimination runs to the end.
+(608 x 320 for a ring of 64 pants blocks) and are sparse, with mostly unit
+entries; about half their rows are identifications +-u +- v = 0 or +-u = 0.
+A signed union-find, whose root is the least column of its class, applies
+those, and every other row is rewritten once on the roots (64 columns are
+left of that ring).  Then one Smith step per column, in index order, puts
+a cyclic summand on the diagonal; its pivot column never moves, so a
+cleared column stays clear.  With the columns numbered along the block
+graph, as ``assembly.first_homology`` numbers them, each step touches only
+the rows and columns at the front of that order, whose width bounds the fill
+(George, "Nested dissection of a regular finite element mesh", SIAM J.
+Numer. Anal. 10 (1973)).  The summands merge into the invariant factors at
+the end.  Dumas, Saunders and Villard ("On efficient sparse integer matrix
+Smith normal form computations", JSC 32 (2001)) hand what the unit pivots
+leave to a dense method; on rings of pants blocks that remainder grows with
+the ring, so here the sparse elimination runs to the end.
 """
 from __future__ import annotations
 
-import heapq
 from math import gcd
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -108,15 +111,23 @@ def _invariant_factors(orders: Iterable[int]) -> List[int]:
     """Invariant factors > 1, ascending, of the sum of the cyclic groups Z/d."""
     chain: List[int] = []  # ascending, each dividing the next
     for d in orders:
-        # Z/a + Z/d = Z/gcd + Z/lcm: the lcm stays, the gcd moves down
-        for i in range(len(chain) - 1, -1, -1):
-            g = gcd(chain[i], d)
-            chain[i], d = chain[i] // g * d, g
-            if d == 1:
+        # Z/a + Z/d = Z/gcd + Z/lcm: the lcm stays and the gcd moves down,
+        # until d divides the next entry down and is a multiple of the one
+        # below that, where it goes in
+        i = len(chain)
+        while d > 1:
+            if i == 0 or chain[i - 1] % d == 0 and (i == 1 or d % chain[i - 2] == 0):
+                chain.insert(max(i - 1, 0), d)
                 break
-        if d > 1:
-            chain.insert(0, d)
+            g = gcd(chain[i - 1], d)
+            chain[i - 1], d = chain[i - 1] // g * d, g
+            i -= 1
     return chain
+
+
+def _nearest(e: int, d: int) -> int:
+    """e / d rounded to a nearest integer, so |e - _nearest(e, d) d| <= |d| / 2."""
+    return (2 * e + d) // (2 * d)
 
 
 def abelian_invariants(
@@ -127,88 +138,121 @@ def abelian_invariants(
     Each row is sparse, {column: coefficient} with columns in
     range(n_generators); zero coefficients are ignored.
     """
-    a: Dict[int, Dict[int, int]] = {}
-    col_rows: Dict[int, Set[int]] = {}
-    for r, row in enumerate(rows):
-        entries = {j: v for j, v in row.items() if v}
-        if entries:
-            a[r] = entries
-            for j in entries:
-                col_rows.setdefault(j, set()).add(r)
+    # Signed union-find: column j stands for sign[j] times column parent[j],
+    # a root (parent[j] == j) for itself, and parent -1 for 0.  A root is the
+    # least column of its class.
+    parent = list(range(n_generators))
+    sign = [1] * n_generators
 
-    def put(r: int, j: int, w: int) -> None:
-        """a[r][j] = w, keeping the column index in step."""
-        row = a[r]
-        if w:
-            if j not in row:
-                col_rows.setdefault(j, set()).add(r)
-            row[j] = w
-        elif j in row:
-            del row[j]
-            col_rows[j].discard(r)
+    def find(j: int) -> Tuple[int, int]:
+        path = []
+        while j >= 0 and parent[j] != j:
+            path.append(j)
+            j = parent[j]
+        s = 1
+        for k in reversed(path):
+            s *= sign[k]
+            parent[k], sign[k] = j, s
+        return j, s
+
+    others: List[Mapping[int, int]] = []
+    for row in rows:
+        entries = [(j, v) for j, v in row.items() if v]
+        if len(entries) > 2 or any(v not in (1, -1) for _, v in entries):
+            others.append(row)
+            continue
+        if not entries:
+            continue
+        # e u + f v = 0 reads u = -e f v, and +-u = 0 reads u = 0, with v = -1
+        (u, e), (v, f) = entries if len(entries) == 2 else (entries[0], (-1, 1))
+        (ru, su), (rv, sv) = find(u), find(v)
+        s = -e * f * su * sv  # ru = s rv
+        if ru == rv:
+            if ru >= 0 and s == -1:  # 2 ru = 0
+                others.append({ru: 2})
+        elif ru < rv:
+            parent[rv], sign[rv] = ru, s
+        else:
+            parent[ru], sign[ru] = rv, s
+    roots = sum(1 for j in range(n_generators) if parent[j] == j)
+
+    # each other row is rewritten once, on the roots
+    a: List[Dict[int, int]] = []
+    col_rows: Dict[int, Set[int]] = {}
+    for row in others:
+        entries: Dict[int, int] = {}
+        for j, v in row.items():
+            r, s = find(j)
+            if r >= 0 and v:
+                entries[r] = entries.get(r, 0) + s * v
+        entries = {j: v for j, v in entries.items() if v}
+        for j in entries:
+            col_rows.setdefault(j, set()).add(len(a))
+        a.append(entries)
 
     def sub_row(r: int, f: int, src: Mapping[int, int]) -> None:
+        """Row r -= f * src, keeping the column index in step."""
         row = a[r]
         for j, v in src.items():
-            put(r, j, row.get(j, 0) - f * v)
+            w = row.get(j, 0) - f * v
+            if w:
+                if j not in row:
+                    col_rows[j].add(r)
+                row[j] = w
+            elif j in row:
+                del row[j]
+                col_rows[j].discard(r)
 
-    # Lazy heap of (|entry| > 1, Markowitz cost, |entry|, row, column): unit
-    # pivots first, each kind by least (row length - 1) x (column count - 1).
-    # Every row an operation changes pushes all its entries again, so a
-    # record whose |entry| is out of date can be dropped; a popped record
-    # whose cost has grown is pushed back.
-    heap: List[Tuple[bool, int, int, int, int]] = []
+    def pivot_row(rs: Iterable[int], c: int) -> int:
+        return min(rs, key=lambda r: (abs(a[r][c]), len(a[r])))
 
-    def push_row(r: int) -> None:
-        row = a[r]
-        for j, v in row.items():
-            size = abs(v)
-            heapq.heappush(heap, (size != 1, (len(row) - 1) * (len(col_rows[j]) - 1), size, r, j))
-
-    for r in a:
-        push_row(r)
+    # One Smith step per column, in index order.  Euclid row steps, each
+    # quotient rounded to nearest, leave the row p of least |entry|, then
+    # the shortest, alone in column c; column operations, which touch row p
+    # only, reduce its other entries modulo the pivot d.  A remainder e left
+    # at column k moves into the pivot by the column pair
+    # (c, k) -> (x c + y k, -e/g c + d/g k), with x d + y e = g = gcd(d, e),
+    # which puts g at (p, c) and 0 at (p, k) and gives the other rows of
+    # column k y times their k entry at c; the step repeats with the smaller
+    # pivot.  So the pivot column never moves, and a cleared column stays
+    # clear: later operations only combine rows or columns on their nonzero
+    # entries, and no column gains a row unless it has one.
     pivots: List[int] = []
-    while heap:
-        _, cost, size, p, c = heapq.heappop(heap)
-        d = a[p].get(c) if p in a else None
-        if d is None or abs(d) != size:
+    for c in sorted(col_rows):
+        if not col_rows[c]:
             continue
-        now = (len(a[p]) - 1) * (len(col_rows[c]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (size != 1, now, size, p, c))
-            continue
-        # Smith step at (p, c): clear column c with row p, then row p with
-        # column c, whose column operations touch row p only; a nonzero
-        # remainder, smaller than |d|, becomes the pivot and the step repeats.
-        touched: Set[int] = set()
+        p = pivot_row(col_rows[c], c)
         while True:
+            d = a[p][c]
             for r in [r for r in col_rows[c] if r != p]:
-                sub_row(r, a[r][c] // d, a[p])
-                touched.add(r)
+                sub_row(r, _nearest(a[r][c], d), a[p])
             left_in_col = [r for r in col_rows[c] if r != p]
             if left_in_col:
-                p = min(left_in_col, key=lambda r: abs(a[r][c]))
-            else:
-                row_p = a[p]
-                for k in [k for k in row_p if k != c]:
-                    put(p, k, row_p[k] % d)
-                left_in_row = [k for k in row_p if k != c]
-                if not left_in_row:
-                    break
-                c = min(left_in_row, key=lambda k: abs(row_p[k]))
-            d = a[p][c]
-        col_rows[c].discard(p)
-        del a[p]
-        pivots.append(abs(d))
-        for r in touched:
-            if r == p:
+                p = pivot_row(left_in_col, c)
                 continue
-            if a[r]:
-                push_row(r)
-            else:
-                del a[r]
-    # every entry has a heap record, so the matrix is now empty
-    return n_generators - len(pivots), _invariant_factors(d for d in pivots if d > 1)
+            row_p = a[p]
+            for k in [k for k in row_p if k != c]:
+                w = row_p[k] - _nearest(row_p[k], d) * d
+                if w:
+                    row_p[k] = w
+                else:
+                    del row_p[k]
+                    col_rows[k].discard(p)
+            if len(row_p) == 1:
+                break
+            k = min((k for k in row_p if k != c), key=lambda k: abs(row_p[k]))
+            g, _, y = _ext_gcd(d, row_p[k])
+            t = d // g
+            for r in [r for r in col_rows[k] if r != p]:
+                row = a[r]
+                v = row[k]
+                row[k], row[c] = t * v, y * v
+                col_rows[c].add(r)
+            row_p[c] = g
+            del row_p[k]
+            col_rows[k].discard(p)
+        pivots.append(abs(d))
+    return roots - len(pivots), _invariant_factors(d for d in pivots if d > 1)
 
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -20,6 +20,7 @@ from gm4 import (
     SurfaceWithBoundary,
     TorusBundleOverCircle,
     compose_isos,
+    load_structure,
     structure,
 )
 
@@ -34,6 +35,25 @@ def bench_gen():
         sys.modules[spec.name] = module
         spec.loader.exec_module(module)
     return module
+
+
+def bench_ring(n: int, kind: str = "baseline") -> GraphStructure:
+    """The pants ring of n blocks with _ring_params(n, Random(n)); its rungs
+    preserve the fiber by a fresh Random(n) ("baseline") or all of them
+    ("preserving" and "handles").  "handles" also preserves each ring edge
+    P_2j.2 - P_2j+1.1, so reduce contracts each pair of blocks twice, into
+    a genus-1 block with two boundaries."""
+    gen = bench_gen()
+    a, bs = gen._ring_params(n, random.Random(n))
+    rnd = random.Random(n)
+    preserving = [rnd.random() < 0.5 if kind == "baseline" else True for _ in bs]
+    ring = gen.pants_ring(a, bs, preserving)
+    if kind == "handles":
+        ring.edges = [
+            (e1, e2, gen.PRESERVE if e1[1] == "2" and int(e1[0][1:]) % 2 == 0 else iso)
+            for e1, e2, iso in ring.edges
+        ]
+    return load_structure(ring.text())
 
 
 def upper(n: int) -> Mat2:

@@ -44,7 +44,9 @@ from gm4 import (
 from conftest import (
     REDUCED_CORPUS,
     bench_gen,
+    bench_ring,
     fiber_basis_partner,
+    genus1_self_swap,
     holed_sphere,
     mirror_double,
     mirror_edge_iso,
@@ -363,25 +365,6 @@ class TestReduce:
         assert first_homology(red) == first_homology(gs) == (3, [4])
 
 
-def _pants_ring(n, kind):
-    """The pants ring of n blocks with _ring_params(n, Random(n)); its rungs
-    preserve the fiber by a fresh Random(n) ("baseline") or all of them
-    ("preserving" and "handles").  "handles" also preserves each ring edge
-    P_2j.2 - P_2j+1.1, so reduce contracts each pair of blocks twice, into
-    a genus-1 block with two boundaries."""
-    gen = bench_gen()
-    a, bs = gen._ring_params(n, random.Random(n))
-    rnd = random.Random(n)
-    preserving = [rnd.random() < 0.5 if kind == "baseline" else True for _ in bs]
-    ring = gen.pants_ring(a, bs, preserving)
-    if kind == "handles":
-        ring.edges = [
-            (e1, e2, gen.PRESERVE if e1[1] == "2" and int(e1[0][1:]) % 2 == 0 else iso)
-            for e1, e2, iso in ring.edges
-        ]
-    return load_structure(ring.text())
-
-
 class TestReduceAtScale:
     @pytest.mark.parametrize("kind", ["baseline", "preserving"])
     @pytest.mark.parametrize("n", [96, 768])
@@ -389,7 +372,7 @@ class TestReduceAtScale:
         # a pants merge moves the four other ends of its two blocks
         import gm4.assembly as assembly
 
-        gs = _pants_ring(n, kind)
+        gs = bench_ring(n, kind)
         merges = len(is_reduced(gs)[1])
         built = []
         real = assembly.Edge
@@ -407,7 +390,7 @@ class TestReduceAtScale:
         # the heap holds the preserving edges and one entry per rewrite
         import gm4.assembly as assembly
 
-        gs = _pants_ring(768, kind)
+        gs = bench_ring(768, kind)
         preserving = len(is_reduced(gs)[1])
         pops, rewritten = [], []
         real_pop, real_reglue = assembly.heappop, assembly._reglue
@@ -443,7 +426,7 @@ class TestReduceAtScale:
 
     @pytest.mark.parametrize("kind, n", sorted(DIGESTS))
     def test_output_is_byte_identical(self, kind, n):
-        out = dump_structure(reduce_structure(_pants_ring(n, kind)))
+        out = dump_structure(reduce_structure(bench_ring(n, kind)))
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[(kind, n)]
 
     # sha256 of invariant_report(ring).render(), and of the report of its
@@ -454,6 +437,11 @@ class TestReduceAtScale:
         ("baseline", 96, True): "272c1eb2bcb64a85a0f4eb1fab98bebb4612c780f6bd0aedaf7987955f29c9d3",
         ("baseline", 384, False): "b355c2da82d5d9f0e7b09fc1c3134ed08994bf6569acc9508cdbddf56a0240d4",
         ("baseline", 384, True): "ea13ac4123afb9cdb4555c3ee82a8a4cf24a097ddd7daeed7f3068490f90152c",
+        # recorded while H1 eliminated its pivots in Markowitz order
+        ("baseline", 1536, False): "dc7b34e6ec46b8d5404e1bf93856a066554416588d2b9d4c3687121a0dc409fb",
+        ("baseline", 1536, True): "82c1f57d42f90453dd1a8f2d8aafbb2876afc541a095a2aeb71b9109861995da",
+        ("baseline", 3072, False): "dfcb0a3d5bf5efbed2b6ad2b07a50f4b13cba4d71c8435fff56e1fa3d2a47294",
+        ("baseline", 3072, True): "20d39bbf6078e49696f35d1e859755238c169033df3591926510e97b7a671d71",
         ("preserving", 96, False): "3a109c26d4316378f7d603ce1dbd42ebadd919023686e2177154cd2ee6aa4b51",
         ("preserving", 96, True): "30b5cc08da99837074eff834aa5800980003182583ab9d77f1c894b101f3e446",
         ("preserving", 384, False): "c5ff8030d22009b7c4640b2b0ce1c88d55339b9869b21d34a28dc66c6a5d8dc4",
@@ -466,7 +454,7 @@ class TestReduceAtScale:
 
     @pytest.mark.parametrize("kind, n, reduced", sorted(REPORT_DIGESTS))
     def test_report_is_byte_identical(self, kind, n, reduced):
-        gs = _pants_ring(n, kind)
+        gs = bench_ring(n, kind)
         if reduced:
             gs = reduce_structure(gs)
             assert kind != "handles" or {b.surface.genus for _, b in gs.blocks} == {1}
@@ -515,6 +503,22 @@ class TestFirstHomology:
                 ]
                 edges = [Edge(("A", bd), ("B", bd), swap_iso(m.b)) for bd, m in pair[0].monodromies.items()]
                 cases[f"trade_{q}_{b}"] = structure({"A": pair[0], "B": pair[1]}, edges)
+        for name, gs in cases.items():
+            assert validate_structure(gs) == [], name
+            assert first_homology(gs) == _reference_first_homology(gs), name
+
+    def test_against_dense_oracle(self, full_corpus):
+        # structures whose relations are not all identifications: non-unit
+        # twists, handles, non-commuting images and fiber-basis partners,
+        # whose glueings carry entries other than 0 and +-1
+        cases = dict(full_corpus)
+        for n in (1, 2, -3, 5):
+            cases[f"genus1_self_swap_{n}"] = genus1_self_swap(n)
+        cases["noncommuting_double"] = noncommuting_double()
+        for x in (Mat2(2, 1, 1, 1), Mat2(1, 3, 0, 1)):
+            for name in ("noncommuting_double", "swap_double_2_3", "genus1_self_swap_5", "twisted_double_2"):
+                label = cases[name].blocks[0][0]
+                cases[f"{name}/{x}"] = fiber_basis_partner(cases[name], {label: x})
         for name, gs in cases.items():
             assert validate_structure(gs) == [], name
             assert first_homology(gs) == _reference_first_homology(gs), name

@@ -1,13 +1,16 @@
 """Sparse H1: `smith.abelian_invariants` against sympy's Smith normal form,
 and how its work grows on rings of pants blocks."""
-import heapq
+import dis
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from gm4 import Edge, first_homology, smith, structure, validate_structure
+from gm4 import Edge, first_homology, load_structure, smith, structure, validate_structure
 
-from conftest import mirror_edge_iso, pants, swap_iso, upper
+from conftest import bench_ring, mirror_edge_iso, pants, swap_iso, upper
 
 
 def sympy_invariants(mat, n_generators):
@@ -183,14 +186,26 @@ class TestAgainstSympy:
     def test_ring_presentations(self, blocks, monkeypatch):
         rnd = random.Random(f"gm4/smith/ring/{blocks}")
         for _ in range(3):
-            gs = random_ring(blocks, rnd)
-            assert validate_structure(gs) == []
-            h1, rows, n = presentation(gs, monkeypatch)
-            dense = [[row.get(j, 0) for j in range(n)] for row in rows]
-            rank, torsion = sympy_invariants(dense, n)
-            # the stable letters of the E - V + 1 edges off a spanning tree
-            # are free and have no column
-            assert h1 == (rank + len(gs.edges) - len(gs.blocks) + 1, torsion)
+            check_presentation(random_ring(blocks, rnd), monkeypatch)
+
+    def test_corpus_presentations(self, full_corpus, monkeypatch):
+        # handles, glueings with entries past +-1 and non-orientable bases
+        path = Path(__file__).resolve().parent / "invalid_manifests" / "nonorientable_merge.gm"
+        for gs in [*full_corpus.values(), load_structure(path.read_text())]:
+            check_presentation(gs, monkeypatch)
+
+
+def check_presentation(gs, monkeypatch):
+    """sympy reduces the rows that first_homology hands to
+    abelian_invariants to the same H1."""
+    assert validate_structure(gs) == []
+    h1, rows, n = presentation(gs, monkeypatch)
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    rank, torsion = sympy_invariants(dense, n)
+    # the handles of orientable bases and the stable letters of the
+    # E - V + 1 edges off a spanning tree are free and have no column
+    handles = sum(len(block.handles) for _, block in gs.blocks if block.surface.orientable)
+    assert h1 == (rank + handles + len(gs.edges) - len(gs.blocks) + 1, torsion)
 
 
 class TestGrowth:
@@ -218,22 +233,44 @@ class TestGrowth:
             u, v, _ = smith.snf_with_transforms(mat)
             assert max(abs(e).bit_length() for t in (u, v) for row in t for e in row) < 1024, seed
 
-    def test_work_grows_linearly(self, monkeypatch):
-        """Heap pushes, one per entry a changed row offers as a pivot, at
-        most about double when the ring doubles."""
-        pushes = []
+    def test_work_grows_linearly(self):
+        """Entry writes on the baseline ring grow at most 5.5x (2.35x per
+        doubling) from 768 to 3,072 blocks."""
+        writes = [entry_writes(bench_ring(n)) for n in (768, 3072)]
+        assert writes[1] <= 5.5 * writes[0], writes
 
-        class CountingHeapq:
-            heappop = staticmethod(heapq.heappop)
 
-            @staticmethod
-            def heappush(heap, item):
-                pushes[-1] += 1
-                heapq.heappush(heap, item)
+def entry_writes(gs):
+    """Subscript stores and deletes that the code of gm4.smith executes
+    while first_homology(gs) runs: each line event of a smith frame counts
+    the STORE_SUBSCR and DELETE_SUBSCR instructions of its line."""
+    count = 0
+    per_line = {}  # code object -> {line: writes}
 
-        monkeypatch.setattr(smith, "heapq", CountingHeapq)
-        for blocks in (24, 48, 96, 192):
-            pushes.append(0)
-            first_homology(random_ring(blocks, random.Random(f"gm4/smith/work/{blocks}")))
-        for small, large in zip(pushes, pushes[1:]):
-            assert large <= 2.5 * small, pushes
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != smith.__file__:
+            return None
+        writes = per_line.get(code)
+        if writes is None:
+            writes = per_line[code] = Counter(
+                ins.positions.lineno
+                for ins in dis.get_instructions(code)
+                if ins.opname in ("STORE_SUBSCR", "DELETE_SUBSCR")
+            )
+
+        def lines(frame, event, arg):
+            nonlocal count
+            if event == "line":
+                count += writes.get(frame.f_lineno, 0)
+            return lines
+
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        first_homology(gs)
+    finally:
+        sys.settrace(previous)
+    return count
